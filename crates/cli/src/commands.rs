@@ -66,8 +66,8 @@ USAGE:
     icrowd compare  --dataset <name> [--seed N] [--faults <spec>] [--telemetry <path>]
     icrowd graph    --dataset <name> [--metric <m>] [--threshold X]
     icrowd quals    --dataset <name> [--q N] [--strategy inf|random]
-    icrowd serve    --dataset <name> [--approach <a>] [--addr H:P] [--handlers N]
-                    [--queue N] [--seed N] [--faults <spec>] [--labels-out <path>]
+    icrowd serve    --dataset <name> [--approach <a>] [--addr H:P] [--max-conns N]
+                    [--seed N] [--faults <spec>] [--labels-out <path>]
                     [--journal <path> | --recover <path>] [--fsync N]
                     [--snapshot-every N] [--durability fail-stop|degrade|retry]
                     [--idle-timeout-ms T] [--telemetry <path>]
@@ -111,7 +111,9 @@ LIVE METRICS: `icrowd serve --metrics-every MS [--metrics-out <path>]` emits
 
 SERVING:     `icrowd serve` hosts one campaign behind a line-delimited JSON
              TCP protocol (HELLO/REQUEST_TASK/SUBMIT_ANSWER/STATUS/RESULTS/
-             SHUTDOWN) and drains gracefully on SHUTDOWN. `icrowd loadgen`
+             SHUTDOWN) and drains gracefully on SHUTDOWN. Each connection
+             gets its own thread, up to --max-conns (default 64) at once;
+             one more is answered BUSY and closed. `icrowd loadgen`
              drives it with N concurrent simulated workers and reports
              throughput + p50/p99 latency. At the same seed, the served
              campaign's consensus labels are byte-identical to the
@@ -543,8 +545,7 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
     let approach = approach_by_name(args.get_or("approach", "icrowd"))?;
     let serve_config = ServeConfig {
         addr: args.get_or("addr", "127.0.0.1:7700").to_owned(),
-        handlers: args.get_parsed("handlers", 4usize)?,
-        queue_cap: args.get_parsed("queue", 64usize)?,
+        max_conns: args.get_parsed("max-conns", 64usize)?,
         idle_timeout_ms: args.get_parsed("idle-timeout-ms", 10_000u64)?,
         metrics_every_ms: args.get_parsed("metrics-every", 0u64)?,
         metrics_out: args.get("metrics-out").map(str::to_owned),
@@ -611,8 +612,7 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
     // `serve` consumes the engine; keep the probe so the exit code can
     // reflect a fail-stop drain after the fact.
     let probe = engine.durability();
-    let handle = icrowd_serve::serve(engine, &serve_config)
-        .map_err(|e| CliError(format!("cannot bind `{}`: {e}", serve_config.addr)))?;
+    let handle = icrowd_serve::serve(engine, &serve_config).map_err(|e| CliError(e.to_string()))?;
     // Emitted before blocking so scripts can discover an ephemeral
     // port; everything else arrives at drain.
     notify(&format!("icrowd-serve listening on {}", handle.addr()));
@@ -891,10 +891,23 @@ mod tests {
             .unwrap_err()
             .0
             .contains("invalid --faults"));
-        assert!(run_line("serve --dataset table1 --handlers many")
+        assert!(run_line("serve --dataset table1 --max-conns many")
             .unwrap_err()
             .0
             .contains("many"));
+        // An unopenable --metrics-out is refused before binding, by name
+        // (it used to fall back to stderr silently).
+        let path = std::env::temp_dir()
+            .join("icrowd_cli_no_such_dir")
+            .join("windows.jsonl");
+        let path = path.to_str().unwrap();
+        let err = run_line(&format!(
+            "serve --dataset table1 --approach random-mv --q 3 \
+             --metrics-every 100 --metrics-out {path}"
+        ))
+        .unwrap_err()
+        .0;
+        assert!(err.contains(path) && !err.contains("bind"), "{err}");
     }
 
     #[test]

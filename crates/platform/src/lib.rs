@@ -29,14 +29,13 @@
 //! * [`journal`] — a crash-consistent write-ahead journal of driver
 //!   mutations (CRC32-framed records, batched fsync, snapshots with
 //!   compaction) that a serving layer replays to recover a campaign.
-//! * [`concurrent`] — a crossbeam-channel deployment of the same loop
-//!   with workers on real threads, used to demonstrate that assignment is
-//!   instant under concurrent request load.
+//!
+//! The networked deployment of the same loop, with workers reaching the
+//! server over real sockets, is `icrowd-serve`.
 
 #![warn(missing_docs)]
 #![warn(clippy::dbg_macro)]
 
-pub mod concurrent;
 pub mod driver;
 pub mod events;
 pub mod faults;

@@ -20,12 +20,8 @@
 //! and a journal-free engine takes none of these branches — the
 //! no-journal serve path is structurally identical to the pre-journal
 //! behavior.
-//!
-//! Per-worker serving statistics (polls, assignments, verdicts) have no
-//! ordering constraints and live outside the campaign lock in a
-//! [`Sharded`] striped-lock map.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -46,20 +42,6 @@ use icrowd_sim::campaign::{
 use icrowd_sim::datasets::Dataset;
 
 use crate::protocol::{JournalHealth, Request, Response};
-use crate::sharded::Sharded;
-
-/// Per-worker serving statistics, updated outside the campaign lock.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkerStats {
-    /// `REQUEST_TASK` calls.
-    pub polls: u64,
-    /// Polls that returned an assignment.
-    pub assigned: u64,
-    /// `SUBMIT_ANSWER` calls.
-    pub submitted: u64,
-    /// Submissions the server accepted.
-    pub accepted: u64,
-}
 
 /// A stable fingerprint of the full campaign configuration, stored in
 /// the journal header so recovery refuses a journal written under a
@@ -235,12 +217,23 @@ struct Core {
     driver: MarketDriver,
     backend: CampaignServer,
     journal: Option<Journal>,
+    /// Worker ids that requested or submitted, for `STATUS`.
+    workers_seen: HashSet<String>,
+}
+
+impl Core {
+    /// Notes `worker` in [`Core::workers_seen`], allocating only on the
+    /// worker's first op.
+    fn saw(&mut self, worker: &str) {
+        if !self.workers_seen.contains(worker) {
+            self.workers_seen.insert(worker.to_owned());
+        }
+    }
 }
 
 /// One campaign served over the wire. See the module docs.
 pub struct CampaignEngine {
     core: Mutex<Core>,
-    stats: Sharded<WorkerStats>,
     durability: Arc<DurabilityProbe>,
     dataset_key: String,
     dataset: Dataset,
@@ -276,8 +269,8 @@ impl CampaignEngine {
                 driver,
                 backend: setup.server,
                 journal: None,
+                workers_seen: HashSet::new(),
             }),
-            stats: Sharded::new(),
             durability: Arc::new(DurabilityProbe::default()),
             dataset_key: dataset_key.to_owned(),
             dataset,
@@ -290,7 +283,7 @@ impl CampaignEngine {
 
     /// Locks the campaign core, recovering from a poisoned lock: the
     /// driver's state transitions are all-or-nothing per call, so a
-    /// panicking handler thread must not take the whole campaign (and
+    /// panicking connection thread must not take the whole campaign (and
     /// every other client) down with it.
     fn core_lock(&self) -> MutexGuard<'_, Core> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
@@ -558,9 +551,9 @@ impl CampaignEngine {
         }
     }
 
-    /// Handles one request. `queue_depth` is the transport's current
-    /// connection backlog, echoed in `STATUS`.
-    pub fn handle(&self, req: &Request, queue_depth: usize) -> Response {
+    /// Handles one request. `conns` is the transport's open connection
+    /// count, echoed in `STATUS`.
+    pub fn handle(&self, req: &Request, conns: usize) -> Response {
         match req {
             Request::Hello => Response::Hello {
                 dataset: self.dataset_key.clone(),
@@ -575,7 +568,7 @@ impl CampaignEngine {
                 task,
                 answer,
             } => self.submit_answer(worker, *task, *answer),
-            Request::Status => self.status(queue_depth),
+            Request::Status => self.status(conns),
             Request::Results => Response::Results {
                 labels: self.labels(),
             },
@@ -611,10 +604,12 @@ impl CampaignEngine {
         }
         let outcome = {
             let mut core = self.core_lock();
+            core.saw(worker);
             let Core {
                 driver,
                 backend,
                 journal,
+                ..
             } = &mut *core;
             let before = driver.epoch();
             let outcome = driver.poll(backend, worker);
@@ -637,12 +632,6 @@ impl CampaignEngine {
             }
             outcome
         };
-        self.stats.update(worker, |s| {
-            s.polls += 1;
-            if matches!(outcome, PollOutcome::Assigned(_)) {
-                s.assigned += 1;
-            }
-        });
         match outcome {
             PollOutcome::Assigned(task) => Response::Task(task),
             PollOutcome::Wait => Response::Wait,
@@ -657,84 +646,72 @@ impl CampaignEngine {
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
-        let resp = {
-            let mut core = self.core_lock();
-            let Core {
-                driver,
-                backend,
-                journal,
-            } = &mut *core;
-            let before = driver.epoch();
-            // The scheduled path is only for the assignment the driver
-            // is suspended on; everything else (duplicates, unsolicited
-            // submissions from misbehaving clients) goes through the
-            // stray path, which validates without touching the schedule.
-            let scheduled = driver
-                .pending()
-                .filter(|p| driver.external_id(p.worker) == worker && p.task == task);
-            let resp = match scheduled {
-                Some(p) => match driver.submit_scheduled(p.worker, answer, backend) {
-                    SubmitReport::Delivered(outcome) => Response::from_outcome(outcome),
-                    SubmitReport::Dropped => Response::Submit {
-                        result: "dropped",
-                        reason: None,
-                    },
-                    SubmitReport::Stalled => Response::Submit {
-                        result: "stalled",
-                        reason: None,
-                    },
-                    SubmitReport::Deferred => Response::Submit {
-                        result: "deferred",
-                        reason: None,
-                    },
+        let mut core = self.core_lock();
+        core.saw(worker);
+        let Core {
+            driver,
+            backend,
+            journal,
+            ..
+        } = &mut *core;
+        let before = driver.epoch();
+        // The scheduled path is only for the assignment the driver
+        // is suspended on; everything else (duplicates, unsolicited
+        // submissions from misbehaving clients) goes through the
+        // stray path, which validates without touching the schedule.
+        let scheduled = driver
+            .pending()
+            .filter(|p| driver.external_id(p.worker) == worker && p.task == task);
+        let resp = match scheduled {
+            Some(p) => match driver.submit_scheduled(p.worker, answer, backend) {
+                SubmitReport::Delivered(outcome) => Response::from_outcome(outcome),
+                SubmitReport::Dropped => Response::Submit {
+                    result: "dropped",
+                    reason: None,
                 },
-                None => Response::from_outcome(driver.submit_stray(backend, worker, task, answer)),
-            };
-            // The continuous conservation law must hold after every
-            // submission; a violation means a verdict was double-counted.
-            let a = driver.accounting();
-            if a.answers_accepted + a.answers_rejected != a.answers_submitted {
-                icrowd_obs::counter_add("serve.invariant_violation", 1);
-            }
-            if driver.epoch() != before {
-                if let Response::Submit { result, reason } = &resp {
-                    let verdict =
-                        reason.map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}"));
-                    self.journal_append(
-                        journal,
-                        driver,
-                        JournalOp::Submit {
-                            worker: worker.to_owned(),
-                            task: task.0,
-                            answer: answer.0,
-                            verdict,
-                        },
-                    );
-                }
-            }
-            resp
+                SubmitReport::Stalled => Response::Submit {
+                    result: "stalled",
+                    reason: None,
+                },
+                SubmitReport::Deferred => Response::Submit {
+                    result: "deferred",
+                    reason: None,
+                },
+            },
+            None => Response::from_outcome(driver.submit_stray(backend, worker, task, answer)),
         };
-        self.stats.update(worker, |s| {
-            s.submitted += 1;
-            if matches!(
-                resp,
-                Response::Submit {
-                    result: "accepted",
-                    ..
-                }
-            ) {
-                s.accepted += 1;
+        // The continuous conservation law must hold after every
+        // submission; a violation means a verdict was double-counted.
+        let a = driver.accounting();
+        if a.answers_accepted + a.answers_rejected != a.answers_submitted {
+            icrowd_obs::counter_add("serve.invariant_violation", 1);
+        }
+        if driver.epoch() != before {
+            if let Response::Submit { result, reason } = &resp {
+                let verdict =
+                    reason.map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}"));
+                self.journal_append(
+                    journal,
+                    driver,
+                    JournalOp::Submit {
+                        worker: worker.to_owned(),
+                        task: task.0,
+                        answer: answer.0,
+                        verdict,
+                    },
+                );
             }
-        });
+        }
         resp
     }
 
-    fn status(&self, queue_depth: usize) -> Response {
+    fn status(&self, conns: usize) -> Response {
         let mut core = self.core_lock();
         let Core {
             driver,
             backend,
             journal,
+            workers_seen,
         } = &mut *core;
         // Pump deferred (late) deliveries so progress keeps moving even
         // after every worker left, and the final sweep runs once the
@@ -754,8 +731,8 @@ impl CampaignEngine {
             answers: driver.answers(),
             accounting: a,
             balanced: a.answers_accepted + a.answers_rejected == a.answers_submitted,
-            queue_depth,
-            workers_seen: self.stats.len(),
+            conns,
+            workers_seen: workers_seen.len(),
             journal: journal.as_ref().map(Journal::health),
         }
     }
@@ -767,6 +744,7 @@ impl CampaignEngine {
             driver,
             backend,
             journal,
+            ..
         } = &mut *core;
         if !self.durability.fail_stopped() {
             let before = driver.epoch();
@@ -804,11 +782,6 @@ impl CampaignEngine {
         )
     }
 
-    /// A copy of one worker's serving statistics.
-    pub fn worker_stats(&self, worker: &str) -> Option<WorkerStats> {
-        self.stats.get(worker, |s| *s)
-    }
-
     /// Drains the campaign into its scored result: pumps stragglers,
     /// forces the final sweep if the schedule did not complete, and
     /// scores exactly as the in-process harness does. The journal (if
@@ -824,6 +797,7 @@ impl CampaignEngine {
             mut driver,
             mut backend,
             journal,
+            ..
         } = core;
         if let Some(mut j) = journal {
             let _ = j.writer.sync();
@@ -946,14 +920,23 @@ mod tests {
             ),
             "{resp:?}"
         );
+        // A repeat from the same worker is no new worker.
+        let _ = eng.handle(
+            &Request::RequestTask {
+                worker: "W1".into(),
+            },
+            0,
+        );
         match eng.handle(&Request::Status, 0) {
             Response::Status {
                 balanced,
                 accounting,
+                workers_seen,
                 ..
             } => {
                 assert!(balanced);
                 assert_eq!(accounting.answers_rejected, 1);
+                assert_eq!(workers_seen, 1);
             }
             other => panic!("unexpected {other:?}"),
         }

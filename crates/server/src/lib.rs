@@ -16,12 +16,11 @@
 //!   validation and the `MarketAccounting` conservation laws hold under
 //!   concurrent clients, and the final consensus is byte-identical to
 //!   an in-process run at the same seed.
-//! * [`sharded`] — a striped-lock map for per-worker statistics that
-//!   are updated concurrently outside the campaign lock.
-//! * [`server`] — one acceptor thread plus a fixed handler pool fed by
-//!   a bounded channel; a full queue rejects with `BUSY`
-//!   (accept-then-reject backpressure), and shutdown drains in-flight
-//!   connections before finalizing the campaign.
+//! * [`server`] — one thread per connection under one cap; a
+//!   connection beyond the cap is rejected with `BUSY`
+//!   (accept-then-reject backpressure), and shutdown wakes the blocking
+//!   acceptor and joins every connection thread before finalizing the
+//!   campaign.
 //! * [`recovery`] — crash recovery: replay the write-ahead journal
 //!   (see [`icrowd_platform::journal`]) through a freshly prepared
 //!   engine, verify snapshots and conservation laws, truncate any torn
@@ -44,7 +43,6 @@ pub mod loadgen;
 pub mod protocol;
 pub mod recovery;
 pub mod server;
-pub mod sharded;
 
 pub use chaosproxy::{ChaosProxy, ChaosProxyConfig, ChaosProxyStats};
 pub use client::Conn;
@@ -53,4 +51,3 @@ pub use loadgen::{run_loadgen, ClientFaultConfig, LoadgenConfig, LoadgenReport};
 pub use protocol::{JournalHealth, Request, Response};
 pub use recovery::{recover, recover_with_policy, RecoveryReport};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use sharded::Sharded;

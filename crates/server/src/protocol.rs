@@ -251,8 +251,8 @@ pub enum Response {
         /// The continuous conservation law
         /// `accepted + rejected == submitted`.
         balanced: bool,
-        /// Connections waiting in the handler queue.
-        queue_depth: usize,
+        /// Open connections, the asking one included.
+        conns: usize,
         /// Distinct workers the serving layer has seen.
         workers_seen: usize,
         /// Journal health; `None` when no journal is configured (and
@@ -272,7 +272,7 @@ pub enum Response {
     },
     /// Shutdown acknowledged.
     Bye,
-    /// Handler queue full; retry later.
+    /// Connection cap reached; retry later.
     Busy,
     /// Request-level failure.
     Error {
@@ -330,7 +330,7 @@ impl Response {
                 answers,
                 accounting: a,
                 balanced,
-                queue_depth,
+                conns,
                 workers_seen,
                 journal,
             } => {
@@ -350,7 +350,7 @@ impl Response {
                     "answers": answers,
                     "accounting": accounting,
                     "balanced": balanced,
-                    "queue_depth": queue_depth,
+                    "conns": conns,
                     "workers_seen": workers_seen,
                 });
                 if let (Some(j), Value::Object(o)) = (journal, &mut v) {
@@ -520,7 +520,7 @@ mod tests {
             answers: 0,
             accounting: MarketAccounting::default(),
             balanced: true,
-            queue_depth: 0,
+            conns: 0,
             workers_seen: 0,
             journal: None,
         };
@@ -536,7 +536,7 @@ mod tests {
             answers: 0,
             accounting: MarketAccounting::default(),
             balanced: true,
-            queue_depth: 0,
+            conns: 0,
             workers_seen: 0,
             journal: Some(JournalHealth {
                 state: "degraded",

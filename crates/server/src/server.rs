@@ -1,28 +1,28 @@
-//! The TCP transport: one acceptor, a fixed handler pool, a bounded
-//! hand-off queue.
+//! The TCP transport: one thread per connection under one cap.
 //!
-//! The acceptor thread accepts connections and `try_send`s them into a
-//! bounded crossbeam channel; when the queue is full it writes a `BUSY`
-//! line and closes (accept-then-reject backpressure — the client gets
-//! an explicit signal instead of an opaque connection reset). A fixed
-//! pool of handler threads serves queued connections to EOF, one line
-//! per request.
+//! The acceptor thread blocks in `accept` and hands every connection
+//! to a thread of its own, which serves it to EOF, one line per
+//! request. A connection beyond [`ServeConfig::max_conns`] open ones
+//! gets one `BUSY` line and is closed (accept-then-reject backpressure
+//! — the client gets an explicit signal instead of an opaque
+//! connection reset).
 //!
-//! Shutdown (the `SHUTDOWN` op, or [`ServerHandle::shutdown`]) flips a
-//! flag: the acceptor stops accepting and drops its sender, handlers
-//! drain whatever is already queued (the channel hands out buffered
-//! connections after disconnect), in-flight connections are flushed,
-//! and [`ServerHandle::join`] finalizes the campaign into its scored
-//! result.
+//! Drain (the `SHUTDOWN` op, [`ServerHandle::shutdown`], or a fail-stop
+//! journal error) flips a flag and wakes the blocked `accept` with a
+//! loopback connection to the listener. The acceptor stops accepting,
+//! every connection finishes the request in hand and closes (a quiet
+//! one notices within its 100 ms read tick), the acceptor's thread
+//! scope joins the connection threads, and [`ServerHandle::join`]
+//! finalizes the campaign into its scored result.
 
+use std::fs::File;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use icrowd_sim::campaign::CampaignResult;
 
 use crate::engine::CampaignEngine;
@@ -34,10 +34,9 @@ pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (the bound
     /// address is available via [`ServerHandle::addr`]).
     pub addr: String,
-    /// Handler pool size.
-    pub handlers: usize,
-    /// Bounded connection queue capacity; overflow is rejected `BUSY`.
-    pub queue_cap: usize,
+    /// Open connections served at once, one thread each; a connection
+    /// beyond the cap is rejected `BUSY`.
+    pub max_conns: usize,
     /// Evict a connection that has not completed a request line for
     /// this long (slow-loris / stalled-client guard). `0` disables
     /// eviction.
@@ -55,8 +54,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            handlers: 4,
-            queue_cap: 64,
+            max_conns: 64,
             idle_timeout_ms: 10_000,
             metrics_every_ms: 0,
             metrics_out: None,
@@ -64,12 +62,35 @@ impl Default for ServeConfig {
     }
 }
 
+/// The drain trigger shared by the handle, the acceptor and every
+/// connection thread.
+struct Drain {
+    requested: AtomicBool,
+    /// A loopback address of the listener, for the wake-up connection.
+    wake: SocketAddr,
+}
+
+impl Drain {
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Requests drain and wakes the acceptor out of `accept`. Returns
+    /// whether this call was the first request.
+    fn trigger(&self) -> bool {
+        if self.requested.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        true
+    }
+}
+
 /// A running server; join it to collect the campaign result.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    drain: Arc<Drain>,
     acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
     emitter: Option<JoinHandle<()>>,
     engine: Arc<CampaignEngine>,
 }
@@ -83,7 +104,7 @@ impl ServerHandle {
     /// Initiates graceful drain (idempotent; the `SHUTDOWN` op does the
     /// same through the wire).
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.drain.trigger();
     }
 
     /// Blocks until the server drains (a `SHUTDOWN` op arrives or
@@ -92,90 +113,84 @@ impl ServerHandle {
     /// propagated — the campaign result is still recoverable from the
     /// engine.
     pub fn join(self) -> CampaignResult {
-        if self.acceptor.join().is_err() {
-            icrowd_obs::counter_add("serve.thread_panic", 1);
-        }
-        for h in self.handlers {
-            if h.join().is_err() {
+        for thread in std::iter::once(self.acceptor).chain(self.emitter) {
+            if thread.join().is_err() {
                 icrowd_obs::counter_add("serve.thread_panic", 1);
             }
         }
-        if let Some(e) = self.emitter {
-            if e.join().is_err() {
-                icrowd_obs::counter_add("serve.thread_panic", 1);
-            }
+        // The acceptor owned the only other reference, and its scope
+        // outlived every connection thread that borrowed the engine.
+        match Arc::try_unwrap(self.engine) {
+            Ok(engine) => engine.finalize(),
+            Err(_) => unreachable!("joined transport threads hold no engine refs"),
         }
-        // All threads are joined, so their engine refs are dropped;
-        // brief retries cover the unwinder still releasing a clone.
-        let mut engine = self.engine;
-        for _ in 0..50 {
-            match Arc::try_unwrap(engine) {
-                Ok(e) => return e.finalize(),
-                Err(arc) => {
-                    engine = arc;
-                    thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        unreachable!("handlers hold no engine refs after join")
     }
 }
 
 /// Starts serving `engine` per `config`. Returns once the listener is
-/// bound; the campaign runs on the handler threads until shutdown.
+/// bound; the campaign runs on the connection threads until drain.
 ///
 /// # Errors
-/// Propagates socket errors from binding the listener.
+/// Opening the metrics output (when the emitter is on) and binding the
+/// listener; each error names the path or address it failed on.
 pub fn serve(engine: CampaignEngine, config: &ServeConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
+    let context = |what: &str, e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("cannot {what}: {e}"))
+    };
+    let sink = match &config.metrics_out {
+        Some(path) if config.metrics_every_ms > 0 => Some(
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(|e| context(&format!("open metrics output `{path}`"), e))?,
+        ),
+        _ => None,
+    };
+    let listener = TcpListener::bind(&config.addr)
+        .map_err(|e| context(&format!("bind `{}`", config.addr), e))?;
     let addr = listener.local_addr()?;
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        let loopback = if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        };
+        wake.set_ip(loopback);
+    }
+    let drain = Arc::new(Drain {
+        requested: AtomicBool::new(false),
+        wake,
+    });
     let engine = Arc::new(engine);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = bounded::<TcpStream>(config.queue_cap.max(1));
 
     let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        thread::spawn(move || acceptor_loop(&listener, &tx, &shutdown))
+        let drain = Arc::clone(&drain);
+        let engine = Arc::clone(&engine);
+        let max_conns = config.max_conns.max(1);
+        let idle_timeout = Duration::from_millis(config.idle_timeout_ms);
+        thread::spawn(move || acceptor_loop(listener, &engine, &drain, max_conns, idle_timeout))
     };
-    let idle_timeout = Duration::from_millis(config.idle_timeout_ms);
-    let handlers = (0..config.handlers.max(1))
-        .map(|_| {
-            let rx = rx.clone();
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || handler_loop(&rx, &engine, &shutdown, idle_timeout))
-        })
-        .collect();
-    drop(rx);
     let emitter = (config.metrics_every_ms > 0).then(|| {
-        let shutdown = Arc::clone(&shutdown);
+        let drain = Arc::clone(&drain);
         let every = Duration::from_millis(config.metrics_every_ms);
-        let out = config.metrics_out.clone();
-        thread::spawn(move || metrics_emitter_loop(&shutdown, every, out.as_deref()))
+        thread::spawn(move || metrics_emitter_loop(&drain, every, sink))
     });
 
     Ok(ServerHandle {
         addr,
-        shutdown,
+        drain,
         acceptor,
-        handlers,
         emitter,
         engine,
     })
 }
 
 /// Closes a telemetry window every `every` and appends its JSON line to
-/// `out` (stderr when `None`). Emits one final window on shutdown so
-/// the tail of the run is never lost to the tick boundary.
-fn metrics_emitter_loop(shutdown: &AtomicBool, every: Duration, out: Option<&str>) {
-    let mut sink: Option<std::fs::File> = out.and_then(|p| {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(p)
-            .ok()
-    });
+/// `sink` (stderr when `None`). Emits one final window on drain so the
+/// tail of the run is never lost to the tick boundary.
+fn metrics_emitter_loop(drain: &Drain, every: Duration, mut sink: Option<File>) {
     // Stream only flows when the operator passed `--metrics-every`;
     // with no `--metrics-out` path it goes to stderr (never stdout,
     // which belongs to the caller's output).
@@ -189,17 +204,17 @@ fn metrics_emitter_loop(shutdown: &AtomicBool, every: Duration, out: Option<&str
         }
     };
     loop {
-        let done = shutdown.load(Ordering::SeqCst);
+        let done = drain.requested();
         let window = icrowd_obs::window_advance();
         emit(format!("{}\n", window.to_json()));
         if done {
             return;
         }
-        // Sleep in short slices so shutdown latency stays bounded even
+        // Sleep in short slices so drain latency stays bounded even
         // with a long window period.
         let tick_start = Instant::now();
         while tick_start.elapsed() < every {
-            if shutdown.load(Ordering::SeqCst) {
+            if drain.requested() {
                 break;
             }
             thread::sleep(Duration::from_millis(20).min(every));
@@ -207,47 +222,76 @@ fn metrics_emitter_loop(shutdown: &AtomicBool, every: Duration, out: Option<&str
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, tx: &Sender<TcpStream>, shutdown: &AtomicBool) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return; // dropping tx lets handlers drain the queue and exit
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _span = icrowd_obs::span!("serve.accept");
-                icrowd_obs::counter_add("serve.conn_accepted", 1);
-                match tx.try_send(stream) {
-                    Ok(()) => {
-                        icrowd_obs::gauge_set("serve.queue_depth", tx.len() as f64);
-                    }
-                    Err(TrySendError::Full(mut stream)) => {
-                        icrowd_obs::counter_add("serve.conn_busy", 1);
-                        let line = crate::protocol::response_line(&Response::Busy);
-                        let _ = stream.write_all(line.as_bytes());
-                        // closed on drop — accept-then-reject backpressure
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
+/// Accepts until drain, serving each connection on a scoped thread;
+/// returns once every connection thread has finished.
+fn acceptor_loop(
+    listener: TcpListener,
+    engine: &CampaignEngine,
+    drain: &Drain,
+    max_conns: usize,
+    idle_timeout: Duration,
+) {
+    let open = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        for stream in listener.incoming() {
+            if drain.requested() {
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
+            let mut stream = match stream {
+                Ok(stream) => stream,
+                // The peer gave up between SYN and accept.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
+                // Anything else (fd exhaustion, a broken listener) ends
+                // accepting; the open connections still finish.
+                Err(_) => break,
+            };
+            let _span = icrowd_obs::span!("serve.accept");
+            icrowd_obs::counter_add("serve.conn_accepted", 1);
+            // Only this thread opens connections, so the cap is exact.
+            if open.load(Ordering::SeqCst) >= max_conns {
+                icrowd_obs::counter_add("serve.conn_busy", 1);
+                let line = crate::protocol::response_line(&Response::Busy);
+                let _ = stream.write_all(line.as_bytes());
+                continue; // closed on drop — accept-then-reject backpressure
             }
-            Err(_) => return,
+            let conn = OpenConn::new(&open);
+            let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                serve_connection(stream, engine, drain, &conn, idle_timeout);
+            });
+            // Out of threads: the connection closes unserved (its slot
+            // is released with it) and the client retries.
+            if spawned.is_err() {
+                icrowd_obs::counter_add("serve.conn_spawn_error", 1);
+            }
         }
+        // Refuse new connections while the open ones finish; the scope
+        // then joins every connection thread.
+        drop(listener);
+    });
+}
+
+/// One slot of the connection cap, held by a connection's thread and
+/// released when it ends, panicking or not. `serve.conns` follows the
+/// count.
+struct OpenConn<'a>(&'a AtomicUsize);
+
+impl<'a> OpenConn<'a> {
+    fn new(open: &'a AtomicUsize) -> Self {
+        let n = open.fetch_add(1, Ordering::SeqCst) + 1;
+        icrowd_obs::gauge_set("serve.conns", n as f64);
+        Self(open)
+    }
+
+    /// Open connections right now, this one included.
+    fn count(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
     }
 }
 
-fn handler_loop(
-    rx: &Receiver<TcpStream>,
-    engine: &CampaignEngine,
-    shutdown: &AtomicBool,
-    idle_timeout: Duration,
-) {
-    // recv keeps returning buffered connections after the acceptor
-    // disconnects — that is the drain: everything accepted is served.
-    while let Ok(stream) = rx.recv() {
-        icrowd_obs::gauge_set("serve.queue_depth", rx.len() as f64);
-        serve_connection(stream, engine, rx, shutdown, idle_timeout);
+impl Drop for OpenConn<'_> {
+    fn drop(&mut self) {
+        let n = self.0.fetch_sub(1, Ordering::SeqCst) - 1;
+        icrowd_obs::gauge_set("serve.conns", n as f64);
     }
 }
 
@@ -257,18 +301,20 @@ enum LineRead {
     Line(String),
     Eof,
     Evicted,
-    ShuttingDown,
+    Draining,
     Error,
 }
 
 /// Reads until `acc` holds a complete line, enforcing the idle
 /// deadline. Partial bytes survive read timeouts — a slow writer is
 /// only evicted once the *deadline* passes, never by losing data to a
-/// 100 ms poll tick.
+/// 100 ms poll tick. Once drain is requested, a line already received
+/// is still served, but no further one is waited for: a busy
+/// persistent connection cannot hold the drain open.
 fn read_deadline_line(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     acc: &mut Vec<u8>,
-    shutdown: &AtomicBool,
+    drain: &Drain,
     idle_timeout: Duration,
 ) -> LineRead {
     let deadline_start = Instant::now();
@@ -279,6 +325,9 @@ fn read_deadline_line(
             let line = std::mem::replace(acc, rest);
             return LineRead::Line(String::from_utf8_lossy(&line).into_owned());
         }
+        if drain.requested() {
+            return LineRead::Draining;
+        }
         match stream.read(&mut buf) {
             Ok(0) => return LineRead::Eof,
             Ok(n) => acc.extend_from_slice(&buf[..n]),
@@ -286,9 +335,6 @@ fn read_deadline_line(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) {
-                    return LineRead::ShuttingDown; // drain: drop idle connections
-                }
                 if !idle_timeout.is_zero() && deadline_start.elapsed() >= idle_timeout {
                     return LineRead::Evicted;
                 }
@@ -299,31 +345,28 @@ fn read_deadline_line(
     }
 }
 
-/// Serves one connection to EOF (or shutdown, or idle eviction).
-/// Errors drop the connection; the protocol is stateless per line, so
-/// clients just reconnect.
+/// Serves one connection to EOF (or drain, or idle eviction). Errors
+/// drop the connection; the protocol is stateless per line, so clients
+/// just reconnect. `STATUS` echoes the open connection count.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     engine: &CampaignEngine,
-    rx: &Receiver<TcpStream>,
-    shutdown: &AtomicBool,
+    drain: &Drain,
+    conn: &OpenConn<'_>,
     idle_timeout: Duration,
 ) {
     let durability = engine.durability();
     let _ = stream.set_nodelay(true);
-    // A finite read timeout lets the handler notice shutdown and the
-    // idle deadline while parked on a quiet connection; a write
-    // deadline keeps a non-draining client from wedging the handler.
+    // A finite read timeout lets the thread notice drain and the idle
+    // deadline while parked on a quiet connection; a write deadline
+    // keeps a non-draining client from wedging the thread.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = &stream;
     let mut acc: Vec<u8> = Vec::new();
     let mut out = String::new();
     loop {
-        let line = match read_deadline_line(&mut stream, &mut acc, shutdown, idle_timeout) {
+        let line = match read_deadline_line(&stream, &mut acc, drain, idle_timeout) {
             LineRead::Line(line) => line,
             LineRead::Evicted => {
                 icrowd_obs::counter_add("serve.conn_evicted", 1);
@@ -335,19 +378,19 @@ fn serve_connection(
                 let _ = writer.write_all(out.as_bytes());
                 return;
             }
-            LineRead::Eof | LineRead::ShuttingDown | LineRead::Error => return,
+            LineRead::Eof | LineRead::Draining | LineRead::Error => return,
         };
         if line.trim().is_empty() {
             continue;
         }
         let resp = match Request::parse_with_trace(&line) {
             Ok((Request::Shutdown, _)) => {
-                let resp = engine.handle(&Request::Shutdown, rx.len());
+                let resp = engine.handle(&Request::Shutdown, conn.count());
                 out.clear();
                 resp.encode_line_flagged(durability.degraded(), &mut out);
                 let _ = writer.write_all(out.as_bytes());
                 let _ = writer.flush();
-                shutdown.store(true, Ordering::SeqCst);
+                drain.trigger();
                 return;
             }
             // METRICS is transport-level: it scrapes the telemetry
@@ -369,7 +412,7 @@ fn serve_connection(
                         _ => "serve.rpc.other",
                     },
                 );
-                engine.handle(&req, rx.len())
+                engine.handle(&req, conn.count())
             }
             Err(message) => Response::Error { message },
         };
@@ -386,7 +429,7 @@ fn serve_connection(
         // Fail-stop: a journal error under the fail-stop policy drains
         // the server exactly like a SHUTDOWN op — the response that
         // carried the refusal is already flushed.
-        if durability.fail_stopped() && !shutdown.swap(true, Ordering::SeqCst) {
+        if durability.fail_stopped() && drain.trigger() {
             icrowd_obs::counter_add("serve.fail_stop_drain", 1);
         }
     }

@@ -1,61 +1,63 @@
-//! The Appendix-A deployment loop, demonstrated in concurrent mode:
-//! worker threads fire ExternalQuestion requests at a single-threaded
-//! iCrowd server over channels, exactly like AMT callbacks hitting the
-//! paper's web server. Prints the event flow and the payment ledger.
+//! The Appendix-A deployment loop over real sockets: iCrowd runs as a
+//! server answering ExternalQuestion callbacks, and simulated workers
+//! reach it over TCP, exactly like AMT callbacks hitting the paper's
+//! web server. Serves Table 1's twelve microtasks on an ephemeral
+//! loopback port, drives them with the load generator, and prints what
+//! the campaign collected.
 //!
 //! ```sh
 //! cargo run --release --example amt_server
 //! ```
 
-use icrowd::core::{ICrowdConfig, WarmupConfig};
-use icrowd::platform::concurrent::run_concurrent;
-use icrowd::platform::market::WorkerBehavior;
-use icrowd::platform::ExternalQuestionServer;
-use icrowd::{AssignStrategy, ICrowdBuilder};
+use icrowd::AssignStrategy;
+use icrowd_serve::{run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig};
+use icrowd_sim::campaign::{Approach, CampaignConfig, MetricChoice};
 use icrowd_sim::datasets::table1::table1;
-use icrowd_text::{JaccardSimilarity, Tokenizer};
 
 fn main() {
     let dataset = table1();
-    let metric = JaccardSimilarity::new(&dataset.tasks, &Tokenizer::keeping_stopwords());
-    let mut server = ICrowdBuilder::new(dataset.tasks.clone())
-        .config(ICrowdConfig {
-            similarity_threshold: 0.5,
-            warmup: WarmupConfig {
-                num_qualification: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .strategy(AssignStrategy::Adapt)
-        .metric(&metric)
-        .build();
+    let mut config = CampaignConfig {
+        seed: 11,
+        metric: MetricChoice::Jaccard,
+        ..Default::default()
+    };
+    config.icrowd.similarity_threshold = 0.5;
+    config.icrowd.warmup.num_qualification = 3;
+    let approach = Approach::ICrowd(AssignStrategy::Adapt);
 
-    // Five worker threads hammer the server concurrently.
-    let behaviors: Vec<Box<dyn WorkerBehavior + Send>> = dataset
-        .spawn_workers(11)
-        .into_iter()
-        .map(|w| Box::new(w) as Box<dyn WorkerBehavior + Send>)
-        .collect();
-
-    println!("starting the concurrent ExternalQuestion loop with 5 worker threads...");
-    let outcome = run_concurrent(&dataset.tasks, &mut server, behaviors, 30);
+    // Offline work (similarity graph, qualification tasks) runs here,
+    // before the server takes its first request.
+    let engine = CampaignEngine::new("table1", dataset.clone(), approach, config);
+    let server = serve(engine, &ServeConfig::default()).expect("bind a loopback port");
     println!(
-        "collected {} answers; per-worker: {:?}",
-        outcome.answers, outcome.per_worker
-    );
-    println!(
-        "campaign complete: {} (declined requests: {}, performance tests: {})",
-        server.is_complete(),
-        server.declined_requests(),
-        server.test_assignments()
+        "iCrowd serving ExternalQuestion requests on {}",
+        server.addr()
     );
 
-    let results = server.results();
-    let correct = dataset
-        .tasks
+    // Five client threads play the simulated crowd; once the campaign
+    // ends, the generator fetches the labels and sends SHUTDOWN.
+    let report = run_loadgen(&LoadgenConfig {
+        addr: server.addr().to_string(),
+        workers: 5,
+        ..Default::default()
+    })
+    .expect("the load generator drives the campaign to its end");
+    println!(
+        "{} requests from {} workers; p50 request {:.0} us, p50 submit {:.0} us",
+        report.requests, report.roster, report.request_p50_us, report.submit_p50_us
+    );
+
+    let result = server.join();
+    println!(
+        "collected {} answers; campaign complete: {}; accounting balanced: {}",
+        result.answers,
+        result.completed,
+        result.accounting.balanced()
+    );
+    let correct = result
+        .labels
         .iter()
-        .filter(|t| results.get(&t.id) == t.ground_truth.as_ref())
+        .filter(|(task, label)| dataset.tasks[*task].ground_truth == Some(*label))
         .count();
     println!(
         "final accuracy: {correct}/{} microtasks",

@@ -93,7 +93,7 @@ fn window_reports_are_valid_json() {
 
     icrowd_obs::record_span_ns("serve.request", 1_500);
     icrowd_obs::counter_add("serve.conn_accepted", 3);
-    icrowd_obs::gauge_set("serve.queue_depth", 7.0);
+    icrowd_obs::gauge_set("serve.conns", 7.0);
 
     let report = icrowd_obs::window_advance();
     let v: Value = serde_json::from_str(&report.to_json()).expect("window JSON parses");
@@ -108,9 +108,10 @@ fn window_reports_are_valid_json() {
                 && c.get("delta").and_then(Value::as_u64) == Some(3)
         ));
     let gauges = v.get("gauges").and_then(Value::as_array).unwrap();
-    assert!(gauges.iter().any(|g| g.get("name").and_then(Value::as_str)
-        == Some("serve.queue_depth")
-        && g.get("last").and_then(Value::as_f64) == Some(7.0)));
+    assert!(gauges.iter().any(
+        |g| g.get("name").and_then(Value::as_str) == Some("serve.conns")
+            && g.get("last").and_then(Value::as_f64) == Some(7.0)
+    ));
 
     icrowd_obs::disable();
     icrowd_obs::reset();

@@ -122,8 +122,10 @@ SERVING:     `icrowd serve` hosts one campaign behind a line-delimited JSON
 DURABILITY:  --journal <path> appends every accepted state transition to a
              crash-consistent write-ahead journal (CRC32-framed records;
              --fsync N batches fsyncs, 1 = every record, 0 = never;
-             --snapshot-every N interleaves verification snapshots and
-             compacts the file). After a crash, --recover <path> replays
+             --snapshot-every N appends a verification snapshot every N
+             accepted answers; the file is append-only and every snapshot
+             stays in it). --journal refuses a non-empty file rather than
+             truncate it. After a crash, --recover <path> replays
              the journal through a fresh campaign, verifies snapshots and
              the accounting conservation laws, truncates any torn tail,
              and resumes serving — consensus stays byte-identical to an
@@ -568,6 +570,20 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
             )));
         }
     }
+    if let (Some(path), None) = (journal, recover_path) {
+        // A fresh journal truncates its file: never let that eat the
+        // log a crashed server left for recovery.
+        let len = std::fs::metadata(path)
+            .ok()
+            .filter(std::fs::Metadata::is_file)
+            .map_or(0, |m| m.len());
+        if len > 0 {
+            return Err(CliError(format!(
+                "--journal `{path}` already holds {len} bytes; resume that campaign with \
+                 --recover `{path}`, or remove the file to start a new one"
+            )));
+        }
+    }
     let durability = DurabilityPolicy::parse(args.get_or("durability", "fail-stop"))
         .map_err(|e| CliError(format!("invalid --durability: {e}")))?;
     let telemetry = telemetry_begin(args);
@@ -897,17 +913,44 @@ mod tests {
             .contains("many"));
         // An unopenable --metrics-out is refused before binding, by name
         // (it used to fall back to stderr silently).
-        let path = std::env::temp_dir()
+        let metrics_out = std::env::temp_dir()
             .join("icrowd_cli_no_such_dir")
             .join("windows.jsonl");
-        let path = path.to_str().unwrap();
+        let metrics_out = metrics_out.to_str().unwrap();
         let err = run_line(&format!(
             "serve --dataset table1 --approach random-mv --q 3 \
-             --metrics-every 100 --metrics-out {path}"
+             --metrics-every 100 --metrics-out {metrics_out}"
         ))
         .unwrap_err()
         .0;
-        assert!(err.contains(path) && !err.contains("bind"), "{err}");
+        assert!(err.contains(metrics_out) && !err.contains("bind"), "{err}");
+        // --journal on a non-empty file is refused, by path, instead of
+        // truncating the log a crashed server left for --recover. (The
+        // unopenable --metrics-out stops a serve that got past the
+        // journal before it could bind and block.)
+        let journal = std::env::temp_dir().join(format!(
+            "icrowd_cli_existing_{}.journal",
+            std::process::id()
+        ));
+        let bytes = b"\x05\x00\x00\x00not a frame".to_vec();
+        std::fs::write(&journal, &bytes).unwrap();
+        let journal_str = journal.to_str().unwrap();
+        let err = run_line(&format!(
+            "serve --dataset table1 --approach random-mv --q 3 --journal {journal_str} \
+             --metrics-every 100 --metrics-out {metrics_out}"
+        ))
+        .unwrap_err()
+        .0;
+        assert!(
+            err.contains(journal_str) && err.contains("--recover"),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read(&journal).unwrap(),
+            bytes,
+            "the file was touched"
+        );
+        std::fs::remove_file(&journal).ok();
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! Snapshot records are *verification checkpoints*, not state dumps:
 //! they pin the accounting, accepted-answer count, logical clock and
 //! mutation epoch at a known op index so replay can detect divergence
-//! early. Compaction rewrites the file (tmp + rename + fsync) with all
-//! ops collapsed into large batch frames and only the latest snapshot
-//! retained — ops can never be dropped, because the op log *is* the
-//! state.
+//! early. The file is append-only: a valid frame stays where it was
+//! written (only a torn tail past the last valid frame is ever cut),
+//! so every checkpoint is there for replay to verify in op order.
+//! Nothing is compacted away — the op log *is* the state, so it
+//! cannot shrink.
 //!
 //! Fsync policy: `fsync_every = 1` syncs after every record (full
 //! durability), `N` batches syncs every `N` records, `0` never syncs
@@ -40,7 +41,9 @@ use serde_json::{json, Value};
 use crate::market::MarketAccounting;
 
 /// Journal format version (bumped on incompatible frame/payload changes).
-pub const JOURNAL_VERSION: u32 = 1;
+/// Version 1 files may hold a compaction `batch` frame, which version 2
+/// no longer reads, so recovery refuses them at the header check.
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Frames larger than this are treated as corruption, not allocation
 /// requests.
@@ -188,8 +191,6 @@ pub enum JournalRecord {
     Header(JournalHeader),
     /// A single mutating input.
     Op(JournalOp),
-    /// Many ops in one frame (compaction output).
-    Batch(Vec<JournalOp>),
     /// A verification checkpoint.
     Snapshot(JournalSnapshot),
 }
@@ -237,10 +238,6 @@ fn record_to_value(rec: &JournalRecord) -> Value {
             "fp": h.config_fp,
         }),
         JournalRecord::Op(op) => op_to_value(op),
-        JournalRecord::Batch(ops) => {
-            let ops: Vec<Value> = ops.iter().map(op_to_value).collect();
-            json!({"t": "batch", "ops": ops})
-        }
         JournalRecord::Snapshot(s) => json!({
             "t": "snapshot",
             "ops": s.ops,
@@ -307,11 +304,6 @@ fn record_from_value(v: &Value) -> Option<JournalRecord> {
             seed: u64_field(v, "seed")?,
             config_fp: u64_field(v, "fp")?,
         })),
-        "batch" => {
-            let ops = v.get("ops")?.as_array()?;
-            let ops: Option<Vec<JournalOp>> = ops.iter().map(op_from_value).collect();
-            Some(JournalRecord::Batch(ops?))
-        }
         "snapshot" => Some(JournalRecord::Snapshot(JournalSnapshot {
             ops: u64_field(v, "ops")?,
             answers: u64_field(v, "answers")?,
@@ -363,8 +355,8 @@ pub trait JournalFile: Send {
 /// The journal's view of a filesystem. [`StdIo`] passes straight
 /// through to `std::fs`; [`FaultyIo`] injects seeded disk faults. Every
 /// file operation [`JournalWriter`] performs — creation, append-open,
-/// truncation, the compaction rename, directory sync — routes through
-/// this trait, so an injected fault can land at any of them.
+/// truncation — routes through this trait, so an injected fault can
+/// land at any of them.
 pub trait JournalIo: Send {
     /// Creates (truncating) a file for writing.
     ///
@@ -385,15 +377,20 @@ pub trait JournalIo: Send {
     /// Propagates (or injects) truncation failures.
     fn set_len(&mut self, path: &Path, len: u64) -> io::Result<()>;
 
-    /// Atomically renames `from` over `to` (compaction's commit point).
+    /// Renames `from` over `to`. The append-only writer never calls
+    /// this; it is kept for the benchmark's implementation of this
+    /// trait.
     ///
     /// # Errors
-    /// Propagates (or injects) rename failures.
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
+    /// Propagates rename failures.
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
 
-    /// Best-effort directory sync after a rename; failures are ignored
-    /// (the rename itself already committed).
-    fn sync_dir(&mut self, dir: &Path);
+    /// Best-effort directory sync. The append-only writer never calls
+    /// this; it is kept for the benchmark's implementation of this
+    /// trait.
+    fn sync_dir(&mut self, _dir: &Path) {}
 }
 
 /// The real filesystem.
@@ -432,16 +429,6 @@ impl JournalIo for StdIo {
     fn set_len(&mut self, path: &Path, len: u64) -> io::Result<()> {
         OpenOptions::new().write(true).open(path)?.set_len(len)
     }
-
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
-    fn sync_dir(&mut self, dir: &Path) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 // -- disk fault injection ----------------------------------------------
@@ -466,7 +453,7 @@ pub struct DiskFaultConfig {
     /// Probability that an `fsync` fails (the bytes were written but
     /// durability was never promised).
     pub fsync_rate: f64,
-    /// Probability that a create/open/truncate/rename fails.
+    /// Probability that a create/open/truncate fails.
     pub open_rate: f64,
 }
 
@@ -556,7 +543,7 @@ pub struct DiskFaultStats {
     pub torn: u64,
     /// `fsync` failures.
     pub fsync_failures: u64,
-    /// Create/open/truncate/rename failures.
+    /// Create/open/truncate failures.
     pub open_failures: u64,
 }
 
@@ -755,24 +742,11 @@ impl JournalIo for FaultyIo {
         }
         OpenOptions::new().write(true).open(path)?.set_len(len)
     }
-
-    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.open_fault() {
-            return Err(io::Error::from_raw_os_error(EIO));
-        }
-        std::fs::rename(from, to)
-    }
-
-    fn sync_dir(&mut self, dir: &Path) {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
 }
 
 // -- writer ------------------------------------------------------------
 
-/// An append-only journal writer with batched fsync and compaction.
+/// An append-only journal writer with batched fsync.
 /// All file operations route through a [`JournalIo`], so fault
 /// injection and the real filesystem share one code path.
 pub struct JournalWriter {
@@ -899,49 +873,6 @@ impl JournalWriter {
         self.unsynced = 0;
         Ok(readout.ops.len() as u64)
     }
-
-    /// Compacts the journal in place: rewrites it as header + one batch
-    /// frame of every op + the latest snapshot, via tmp-file + rename +
-    /// fsync, then reopens for appending. Ops are never dropped — the
-    /// log *is* the state — so compaction only collapses framing
-    /// overhead and sheds superseded snapshots.
-    ///
-    /// # Errors
-    /// Propagates read/write/rename failures; on error the original
-    /// file is left untouched (the tmp file may linger).
-    pub fn compact(&mut self) -> io::Result<()> {
-        self.sync()?;
-        let readout = read_journal(&self.path)?;
-        let Some(header) = readout.header else {
-            return Ok(()); // nothing worth compacting
-        };
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut out = self.io.create(&tmp)?;
-            out.write_all(&encode_record(&JournalRecord::Header(header))?)?;
-            if !readout.ops.is_empty() {
-                out.write_all(&encode_record(&JournalRecord::Batch(readout.ops))?)?;
-            }
-            if let Some(snap) = readout.snapshots.last() {
-                out.write_all(&encode_record(&JournalRecord::Snapshot(*snap))?)?;
-            }
-            out.sync()?;
-        }
-        self.io.rename(&tmp, &self.path)?;
-        let dir = self
-            .path
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .unwrap_or_else(|| Path::new("."))
-            .to_path_buf();
-        self.io.sync_dir(&dir);
-        self.file = self.io.open_append(&self.path)?;
-        self.unsynced = 0;
-        if icrowd_obs::is_enabled() {
-            icrowd_obs::counter_add("journal.compact", 1);
-        }
-        Ok(())
-    }
 }
 
 impl Drop for JournalWriter {
@@ -957,7 +888,7 @@ impl Drop for JournalWriter {
 pub struct JournalReadout {
     /// The campaign header, when the first valid record is one.
     pub header: Option<JournalHeader>,
-    /// Every op in apply order (batch frames flattened).
+    /// Every op in apply order.
     pub ops: Vec<JournalOp>,
     /// Verification checkpoints, in op order.
     pub snapshots: Vec<JournalSnapshot>,
@@ -1009,7 +940,6 @@ pub fn read_journal(path: &Path) -> io::Result<JournalReadout> {
                 }
             }
             JournalRecord::Op(op) => ops.push(op),
-            JournalRecord::Batch(batch) => ops.extend(batch),
             JournalRecord::Snapshot(s) => snapshots.push(s),
         }
         first = false;
@@ -1154,30 +1084,6 @@ mod tests {
         assert!(r.ops.len() < sample_ops().len(), "flip lands mid-ops");
         assert_eq!(r.ops, sample_ops()[..r.ops.len()], "prefix is exact");
         assert!(r.truncated_bytes > 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_preserves_the_logical_readout() {
-        let path = tmp_path("compact");
-        let snap = write_all(&path, 1);
-        let before = std::fs::metadata(&path).unwrap().len();
-        let mut w = JournalWriter::append_to(&path, 1).unwrap();
-        w.compact().unwrap();
-        let r = read_journal(&path).unwrap();
-        assert_eq!(r.header, Some(sample_header()));
-        assert_eq!(r.ops, sample_ops());
-        assert_eq!(r.snapshots, vec![snap]);
-        assert_eq!(r.truncated_bytes, 0);
-        assert!(
-            std::fs::metadata(&path).unwrap().len() < before,
-            "batch framing sheds per-record overhead"
-        );
-        // Appending after compaction keeps working.
-        w.append(&JournalRecord::Op(JournalOp::Pump)).unwrap();
-        drop(w);
-        let r = read_journal(&path).unwrap();
-        assert_eq!(r.ops.len(), sample_ops().len() + 1);
         std::fs::remove_file(&path).ok();
     }
 

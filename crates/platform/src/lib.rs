@@ -26,9 +26,10 @@
 //!   debugging.
 //! * [`faults`] — seedable fault injection (dropped, duplicated, and
 //!   late answers; stalls; churn spikes) for chaos-testing the loop.
-//! * [`journal`] — a crash-consistent write-ahead journal of driver
-//!   mutations (CRC32-framed records, batched fsync, snapshots with
-//!   compaction) that a serving layer replays to recover a campaign.
+//! * [`journal`] — a crash-consistent, append-only write-ahead journal
+//!   of driver mutations (CRC32-framed records, batched fsync,
+//!   interleaved snapshot checkpoints) that a serving layer replays to
+//!   recover a campaign.
 //!
 //! The networked deployment of the same loop, with workers reaching the
 //! server over real sockets, is `icrowd-serve`.

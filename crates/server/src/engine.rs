@@ -159,7 +159,8 @@ struct Journal {
     /// Accepted answers between snapshots (`0` disables snapshots).
     snapshot_every: usize,
     accepted_since_snapshot: usize,
-    /// Snapshot checkpoints written.
+    /// Snapshot checkpoints in the file (including verified ones after
+    /// recovery).
     snapshots: u64,
     policy: DurabilityPolicy,
     state: JournalState,
@@ -178,10 +179,13 @@ struct Journal {
 }
 
 impl Journal {
+    /// A journal whose file already holds `ops` ops and `snapshots`
+    /// checkpoints.
     fn new(
         writer: JournalWriter,
         snapshot_every: usize,
         ops: u64,
+        snapshots: u64,
         policy: DurabilityPolicy,
     ) -> Self {
         Journal {
@@ -189,7 +193,7 @@ impl Journal {
             ops,
             snapshot_every,
             accepted_since_snapshot: 0,
-            snapshots: 0,
+            snapshots,
             policy,
             state: JournalState::Attached,
             pending: VecDeque::new(),
@@ -363,21 +367,25 @@ impl CampaignEngine {
             &self.config,
         )))?;
         writer.sync()?;
-        self.core_lock().journal = Some(Journal::new(writer, snapshot_every, 0, policy));
+        self.core_lock().journal = Some(Journal::new(writer, snapshot_every, 0, 0, policy));
         icrowd_obs::gauge_set("journal.detached", 0.0);
         Ok(())
     }
 
     /// Reattaches a journal writer after recovery replayed `ops`
-    /// existing records; subsequent mutations append after them.
+    /// existing ops and verified `snapshots` checkpoints; subsequent
+    /// mutations append after them, and both counts carry on from the
+    /// file's.
     pub(crate) fn resume_journal(
         &self,
         writer: JournalWriter,
         snapshot_every: usize,
         ops: u64,
+        snapshots: u64,
         policy: DurabilityPolicy,
     ) {
-        self.core_lock().journal = Some(Journal::new(writer, snapshot_every, ops, policy));
+        self.core_lock().journal =
+            Some(Journal::new(writer, snapshot_every, ops, snapshots, policy));
         icrowd_obs::gauge_set("journal.detached", 0.0);
     }
 
@@ -395,8 +403,10 @@ impl CampaignEngine {
         self.core_lock().journal.as_ref().map(Journal::health)
     }
 
-    /// Appends one op (plus a periodic snapshot checkpoint, followed by
-    /// compaction) to the journal, inside the campaign lock. A write
+    /// Appends one op (plus, every `snapshot_every` accepted answers, a
+    /// snapshot checkpoint) to the journal, inside the campaign lock.
+    /// The file is append-only, so every checkpoint stays in it for
+    /// recovery to verify. A write
     /// failure lands in the configured [`DurabilityPolicy`] state
     /// machine — fail-stop, advertised degradation, or bounded retry —
     /// and counts `journal.error`; it is never silently swallowed.
@@ -438,11 +448,7 @@ impl CampaignEngine {
                         epoch: driver.epoch(),
                     };
                     icrowd_obs::counter_add("journal.snapshot", 1);
-                    let failed = j
-                        .writer
-                        .append(&JournalRecord::Snapshot(snap))
-                        .and_then(|()| j.writer.compact());
-                    match failed {
+                    match j.writer.append(&JournalRecord::Snapshot(snap)) {
                         // The op itself is durable; only the checkpoint
                         // was lost, so nothing lands in `pending`.
                         Err(e) => self.journal_fault(j, None, &e),
@@ -455,7 +461,7 @@ impl CampaignEngine {
 
     /// Routes a journal I/O error into the configured policy.
     /// `lost_op` is the op whose append failed (`None` when only a
-    /// snapshot/compaction failed and every op is still durable).
+    /// snapshot checkpoint failed and every op is still durable).
     fn journal_fault(&self, j: &mut Journal, lost_op: Option<JournalOp>, err: &std::io::Error) {
         j.last_error = Some(err.to_string());
         icrowd_obs::counter_add("journal.error", 1);

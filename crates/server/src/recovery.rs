@@ -10,7 +10,8 @@
 //! 1. reads the longest valid record prefix ([`read_journal`] stops at
 //!    the first torn or corrupt frame),
 //! 2. verifies the header matches the campaign being recovered
-//!    (dataset, approach, seed, config fingerprint),
+//!    (format version, dataset, approach, seed, config fingerprint) —
+//!    before anything is truncated, so a refused file stays as it was,
 //! 3. replays every op through [`CampaignEngine::handle`] — before any
 //!    journal is attached, so replay appends nothing — checking each
 //!    outcome against the journaled verdict,
@@ -112,12 +113,14 @@ pub fn recover_with_policy(
     let expected = CampaignEngine::expected_header(dataset_key, approach, &config);
     if *header != expected {
         return Err(format!(
-            "journal header mismatch: journal holds {}/{} seed {} fp {:016x}, \
-             but the requested campaign is {}/{} seed {} fp {:016x}",
+            "journal header mismatch: journal holds format v{} {}/{} seed {} fp {:016x}, \
+             but the requested campaign is format v{} {}/{} seed {} fp {:016x}",
+            header.version,
             header.dataset,
             header.approach,
             header.seed,
             header.config_fp,
+            expected.version,
             expected.dataset,
             expected.approach,
             expected.seed,
@@ -183,7 +186,13 @@ pub fn recover_with_policy(
     }
     let writer = JournalWriter::append_to(path, fsync_every)
         .map_err(|e| format!("cannot reattach journal writer: {e}"))?;
-    engine.resume_journal(writer, snapshot_every, readout.ops.len() as u64, policy);
+    engine.resume_journal(
+        writer,
+        snapshot_every,
+        readout.ops.len() as u64,
+        verified as u64,
+        policy,
+    );
 
     icrowd_obs::counter_add("recovery.ops_replayed", readout.ops.len() as u64);
     icrowd_obs::counter_add("recovery.truncated_bytes", readout.truncated_bytes);

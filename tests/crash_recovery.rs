@@ -8,9 +8,11 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use icrowd_platform::journal::{crc32, encode_record, JournalRecord, JOURNAL_VERSION};
+use icrowd_platform::market::WorkerBehavior;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{
-    client, recover, run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig,
+    client, recover, run_loadgen, serve, CampaignEngine, LoadgenConfig, Response, ServeConfig,
 };
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
 use icrowd_sim::datasets::table1;
@@ -37,6 +39,54 @@ fn publish_addr(addr_file: &PathBuf, addr: &str) {
     let staged = addr_file.with_extension("tmp");
     std::fs::write(&staged, addr).expect("write addr file");
     std::fs::rename(&staged, addr_file).expect("publish addr file");
+}
+
+/// Drives a [`quick_config`] table1 campaign through the request
+/// interface for at most `rounds` rounds: each simulated worker in turn
+/// polls and answers what it is assigned. `after_poll` runs after every
+/// poll and stops the drive by returning false. Returns whether every
+/// worker left, i.e. the campaign ran to its end.
+fn drive(engine: &CampaignEngine, rounds: usize, mut after_poll: impl FnMut() -> bool) -> bool {
+    let ds = table1();
+    let sims = ds.spawn_workers(quick_config().seed);
+    let mut sims: Vec<_> = sims.into_iter().map(Some).collect();
+    for _round in 0..rounds {
+        let mut live = false;
+        for (i, slot) in sims.iter_mut().enumerate() {
+            let Some(sim) = slot.as_mut() else {
+                continue;
+            };
+            let worker = format!("W{}", i + 1);
+            match engine.handle(
+                &Request::RequestTask {
+                    worker: worker.clone(),
+                },
+                0,
+            ) {
+                Response::Task(task) => {
+                    live = true;
+                    let answer = sim.answer(&ds.tasks[task]);
+                    engine.handle(
+                        &Request::SubmitAnswer {
+                            worker,
+                            task,
+                            answer,
+                        },
+                        0,
+                    );
+                }
+                Response::Wait | Response::Declined { retry: true } => live = true,
+                _ => *slot = None,
+            }
+            if !after_poll() {
+                return false;
+            }
+        }
+        if !live {
+            return true;
+        }
+    }
+    false
 }
 
 /// S1 regression: restart the server mid-campaign. The loadgen rides
@@ -142,48 +192,12 @@ fn recovery_truncates_torn_tail_and_preserves_state() {
     let journal = tmp("torn.journal");
     std::fs::remove_file(&journal).ok();
 
-    let ds = table1();
     let config = quick_config();
-    let engine = CampaignEngine::new("table1", ds.clone(), approach, config.clone());
+    let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
     engine.start_journal(&journal, 1, 4).expect("journal");
 
     // Drive a few assignments through the request interface.
-    let sims = ds.spawn_workers(config.seed);
-    let mut sims: Vec<_> = sims.into_iter().map(Some).collect();
-    'outer: for _round in 0..4 {
-        for (i, slot) in sims.iter_mut().enumerate() {
-            let worker = format!("W{}", i + 1);
-            let Some(sim) = slot.as_mut() else {
-                continue;
-            };
-            match engine.handle(
-                &Request::RequestTask {
-                    worker: worker.clone(),
-                },
-                0,
-            ) {
-                icrowd_serve::Response::Task(task) => {
-                    let answer =
-                        icrowd_platform::market::WorkerBehavior::answer(sim, &ds.tasks[task]);
-                    engine.handle(
-                        &Request::SubmitAnswer {
-                            worker,
-                            task,
-                            answer,
-                        },
-                        0,
-                    );
-                }
-                icrowd_serve::Response::Left => {
-                    *slot = None;
-                }
-                _ => {}
-            }
-            if engine.checkpoint().1 >= 6 {
-                break 'outer;
-            }
-        }
-    }
+    drive(&engine, 4, || engine.checkpoint().1 < 6);
     let checkpoint = engine.checkpoint();
     assert!(checkpoint.1 > 0, "no answers accepted");
     drop(engine); // crash without finalize
@@ -236,5 +250,91 @@ fn recovery_refuses_a_journal_for_a_different_campaign() {
         Err(e) => assert!(e.contains("header mismatch"), "{e}"),
         Ok(_) => panic!("a RandomMV journal must not recover as RandomEM"),
     }
+    std::fs::remove_file(&journal).ok();
+}
+
+/// The journal is append-only: every checkpoint written during the
+/// campaign is still in the file at the end, byte for byte where it was
+/// written, and recovery verifies each one. The recovered engine's
+/// STATUS counts the same checkpoints the live engine wrote.
+#[test]
+fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
+    let approach = Approach::RandomMV;
+    let config = quick_config();
+    let expected = run_campaign(&table1(), approach, &config);
+    let journal = tmp("append_only.journal");
+    std::fs::remove_file(&journal).ok();
+
+    let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
+    engine.start_journal(&journal, 1, 2).expect("journal");
+    let snapshots = || engine.journal_health().expect("journal attached").snapshots;
+
+    // Drive the campaign to its end, copying the file each time a
+    // checkpoint lands.
+    let mut copies = Vec::new();
+    let finished = drive(&engine, 10_000, || {
+        if snapshots() > copies.len() as u64 {
+            copies.push(std::fs::read(&journal).expect("read journal"));
+        }
+        true
+    });
+    assert!(finished, "the campaign did not finish");
+    assert_eq!(engine.labels(), labels_lines(&expected.labels));
+    let written = snapshots();
+    assert!(written >= 3, "only {written} checkpoints written");
+    assert_eq!(copies.len() as u64, written);
+    drop(engine);
+
+    let bytes = std::fs::read(&journal).expect("read journal");
+    let rewritten = copies.iter().position(|c| !bytes.starts_with(c));
+    assert_eq!(rewritten, None, "the file at that checkpoint was rewritten");
+
+    let (recovered, report) =
+        recover(&journal, "table1", table1(), approach, config, 1, 2).expect("recovery succeeds");
+    assert_eq!(report.snapshots_verified as u64, written, "{report:?}");
+    assert_eq!(report.truncated_bytes, 0);
+    let status = recovered.handle(&Request::Status, 0).to_value();
+    let recorded = status
+        .get("journal")
+        .and_then(|j| j.get("snapshots"))
+        .and_then(Value::as_u64);
+    assert_eq!(recorded, Some(written), "{status:?}");
+    assert_eq!(std::fs::read(&journal).expect("read journal"), bytes);
+    std::fs::remove_file(&journal).ok();
+}
+
+/// A format-1 journal (which may hold a compaction `batch` frame the
+/// current reader no longer knows) is refused at the header check,
+/// naming both versions, and left byte for byte as it was.
+#[test]
+fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
+    let journal = tmp("v1.journal");
+    let mut header = CampaignEngine::expected_header("table1", Approach::RandomMV, &quick_config());
+    header.version = 1;
+    let mut bytes = encode_record(&JournalRecord::Header(header)).expect("encode header");
+    let batch = br#"{"t":"batch","ops":[{"t":"poll","w":"W1","o":"wait"},{"t":"pump"}]}"#;
+    bytes.extend((batch.len() as u32).to_le_bytes());
+    bytes.extend(crc32(batch).to_le_bytes());
+    bytes.extend(batch);
+    std::fs::write(&journal, &bytes).unwrap();
+
+    let err = recover(
+        &journal,
+        "table1",
+        table1(),
+        Approach::RandomMV,
+        quick_config(),
+        1,
+        0,
+    )
+    .err()
+    .expect("a version-1 journal must be refused");
+    let v2 = format!("format v{JOURNAL_VERSION}");
+    assert!(err.contains("format v1") && err.contains(&v2), "{err}");
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        bytes,
+        "a refused journal was modified"
+    );
     std::fs::remove_file(&journal).ok();
 }

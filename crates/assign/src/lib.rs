@@ -31,4 +31,4 @@ pub use greedy::{greedy_assign, Assignment};
 pub use optimal::optimal_assign;
 pub use qualification::{select_qualification_influence, select_qualification_random};
 pub use testing::performance_test_assignment;
-pub use top_workers::{top_worker_set, top_worker_sets, TopWorkerSet};
+pub use top_workers::{top_worker_set, TopWorkerSet};

@@ -7,7 +7,6 @@
 
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::WorkerId;
-use icrowd_estimate::AccuracyEstimator;
 
 /// The top worker set of one microtask.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,55 +74,9 @@ pub fn top_worker_set(
     }
 }
 
-/// Computes top worker sets for every uncompleted task (Algorithm 2,
-/// Step 1).
-///
-/// * `uncompleted` — the tasks in `T − T^d` that still have capacity.
-/// * `active` — the currently active workers.
-/// * `assigned` — `W^d(t)`: returns the workers already assigned to a
-///   task (completed it or holding it in flight).
-/// * `k` — the assignment size.
-///
-/// Tasks whose remaining capacity is zero, or with no eligible worker,
-/// yield sets with empty `workers` and are filtered out.
-pub fn top_worker_sets(
-    estimator: &mut AccuracyEstimator,
-    uncompleted: &[TaskId],
-    active: &[WorkerId],
-    mut assigned: impl FnMut(TaskId) -> Vec<WorkerId>,
-    k: usize,
-) -> Vec<TopWorkerSet> {
-    // Pre-warm per-worker accuracy caches once (each call borrows &mut).
-    for &w in active {
-        estimator.accuracies(w);
-    }
-    let mut out = Vec::with_capacity(uncompleted.len());
-    for &t in uncompleted {
-        let done = assigned(t);
-        let remaining = k.saturating_sub(done.len());
-        if remaining == 0 {
-            continue;
-        }
-        let eligible = active
-            .iter()
-            .filter(|w| !done.contains(w))
-            .map(|&w| (w, estimator.accuracy_cached(w, t)));
-        let set = top_worker_set(t, eligible, remaining);
-        if !set.workers.is_empty() {
-            out.push(set);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icrowd_core::answer::Answer;
-    use icrowd_core::config::ICrowdConfig;
-    use icrowd_core::task::TaskId;
-    use icrowd_estimate::EstimationMode;
-    use icrowd_graph::SimilarityGraph;
 
     fn t(i: u32) -> TaskId {
         TaskId(i)
@@ -168,55 +121,5 @@ mod tests {
         let empty = top_worker_set(t(0), vec![], 3);
         assert_eq!(empty.average_accuracy(), 0.0);
         assert!(!empty.is_full());
-    }
-
-    #[test]
-    fn sets_computed_per_task_with_exclusions() {
-        let graph = SimilarityGraph::from_edges(3, &[(t(0), t(1), 0.9), (t(1), t(2), 0.9)]);
-        let mut est =
-            AccuracyEstimator::new(graph, ICrowdConfig::default(), EstimationMode::Centered);
-        // Worker 0 is visibly better than worker 1 near task 0.
-        est.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-        est.record_qualification(w(1), t(0), Answer::NO, Answer::YES);
-
-        let active = vec![w(0), w(1)];
-        let sets = top_worker_sets(
-            &mut est,
-            &[t(1), t(2)],
-            &active,
-            |task| {
-                if task == t(2) {
-                    vec![w(0)] // w0 already assigned to t2
-                } else {
-                    vec![]
-                }
-            },
-            3,
-        );
-        assert_eq!(sets.len(), 2);
-        let s1 = sets.iter().find(|s| s.task == t(1)).unwrap();
-        assert_eq!(s1.workers.len(), 2);
-        assert_eq!(s1.workers[0].0, w(0), "better worker ranks first");
-        let s2 = sets.iter().find(|s| s.task == t(2)).unwrap();
-        assert_eq!(s2.remaining, 2, "one of k=3 slots already used");
-        assert!(
-            s2.worker_ids().all(|x| x != w(0)),
-            "already-assigned workers are excluded"
-        );
-    }
-
-    #[test]
-    fn saturated_tasks_are_dropped() {
-        let graph = SimilarityGraph::from_edges(1, &[]);
-        let mut est =
-            AccuracyEstimator::new(graph, ICrowdConfig::default(), EstimationMode::Centered);
-        let sets = top_worker_sets(
-            &mut est,
-            &[t(0)],
-            &[w(0)],
-            |_| vec![w(1), w(2), w(3)], // already has k = 3 assignees
-            3,
-        );
-        assert!(sets.is_empty());
     }
 }

@@ -13,7 +13,10 @@
 //!
 //! `--smoke` runs only the reference cell (20% drop + 5% stall) plus
 //! the determinism check — the CI `chaos-smoke` job's entry point.
-//! Telemetry is armed by `ICROWD_TELEMETRY` like every other bin.
+//! Telemetry is armed by `ICROWD_TELEMETRY` like every other bin; a
+//! `--smoke` run with telemetry armed then reads its export back and
+//! requires the `fault.drop`, `fault.stall` and `lease.expired`
+//! counters above zero and at least one `answer.rejected.*` counter.
 //!
 //! `--crash` runs the kill-and-recover harness instead: it spawns a
 //! real `icrowd serve --journal` process, SIGKILLs it at randomized
@@ -24,13 +27,6 @@
 //! `crash-smoke` job's entry point. It also measures journaling
 //! overhead (fsync-every-record vs no journal) into
 //! `BENCH_journal.json`.
-//!
-//! `--disk` sweeps seeded journal disk-fault schedules (ENOSPC, EIO,
-//! torn writes, fsync failures, failed re-opens) across all three
-//! `--durability` policies, asserting every run ends policy-conformant
-//! with balanced accounting and a replayable journal prefix — and that
-//! whenever the server still claimed durability at the end, recovery
-//! reproduces the baseline labels exactly.
 //!
 //! `--net` serves a real campaign behind the seeded chaos TCP proxy
 //! (latency, bandwidth caps, resets, corruption, blackholes) and drives
@@ -168,6 +164,8 @@ mod crash {
     use std::time::{Duration, Instant};
 
     use icrowd::core::ICrowdConfig;
+    use icrowd_serve::client::call_once;
+    use icrowd_serve::protocol::Request;
     use icrowd_serve::{run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig};
     use icrowd_sim::campaign::{
         labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice,
@@ -418,10 +416,8 @@ mod crash {
                 }
                 std::thread::sleep(Duration::from_millis(rng.gen_range(10..120)));
                 if let Ok(result) = rx.try_recv() {
-                    // The campaign outran the kill schedule; let the
-                    // child drain the SHUTDOWN it already received.
-                    let child = reaper.0.take().expect("child running");
-                    wait_with_deadline(child, Duration::from_secs(30));
+                    // The campaign outran the kill schedule.
+                    drain(&mut reaper, &addr);
                     break result;
                 }
                 reaper.kill_now();
@@ -461,14 +457,12 @@ mod crash {
                     _ => {}
                 }
             } else {
-                // Final round: run to completion (the loadgen sends
-                // SHUTDOWN, the child drains and writes labels-out).
+                // Final round: run to completion; the child drains and
+                // writes labels-out.
                 let result = rx
                     .recv_timeout(Duration::from_secs(120))
                     .expect("loadgen did not finish after the final recovery");
-                let child = reaper.0.take().expect("child running");
-                let out = wait_with_deadline(child, Duration::from_secs(30));
-                assert!(out, "served child did not exit after SHUTDOWN");
+                drain(&mut reaper, &addr);
                 break result;
             }
         };
@@ -506,6 +500,22 @@ mod crash {
         }
     }
 
+    /// Ends the campaign once the loadgen has returned. Its final probe
+    /// sent `SHUTDOWN`, but to the child serving at that moment: when a
+    /// kill landed after that probe was answered, the child serving now
+    /// was started after the loadgen finished and has never been told
+    /// to drain. So the harness sends `SHUTDOWN` itself (a refused
+    /// connection means the child is already draining) and then
+    /// requires the child to exit.
+    fn drain(reaper: &mut Reaper, addr: &str) {
+        let _ = call_once(addr, &Request::Shutdown);
+        let child = reaper.0.take().expect("child running");
+        assert!(
+            wait_with_deadline(child, Duration::from_secs(30)),
+            "served child did not exit after SHUTDOWN"
+        );
+    }
+
     /// Waits for the child to exit, killing it if the deadline passes.
     fn wait_with_deadline(mut child: Child, deadline: Duration) -> bool {
         let until = Instant::now() + deadline;
@@ -519,306 +529,6 @@ mod crash {
         let _ = child.kill();
         let _ = child.wait();
         false
-    }
-}
-
-mod disk {
-    //! The seeded disk-fault × durability-policy sweep behind
-    //! `chaos --disk`.
-
-    use icrowd::core::ICrowdConfig;
-    use icrowd_platform::market::WorkerBehavior;
-    use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo};
-    use icrowd_serve::protocol::{Request, Response};
-    use icrowd_serve::{recover_with_policy, CampaignEngine, DurabilityPolicy};
-    use icrowd_sim::campaign::{
-        labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice,
-    };
-    use icrowd_sim::datasets::table1;
-
-    fn config() -> CampaignConfig {
-        let mut icrowd = ICrowdConfig {
-            assignment_size: 3,
-            similarity_threshold: 0.3,
-            ..Default::default()
-        };
-        icrowd.warmup.num_qualification = 3;
-        CampaignConfig {
-            seed: 42,
-            icrowd,
-            metric: MetricChoice::Jaccard,
-            ..Default::default()
-        }
-    }
-
-    fn schedules() -> Vec<(&'static str, DiskFaultConfig)> {
-        vec![
-            (
-                "enospc",
-                DiskFaultConfig {
-                    enospc_rate: 0.02,
-                    ..Default::default()
-                },
-            ),
-            (
-                "eio",
-                DiskFaultConfig {
-                    eio_rate: 0.02,
-                    ..Default::default()
-                },
-            ),
-            (
-                "torn",
-                DiskFaultConfig {
-                    torn_rate: 0.02,
-                    ..Default::default()
-                },
-            ),
-            (
-                "fsync",
-                DiskFaultConfig {
-                    fsync_rate: 0.05,
-                    ..Default::default()
-                },
-            ),
-            (
-                "mixed",
-                DiskFaultConfig {
-                    enospc_rate: 0.01,
-                    eio_rate: 0.01,
-                    torn_rate: 0.01,
-                    fsync_rate: 0.02,
-                    open_rate: 0.01,
-                    ..Default::default()
-                },
-            ),
-        ]
-    }
-
-    /// Drives the campaign to completion (or to the fail-stop drain)
-    /// through the request interface, exactly as remote pollers would.
-    fn drive_to_end(eng: &CampaignEngine, dataset: &icrowd_sim::datasets::Dataset, seed: u64) {
-        let workers: Vec<String> = (1..=dataset.workers.len())
-            .map(|i| format!("W{i}"))
-            .collect();
-        let mut sims: Vec<_> = dataset.spawn_workers(seed).into_iter().map(Some).collect();
-        let mut live = workers.len();
-        let mut guard = 0u32;
-        while live > 0 {
-            guard += 1;
-            assert!(guard < 1_000_000, "campaign livelocked");
-            for (i, w) in workers.iter().enumerate() {
-                let Some(sim) = sims[i].as_mut() else {
-                    continue;
-                };
-                match eng.handle(&Request::RequestTask { worker: w.clone() }, 0) {
-                    Response::Task(task) => {
-                        let answer = WorkerBehavior::answer(sim, &dataset.tasks[task]);
-                        eng.handle(
-                            &Request::SubmitAnswer {
-                                worker: w.clone(),
-                                task,
-                                answer,
-                            },
-                            0,
-                        );
-                    }
-                    Response::Wait | Response::Declined { retry: true } => {}
-                    Response::Left | Response::Declined { retry: false } => {
-                        sims[i] = None;
-                        live -= 1;
-                    }
-                    // The fail-stop refusal: the server is draining.
-                    Response::Error { .. } => return,
-                    other => panic!("unexpected poll response {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// One (schedule, policy) cell: attach a `FaultyIo` journal (seed
-    /// scanned so the header lands and faults hit live mutations), run
-    /// the campaign, then check the policy contract and the journal
-    /// invariant.
-    #[allow(clippy::too_many_lines)]
-    fn run_cell(
-        label: &str,
-        fault_config: &DiskFaultConfig,
-        policy: DurabilityPolicy,
-        baseline: &str,
-    ) {
-        let dataset = table1();
-        let mut fault_config = fault_config.clone();
-        let path = std::env::temp_dir().join(format!(
-            "icrowd_disk_sweep_{}_{}_{}.bin",
-            label,
-            policy.name(),
-            std::process::id()
-        ));
-        let (eng, io) = 'scan: {
-            for seed in 0..1000 {
-                fault_config.seed = seed;
-                let io = FaultyIo::new(fault_config.clone());
-                let eng = CampaignEngine::new("table1", table1(), Approach::RandomMV, config());
-                if eng
-                    .start_journal_with(&path, 1, 8, policy, Box::new(io.clone()))
-                    .is_ok()
-                {
-                    break 'scan (eng, io);
-                }
-                std::fs::remove_file(&path).ok();
-            }
-            panic!("no seed admitted a clean header write for {label}");
-        };
-        let probe = eng.durability();
-        drive_to_end(&eng, &dataset, config().seed);
-        let labels = eng.labels();
-
-        let (complete, balanced) = match eng.handle(&Request::Status, 0) {
-            Response::Status {
-                complete, balanced, ..
-            } => (complete, balanced),
-            other => panic!("unexpected STATUS {other:?}"),
-        };
-        let health = eng.journal_health().expect("journaled engine");
-        let stats = io.stats();
-
-        // Policy conformance.
-        match policy {
-            DurabilityPolicy::FailStop => {
-                assert!(!probe.degraded(), "fail-stop must never degrade");
-                if probe.fail_stopped() {
-                    assert_eq!(health.state, "fail-stop");
-                    let refusal = eng.handle(
-                        &Request::RequestTask {
-                            worker: "W1".into(),
-                        },
-                        0,
-                    );
-                    assert!(
-                        matches!(refusal, Response::Error { .. }),
-                        "fail-stopped server served a mutation: {refusal:?}"
-                    );
-                } else {
-                    assert_eq!(health.state, "attached");
-                }
-            }
-            DurabilityPolicy::Degrade => {
-                assert!(!probe.fail_stopped(), "degrade must never fail-stop");
-                assert!(complete, "degrade keeps serving to completion");
-                assert_eq!(
-                    health.state,
-                    if probe.degraded() {
-                        "degraded"
-                    } else {
-                        "attached"
-                    }
-                );
-            }
-            DurabilityPolicy::Retry => {
-                assert!(!probe.fail_stopped(), "retry must never fail-stop");
-                assert!(complete, "retry keeps serving to completion");
-                assert!(
-                    matches!(health.state, "attached" | "retrying" | "degraded"),
-                    "unexpected retry state {}",
-                    health.state
-                );
-            }
-        }
-        assert!(
-            balanced,
-            "accounting unbalanced at {label}/{}",
-            policy.name()
-        );
-
-        // The server "claimed durability" iff the journal never left the
-        // attached state and no accepted mutation went unjournaled.
-        let durable = health.state == "attached" && health.unjournaled == 0 && health.pending == 0;
-        let result = eng.finalize();
-        assert!(result.accounting.balanced());
-
-        // The surviving file is always a valid replayable prefix: raw
-        // read tolerates any torn tail, and full recovery (replay +
-        // snapshot verification + conservation laws) succeeds.
-        let readout = read_journal(&path).expect("journal file readable");
-        assert!(readout.header.is_some(), "journal lost its header");
-        let (recovered, report) = recover_with_policy(
-            &path,
-            "table1",
-            table1(),
-            Approach::RandomMV,
-            config(),
-            1,
-            8,
-            policy,
-        )
-        .expect("recovery replays the surviving prefix");
-        // Mid-campaign prefixes legitimately fail the *settlement* law
-        // (in-flight accepted answers are not yet paid or abandoned);
-        // recovery itself hard-errors on the continuous conservation
-        // laws, and finalizing any recovered state must balance.
-        let _ = report;
-
-        // Whenever durability was claimed, the journal is the whole
-        // truth: recovery reproduces the baseline labels byte-for-byte.
-        if durable && complete {
-            assert_eq!(labels, baseline, "live labels diverged from baseline");
-            assert_eq!(
-                recovered.labels(),
-                baseline,
-                "recovered labels diverged from baseline at {label}/{}",
-                policy.name()
-            );
-        }
-        let recovered_result = recovered.finalize();
-        assert!(
-            recovered_result.accounting.balanced(),
-            "finalized recovered state unbalanced at {label}/{}",
-            policy.name()
-        );
-
-        println!(
-            "{label:>7} {:>9} {:>7} {:>10} {:>6} {:>11} {:>8} {:>7} {:>7}",
-            policy.name(),
-            stats.total(),
-            health.state,
-            health.ops,
-            health.unjournaled,
-            if complete { "yes" } else { "no" },
-            if durable { "yes" } else { "no" },
-            if durable && complete { "yes" } else { "n/a" },
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The full sweep: every schedule × every policy.
-    pub fn run() {
-        let expected = run_campaign(&table1(), Approach::RandomMV, &config());
-        let baseline = labels_lines(&expected.labels);
-        println!("=== Disk-fault sweep: table1 / random-mv, seed 42 ===");
-        println!(
-            "{:>7} {:>9} {:>7} {:>10} {:>6} {:>11} {:>8} {:>7} {:>7}",
-            "fault",
-            "policy",
-            "injected",
-            "state",
-            "ops",
-            "unjournaled",
-            "complete",
-            "durable",
-            "labels"
-        );
-        for (label, fault_config) in schedules() {
-            for policy in [
-                DurabilityPolicy::FailStop,
-                DurabilityPolicy::Degrade,
-                DurabilityPolicy::Retry,
-            ] {
-                run_cell(label, &fault_config, policy, &baseline);
-            }
-        }
-        println!("invariant violations: 0");
-        println!("disk sweep: PASS");
     }
 }
 
@@ -944,11 +654,6 @@ fn main() {
         icrowd_bench::telemetry::finish(telemetry);
         return;
     }
-    if std::env::args().any(|a| a == "--disk") {
-        disk::run();
-        icrowd_bench::telemetry::finish(telemetry);
-        return;
-    }
     if std::env::args().any(|a| a == "--net") {
         net::run();
         icrowd_bench::telemetry::finish(telemetry);
@@ -1008,5 +713,43 @@ fn main() {
         a.outcome.faults.churned
     );
     println!("all invariants hold");
-    icrowd_bench::telemetry::finish(telemetry);
+    icrowd_bench::telemetry::finish(telemetry.clone());
+    if let (true, Some(path)) = (smoke, telemetry) {
+        assert_smoke_counters(&path);
+    }
+}
+
+/// Reads back a `--smoke` run's telemetry export and requires the fault
+/// and lease machinery to have fired: counters `fault.drop`,
+/// `fault.stall` and `lease.expired` above zero, and at least one
+/// `answer.rejected.*`.
+fn assert_smoke_counters(path: &str) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read telemetry export {path}: {e}"));
+    let mut counters = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v: serde_json::Value = serde_json::from_str(line)
+            .unwrap_or_else(|e| panic!("unparseable telemetry line ({e}): {line}"));
+        if v["type"] == "counter" {
+            let name = v["name"].as_str().unwrap_or_default().to_owned();
+            counters.push((name, v["value"].as_u64().unwrap_or(0)));
+        }
+    }
+    let value = |name: &str| counters.iter().find(|(n, _)| n == name).map_or(0, |c| c.1);
+    for name in ["fault.drop", "fault.stall", "lease.expired"] {
+        assert!(
+            value(name) > 0,
+            "counter {name} missing or zero: {counters:?}"
+        );
+    }
+    assert!(
+        counters
+            .iter()
+            .any(|(n, _)| n.starts_with("answer.rejected.")),
+        "no answer.rejected.* counter in {counters:?}"
+    );
+    println!(
+        "telemetry counters: PASS ({} counters in {path})",
+        counters.len()
+    );
 }

@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::dbg_macro)]
 
-use icrowd_sim::campaign::{run_campaign_with, Approach, CampaignConfig, CampaignResult};
+use icrowd_sim::campaign::{run_campaign_with, Approach, CampaignConfig};
 use icrowd_sim::datasets::Dataset;
 use icrowd_sim::metrics::DomainAccuracy;
 
@@ -126,26 +126,6 @@ fn accumulate(sums: &mut Vec<(String, f64)>, per_domain: &[DomainAccuracy]) {
     }
 }
 
-/// Averages full campaign results (answers, spend, ...) over [`SEEDS`]
-/// for experiments that need more than accuracies.
-pub fn campaigns_over_seeds(
-    make_dataset: &dyn Fn(u64) -> Dataset,
-    approach: Approach,
-    base: &CampaignConfig,
-) -> Vec<CampaignResult> {
-    SEEDS
-        .iter()
-        .map(|&seed| {
-            let dataset = make_dataset(seed);
-            let config = CampaignConfig {
-                seed,
-                ..base.clone()
-            };
-            icrowd_sim::campaign::run_campaign(&dataset, approach, &config)
-        })
-        .collect()
-}
-
 /// Prints a figure-style accuracy table: approaches as rows, domains as
 /// columns.
 pub fn print_accuracy_table(title: &str, results: &[AveragedResult]) {
@@ -165,15 +145,6 @@ pub fn print_accuracy_table(title: &str, results: &[AveragedResult]) {
             print!(" {acc:>14.3}");
         }
         println!();
-    }
-}
-
-/// Prints a generic two-column table.
-pub fn print_pairs(title: &str, header: (&str, &str), pairs: &[(String, String)]) {
-    println!("\n=== {title} ===");
-    println!("{:<28} {:>16}", header.0, header.1);
-    for (a, b) in pairs {
-        println!("{a:<28} {b:>16}");
     }
 }
 

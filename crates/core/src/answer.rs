@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::TaskId;
 use crate::worker::WorkerId;
 
@@ -11,7 +9,7 @@ use crate::worker::WorkerId;
 ///
 /// Answers are small integers in `0..num_choices`; for the paper's binary
 /// microtasks use [`Answer::YES`] and [`Answer::NO`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Answer(pub u8);
 
 impl Answer {
@@ -45,7 +43,7 @@ impl fmt::Display for Answer {
 }
 
 /// A single (worker, answer) vote on a microtask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vote {
     /// The worker who voted.
     pub worker: WorkerId,
@@ -58,7 +56,7 @@ pub struct Vote {
 /// A microtask is *globally completed* (Section 2.1) once at least
 /// `(k+1)/2` of its `k` assigned workers agree on an answer; the agreed
 /// answer is the *consensus answer* `ans*`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VoteSet {
     task: TaskId,
     assignment_size: usize,

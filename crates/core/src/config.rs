@@ -6,10 +6,8 @@
 //! qualification microtasks with a `0.6` rejection threshold over the first
 //! five answers (Section 2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the personalized-PageRank solver (Equation 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PprConfig {
     /// Convergence tolerance on the L1 change of `p` between iterations.
     pub tolerance: f64,
@@ -38,7 +36,7 @@ impl Default for PprConfig {
 }
 
 /// Parameters of the warm-up (qualification) component — Section 2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmupConfig {
     /// Number of qualification microtasks selected (`Q`, Section 6.3.1).
     pub num_qualification: usize,
@@ -66,7 +64,7 @@ impl Default for WarmupConfig {
 }
 
 /// Top-level framework configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ICrowdConfig {
     /// Assignment size `k`: workers per microtask (odd for clean majority).
     pub assignment_size: usize,

@@ -9,8 +9,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::answer::Answer;
 
 /// Identifier of a microtask, dense and zero-based.
@@ -18,7 +16,7 @@ use crate::answer::Answer;
 /// Dense ids let the graph and estimation layers index accuracy vectors by
 /// plain `Vec` offset instead of hash lookups, which matters in the paper's
 /// scalability experiment (Figure 10, millions of microtasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -41,7 +39,7 @@ impl fmt::Display for TaskId {
 /// (it discovers topical structure through the similarity graph), but the
 /// paper reports per-domain accuracies (Figures 6–9), so tasks carry their
 /// domain for measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Domain(pub u16);
 
 impl Domain {
@@ -59,7 +57,7 @@ impl fmt::Display for Domain {
 }
 
 /// Bidirectional mapping between domain names and [`Domain`] ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainRegistry {
     names: Vec<String>,
     by_name: HashMap<String, Domain>,
@@ -117,7 +115,7 @@ impl DomainRegistry {
 /// the record pair, Table 1); similarity metrics tokenize it. `features`
 /// optionally carries a numeric representation for Euclidean similarity
 /// (Section 3.3 case 2, e.g. POI coordinates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Microtask {
     /// Dense task id.
     pub id: TaskId,
@@ -177,7 +175,7 @@ impl Microtask {
 ///
 /// Most algorithms in the workspace operate on a `TaskSet` so they can use
 /// `Vec`-indexed per-task state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskSet {
     tasks: Vec<Microtask>,
 }

@@ -12,14 +12,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::answer::{Answer, Vote, VoteSet};
 use crate::task::{TaskId, TaskSet};
 use crate::worker::WorkerId;
 
 /// Result of a (weighted) majority vote.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoteOutcome {
     /// The winning answer.
     pub answer: Answer,
@@ -109,7 +107,7 @@ pub fn weighted_majority_vote(
 ///
 /// Holds one [`VoteSet`] per microtask and tracks the set of *globally
 /// completed* microtasks `T^d` together with their consensus answers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsensusState {
     vote_sets: Vec<VoteSet>,
     completed: Vec<Option<Answer>>,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a worker, dense and zero-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub u32);
 
 impl WorkerId {
@@ -32,9 +30,7 @@ impl fmt::Display for WorkerId {
 ///
 /// The simulator advances a logical clock; using ticks instead of wall-clock
 /// `Instant`s keeps every experiment deterministic and replayable.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(pub u64);
 
 impl Tick {
@@ -61,7 +57,7 @@ impl fmt::Display for Tick {
 }
 
 /// Mutable per-worker record kept by the framework.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerRecord {
     /// The worker's id.
     pub id: WorkerId,
@@ -96,7 +92,7 @@ impl WorkerRecord {
 /// A worker is active if she requested a task within the last
 /// `window` ticks **or** currently holds a HIT — the two signals Section
 /// 4.1 Step 1 proposes. Rejected workers are never active.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActivityTracker {
     window: u64,
     workers: Vec<WorkerRecord>,

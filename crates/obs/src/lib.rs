@@ -38,8 +38,8 @@
 //! sampling.
 //!
 //! The crate is `std`-only by design — it must stay usable from every
-//! workspace crate without dragging in the vendored serde stack, so JSON
-//! is written by hand (names and payloads are escaped per RFC 8259).
+//! workspace crate without a JSON dependency, so JSON is written by
+//! hand (names and payloads are escaped per RFC 8259).
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

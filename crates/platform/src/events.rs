@@ -5,16 +5,15 @@
 //! debugging, and the integration tests assert accounting invariants over
 //! it (e.g. every payment is preceded by enough submissions).
 
-use serde::{Deserialize, Serialize};
-
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::Tick;
+use serde_json::{json, Error, Value};
 
 use crate::hit::HitId;
 
 /// Why the server refused to record a submitted answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The worker holds no assignment for this task.
     NotAssigned,
@@ -27,6 +26,23 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
+    const ALL: [RejectReason; 4] = [
+        RejectReason::NotAssigned,
+        RejectReason::Duplicate,
+        RejectReason::LeaseExpired,
+        RejectReason::TaskCompleted,
+    ];
+
+    /// The variant name the event log writes for this reason.
+    fn tag(self) -> &'static str {
+        match self {
+            RejectReason::NotAssigned => "NotAssigned",
+            RejectReason::Duplicate => "Duplicate",
+            RejectReason::LeaseExpired => "LeaseExpired",
+            RejectReason::TaskCompleted => "TaskCompleted",
+        }
+    }
+
     /// A stable lowercase name, used as the telemetry counter suffix.
     pub fn name(&self) -> &'static str {
         match self {
@@ -51,7 +67,7 @@ impl RejectReason {
 }
 
 /// One marketplace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MarketEvent {
     /// A worker arrived and accepted a HIT.
     HitAccepted {
@@ -202,7 +218,7 @@ impl MarketEvent {
 }
 
 /// An append-only event log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<MarketEvent>,
 }
@@ -243,11 +259,13 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Serializes the log as JSON lines.
+    /// Serializes the log as JSON lines, one object per event, tagged
+    /// by variant name:
+    /// `{"AnswerRejected":{"at":7,"worker":"A","task":0,"reason":"Duplicate"}}`.
     pub fn to_json_lines(&self) -> String {
         self.events
             .iter()
-            .map(|e| serde_json::to_string(e).expect("events serialize"))
+            .map(|e| event_to_value(e).to_string())
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -255,12 +273,16 @@ impl EventLog {
     /// Parses a log from JSON lines.
     ///
     /// # Errors
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json_lines(s: &str) -> Result<Self, serde_json::Error> {
+    /// Returns a `serde_json` error for the first line that is not JSON
+    /// or not an event.
+    pub fn from_json_lines(s: &str) -> Result<Self, Error> {
         let events = s
             .lines()
             .filter(|l| !l.trim().is_empty())
-            .map(serde_json::from_str)
+            .map(|l| {
+                let v: Value = serde_json::from_str(l)?;
+                event_from_value(&v).ok_or_else(|| Error::custom(format!("not an event: {l}")))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { events })
     }
@@ -273,10 +295,143 @@ impl EventLog {
             return;
         }
         for e in &self.events {
-            let payload = serde_json::to_string(e).expect("events serialize");
+            let payload = event_to_value(e).to_string();
             icrowd_obs::event_json(&format!("market.{}", e.kind()), &payload);
         }
     }
+}
+
+/// Encodes one event as its event-log object: tagged by variant name,
+/// fields in declaration order, ids as bare numbers, e.g.
+/// `{"AnswerRejected":{"at":7,"worker":"A","task":0,"reason":"Duplicate"}}`.
+fn event_to_value(e: &MarketEvent) -> Value {
+    let (tag, fields) = match e {
+        MarketEvent::HitAccepted { at, worker, hit } => (
+            "HitAccepted",
+            json!({"at": at.0, "worker": worker, "hit": hit.0}),
+        ),
+        MarketEvent::TaskAssigned { at, worker, task } => (
+            "TaskAssigned",
+            json!({"at": at.0, "worker": worker, "task": task.0}),
+        ),
+        MarketEvent::RequestDeclined { at, worker } => {
+            ("RequestDeclined", json!({"at": at.0, "worker": worker}))
+        }
+        MarketEvent::AnswerSubmitted {
+            at,
+            worker,
+            task,
+            answer,
+        } => (
+            "AnswerSubmitted",
+            json!({"at": at.0, "worker": worker, "task": task.0, "answer": answer.0}),
+        ),
+        MarketEvent::HitSubmitted {
+            at,
+            worker,
+            hit,
+            reward_cents,
+        } => (
+            "HitSubmitted",
+            json!({"at": at.0, "worker": worker, "hit": hit.0, "reward_cents": reward_cents}),
+        ),
+        MarketEvent::HitAbandoned {
+            at,
+            worker,
+            hit,
+            answered,
+        } => (
+            "HitAbandoned",
+            json!({"at": at.0, "worker": worker, "hit": hit.0, "answered": answered}),
+        ),
+        MarketEvent::AnswerRejected {
+            at,
+            worker,
+            task,
+            reason,
+        } => (
+            "AnswerRejected",
+            json!({"at": at.0, "worker": worker, "task": task.0, "reason": reason.tag()}),
+        ),
+        MarketEvent::AnswerDropped { at, worker, task } => (
+            "AnswerDropped",
+            json!({"at": at.0, "worker": worker, "task": task.0}),
+        ),
+        MarketEvent::WorkerStalled { at, worker, task } => (
+            "WorkerStalled",
+            json!({"at": at.0, "worker": worker, "task": task.0}),
+        ),
+        MarketEvent::WorkerChurned { at, worker } => {
+            ("WorkerChurned", json!({"at": at.0, "worker": worker}))
+        }
+    };
+    Value::Object(vec![(tag.to_owned(), fields)])
+}
+
+/// A numeric field of an event object, if present and in range.
+fn num<T: TryFrom<u64>>(fields: &Value, key: &str) -> Option<T> {
+    T::try_from(fields.get(key)?.as_u64()?).ok()
+}
+
+/// Decodes one object written by [`event_to_value`].
+fn event_from_value(v: &Value) -> Option<MarketEvent> {
+    let [(tag, f)] = v.as_object()? else {
+        return None;
+    };
+    let at = Tick(num(f, "at")?);
+    let worker = f.get("worker")?.as_str()?.to_owned();
+    Some(match tag.as_str() {
+        "HitAccepted" => MarketEvent::HitAccepted {
+            at,
+            worker,
+            hit: HitId(num(f, "hit")?),
+        },
+        "TaskAssigned" => MarketEvent::TaskAssigned {
+            at,
+            worker,
+            task: TaskId(num(f, "task")?),
+        },
+        "RequestDeclined" => MarketEvent::RequestDeclined { at, worker },
+        "AnswerSubmitted" => MarketEvent::AnswerSubmitted {
+            at,
+            worker,
+            task: TaskId(num(f, "task")?),
+            answer: Answer(num(f, "answer")?),
+        },
+        "HitSubmitted" => MarketEvent::HitSubmitted {
+            at,
+            worker,
+            hit: HitId(num(f, "hit")?),
+            reward_cents: num(f, "reward_cents")?,
+        },
+        "HitAbandoned" => MarketEvent::HitAbandoned {
+            at,
+            worker,
+            hit: HitId(num(f, "hit")?),
+            answered: num(f, "answered")?,
+        },
+        "AnswerRejected" => {
+            let reason = f.get("reason")?.as_str()?;
+            MarketEvent::AnswerRejected {
+                at,
+                worker,
+                task: TaskId(num(f, "task")?),
+                reason: RejectReason::ALL.into_iter().find(|r| r.tag() == reason)?,
+            }
+        }
+        "AnswerDropped" => MarketEvent::AnswerDropped {
+            at,
+            worker,
+            task: TaskId(num(f, "task")?),
+        },
+        "WorkerStalled" => MarketEvent::WorkerStalled {
+            at,
+            worker,
+            task: TaskId(num(f, "task")?),
+        },
+        "WorkerChurned" => MarketEvent::WorkerChurned { at, worker },
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -366,6 +521,109 @@ mod tests {
         assert_eq!(parsed.len(), 2);
     }
 
+    /// The exact bytes of the replay record: one event of every variant
+    /// (and every rejection reason), a worker id that needs escaping,
+    /// and a `u64::MAX` tick.
+    #[test]
+    fn json_lines_are_byte_stable() {
+        let worker = |s: &str| s.to_owned();
+        let events = [
+            MarketEvent::HitAccepted {
+                at: Tick(1),
+                worker: worker("A"),
+                hit: HitId(0),
+            },
+            MarketEvent::TaskAssigned {
+                at: Tick(2),
+                worker: worker("A"),
+                task: TaskId(4_000_000_000),
+            },
+            MarketEvent::RequestDeclined {
+                at: Tick(3),
+                worker: worker("q\"b\\s\n\r\t\u{1}é漢😀"),
+            },
+            MarketEvent::AnswerSubmitted {
+                at: Tick(4),
+                worker: worker("A"),
+                task: TaskId(0),
+                answer: Answer(255),
+            },
+            MarketEvent::HitSubmitted {
+                at: Tick(5),
+                worker: worker("A"),
+                hit: HitId(0),
+                reward_cents: 10,
+            },
+            MarketEvent::HitAbandoned {
+                at: Tick(6),
+                worker: worker("B"),
+                hit: HitId(1),
+                answered: 3,
+            },
+            MarketEvent::AnswerRejected {
+                at: Tick(7),
+                worker: worker("A"),
+                task: TaskId(0),
+                reason: RejectReason::Duplicate,
+            },
+            MarketEvent::AnswerRejected {
+                at: Tick(7),
+                worker: worker("A"),
+                task: TaskId(1),
+                reason: RejectReason::NotAssigned,
+            },
+            MarketEvent::AnswerRejected {
+                at: Tick(7),
+                worker: worker("A"),
+                task: TaskId(2),
+                reason: RejectReason::LeaseExpired,
+            },
+            MarketEvent::AnswerRejected {
+                at: Tick(7),
+                worker: worker("A"),
+                task: TaskId(3),
+                reason: RejectReason::TaskCompleted,
+            },
+            MarketEvent::AnswerDropped {
+                at: Tick(8),
+                worker: worker("A"),
+                task: TaskId(0),
+            },
+            MarketEvent::WorkerStalled {
+                at: Tick(9),
+                worker: worker("B"),
+                task: TaskId(1),
+            },
+            MarketEvent::WorkerChurned {
+                at: Tick(u64::MAX),
+                worker: worker("B"),
+            },
+        ];
+        let mut log = EventLog::new();
+        for e in events {
+            log.push(e);
+        }
+        let expected = [
+            r#"{"HitAccepted":{"at":1,"worker":"A","hit":0}}"#,
+            r#"{"TaskAssigned":{"at":2,"worker":"A","task":4000000000}}"#,
+            "{\"RequestDeclined\":{\"at\":3,\"worker\":\"q\\\"b\\\\s\\n\\r\\t\\u0001é漢😀\"}}",
+            r#"{"AnswerSubmitted":{"at":4,"worker":"A","task":0,"answer":255}}"#,
+            r#"{"HitSubmitted":{"at":5,"worker":"A","hit":0,"reward_cents":10}}"#,
+            r#"{"HitAbandoned":{"at":6,"worker":"B","hit":1,"answered":3}}"#,
+            r#"{"AnswerRejected":{"at":7,"worker":"A","task":0,"reason":"Duplicate"}}"#,
+            r#"{"AnswerRejected":{"at":7,"worker":"A","task":1,"reason":"NotAssigned"}}"#,
+            r#"{"AnswerRejected":{"at":7,"worker":"A","task":2,"reason":"LeaseExpired"}}"#,
+            r#"{"AnswerRejected":{"at":7,"worker":"A","task":3,"reason":"TaskCompleted"}}"#,
+            r#"{"AnswerDropped":{"at":8,"worker":"A","task":0}}"#,
+            r#"{"WorkerStalled":{"at":9,"worker":"B","task":1}}"#,
+            r#"{"WorkerChurned":{"at":18446744073709551615,"worker":"B"}}"#,
+        ]
+        .join("\n");
+        assert_eq!(log.to_json_lines(), expected);
+        let parsed = EventLog::from_json_lines(&expected).unwrap();
+        assert_eq!(parsed.events(), log.events());
+    }
+
     #[test]
     fn reject_counter_names_match_the_dynamic_scheme() {
         for r in [
@@ -380,7 +638,17 @@ mod tests {
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(EventLog::from_json_lines("not json").is_err());
+        for bad in [
+            "not json",
+            r#""RequestDeclined""#,
+            r#"{"Teleported":{"at":1,"worker":"A"}}"#,
+            r#"{"TaskAssigned":{"at":1,"worker":"A"}}"#,
+            r#"{"TaskAssigned":{"at":1,"worker":"A","task":4294967296}}"#,
+            r#"{"AnswerRejected":{"at":1,"worker":"A","task":0,"reason":"duplicate"}}"#,
+            r#"{"WorkerChurned":{"at":1,"worker":"A"},"RequestDeclined":{"at":1,"worker":"A"}}"#,
+        ] {
+            assert!(EventLog::from_json_lines(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! ticket: accepting one entitles a worker to request up to
 //! `tasks_per_hit` microtasks and be paid on submission.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a HIT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HitId(pub u32);
 
 impl std::fmt::Display for HitId {
@@ -21,7 +19,7 @@ impl std::fmt::Display for HitId {
 }
 
 /// A published HIT type with remaining assignment slots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Hit {
     id: HitId,
     remaining_assignments: u32,
@@ -33,7 +31,7 @@ struct Hit {
 /// tracks remaining capacity. This mirrors the paper's setup of
 /// publishing enough assignment capacity ("a large number, 10 in our
 /// experiments") to collect answers from the whole worker population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HitPool {
     hits: Vec<Hit>,
     tasks_per_hit: usize,

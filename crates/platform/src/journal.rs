@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use serde_json::{json, Value};
 
+use crate::faults::splitmix64;
 use crate::market::MarketAccounting;
 
 /// Journal format version (bumped on incompatible frame/payload changes).
@@ -574,13 +575,6 @@ impl FaultyState {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// A [`JournalIo`] that injects seeded ENOSPC / EIO / torn-write /
 /// fsync-failure / open-failure faults on top of the real filesystem.
 /// All handles cloned from one `FaultyIo` share a single decision
@@ -1040,6 +1034,82 @@ mod tests {
             "every byte accounted for"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The exact framed bytes of one record of each kind: length, CRC
+    /// and payload.
+    #[test]
+    fn framed_records_are_byte_stable() {
+        let cases = [
+            (
+                JournalRecord::Header(JournalHeader {
+                    version: JOURNAL_VERSION,
+                    dataset: "table1".into(),
+                    approach: "iCrowd".into(),
+                    seed: u64::MAX,
+                    config_fp: 0x0123_4567_89AB_CDEF,
+                }),
+                r#"{"t":"header","version":2,"dataset":"table1","approach":"iCrowd","seed":18446744073709551615,"fp":81985529216486895}"#,
+                0xBD45_DA72,
+            ),
+            (
+                JournalRecord::Op(JournalOp::Poll {
+                    worker: "W\"1\\".into(),
+                    tag: PollTag::Assigned(u32::MAX),
+                }),
+                r#"{"t":"poll","w":"W\"1\\","o":"assigned","task":4294967295}"#,
+                0x920E_1C02,
+            ),
+            (
+                JournalRecord::Op(JournalOp::Poll {
+                    worker: "W2".into(),
+                    tag: PollTag::DeclinedLeft,
+                }),
+                r#"{"t":"poll","w":"W2","o":"declined_left"}"#,
+                0x0F83_C0D7,
+            ),
+            (
+                JournalRecord::Op(JournalOp::Submit {
+                    worker: "W3".into(),
+                    task: 2,
+                    answer: 255,
+                    verdict: "rejected:duplicate".into(),
+                }),
+                r#"{"t":"submit","w":"W3","task":2,"a":255,"v":"rejected:duplicate"}"#,
+                0xEB18_6945,
+            ),
+            (
+                JournalRecord::Op(JournalOp::Pump),
+                r#"{"t":"pump"}"#,
+                0xC1DC_5315,
+            ),
+            (
+                JournalRecord::Snapshot(JournalSnapshot {
+                    ops: 6,
+                    answers: 1,
+                    accounting: MarketAccounting {
+                        answers_submitted: 9,
+                        answers_accepted: 8,
+                        answers_rejected: 1,
+                        answers_dropped: 2,
+                        answers_paid: 6,
+                        answers_abandoned: 2,
+                        stalled: 3,
+                        churned: 4,
+                    },
+                    end_tick: u64::MAX,
+                    epoch: 9,
+                }),
+                r#"{"t":"snapshot","ops":6,"answers":1,"end":18446744073709551615,"epoch":9,"acct":{"submitted":9,"accepted":8,"rejected":1,"dropped":2,"paid":6,"abandoned":2,"stalled":3,"churned":4}}"#,
+                0x0E3D_4735,
+            ),
+        ];
+        for (rec, payload, crc) in cases {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&u32::to_le_bytes(crc));
+            frame.extend_from_slice(payload.as_bytes());
+            assert_eq!(encode_record(&rec).unwrap(), frame, "{payload}");
+        }
     }
 
     #[test]

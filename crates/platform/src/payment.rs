@@ -7,12 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hit::HitId;
 
 /// Per-worker earnings and requester spend, in cents.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PaymentLedger {
     /// Earnings per external worker id.
     earnings: BTreeMap<String, u64>,

@@ -5,15 +5,13 @@
 //! microtask and clicks the Next link, we assign the next microtask"),
 //! and finally submit the HIT for payment — or abandon it partway.
 
-use serde::{Deserialize, Serialize};
-
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::Tick;
 
 use crate::hit::HitId;
 
 /// Where a session stands in the HIT lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Holding a HIT, ready to request the next microtask.
     Ready,
@@ -24,7 +22,7 @@ pub enum SessionState {
 }
 
 /// One worker's session on one HIT.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerSession {
     /// The platform-side worker identifier (AMT's opaque worker id).
     pub external_id: String,

@@ -31,6 +31,8 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use icrowd_platform::faults::splitmix64;
+
 /// Chaos proxy fault configuration. All rates are per-connection
 /// probabilities in `[0, 1]`; latency and bandwidth apply to every
 /// connection. The default forwards cleanly.
@@ -149,13 +151,6 @@ struct StatCells {
     blackholed: AtomicU64,
     resets: AtomicU64,
     corrupted: AtomicU64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A per-connection deterministic decision stream.

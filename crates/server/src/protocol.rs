@@ -581,6 +581,164 @@ mod tests {
         }
     }
 
+    /// The exact wire bytes of every request, with and without a trace
+    /// stamp.
+    #[test]
+    fn request_lines_are_byte_stable() {
+        let cases = [
+            (Request::Hello, r#"{"op":"HELLO"}"#),
+            (
+                Request::RequestTask {
+                    worker: "W\"3\\\n".into(),
+                },
+                r#"{"op":"REQUEST_TASK","worker":"W\"3\\\n"}"#,
+            ),
+            (
+                Request::SubmitAnswer {
+                    worker: "W1".into(),
+                    task: TaskId(u32::MAX),
+                    answer: Answer(255),
+                },
+                r#"{"op":"SUBMIT_ANSWER","worker":"W1","task":4294967295,"answer":255}"#,
+            ),
+            (Request::Status, r#"{"op":"STATUS"}"#),
+            (Request::Results, r#"{"op":"RESULTS"}"#),
+            (Request::Metrics, r#"{"op":"METRICS"}"#),
+            (Request::Shutdown, r#"{"op":"SHUTDOWN"}"#),
+        ];
+        for (req, plain) in cases {
+            assert_eq!(serde_json::to_string(&req.to_value()).unwrap(), plain);
+            let traced = serde_json::to_string(&req.to_value_traced(Some(u64::MAX))).unwrap();
+            let stamped = format!(
+                "{},\"trace\":18446744073709551615}}",
+                &plain[..plain.len() - 1]
+            );
+            assert_eq!(traced, stamped);
+        }
+    }
+
+    /// The exact wire bytes of every response, with and without the
+    /// `degraded` stamp.
+    #[test]
+    fn response_lines_are_byte_stable() {
+        let status = |journal| Response::Status {
+            complete: true,
+            finished: false,
+            answers: 12,
+            accounting: MarketAccounting {
+                answers_submitted: 9,
+                answers_accepted: 8,
+                answers_rejected: 1,
+                answers_dropped: 2,
+                answers_paid: 6,
+                answers_abandoned: 2,
+                stalled: 3,
+                churned: 4,
+            },
+            balanced: true,
+            conns: 5,
+            workers_seen: 7,
+            journal,
+        };
+        let health = |last_error| JournalHealth {
+            state: "degraded",
+            policy: "degrade",
+            ops: 41,
+            snapshots: 3,
+            pending: 0,
+            unjournaled: 7,
+            last_error,
+        };
+        let acct = r#""accounting":{"submitted":9,"accepted":8,"rejected":1,"dropped":2,"paid":6,"abandoned":2,"stalled":3,"churned":4}"#;
+        let status_head = format!(
+            r#"{{"ok":true,"type":"status","complete":true,"finished":false,"answers":12,{acct},"balanced":true,"conns":5,"workers_seen":7"#
+        );
+        let journal_head = r#""journal":{"state":"degraded","policy":"degrade","ops":41,"snapshots":3,"pending":0,"unjournaled":7"#;
+        let cases = [
+            (
+                Response::Hello {
+                    dataset: "table1".into(),
+                    seed: u64::MAX,
+                    workers: 5,
+                    tasks: 12,
+                    approach: "iCrowd".into(),
+                },
+                r#"{"ok":true,"type":"hello","dataset":"table1","seed":18446744073709551615,"workers":5,"tasks":12,"approach":"iCrowd"}"#.to_owned(),
+            ),
+            (
+                Response::Task(TaskId(7)),
+                r#"{"ok":true,"type":"task","task":7}"#.to_owned(),
+            ),
+            (Response::Wait, r#"{"ok":true,"type":"wait"}"#.to_owned()),
+            (
+                Response::Declined { retry: true },
+                r#"{"ok":true,"type":"declined","retry":true}"#.to_owned(),
+            ),
+            (
+                Response::Declined { retry: false },
+                r#"{"ok":true,"type":"declined","retry":false}"#.to_owned(),
+            ),
+            (Response::Left, r#"{"ok":true,"type":"left"}"#.to_owned()),
+            (
+                Response::from_outcome(SubmitOutcome::Accepted),
+                r#"{"ok":true,"type":"submit","result":"accepted"}"#.to_owned(),
+            ),
+            (
+                Response::from_outcome(SubmitOutcome::Rejected(RejectReason::LeaseExpired)),
+                r#"{"ok":true,"type":"submit","result":"rejected","reason":"lease_expired"}"#
+                    .to_owned(),
+            ),
+            (status(None), format!("{status_head}}}")),
+            (
+                status(Some(health(None))),
+                format!("{status_head},{journal_head}}}}}"),
+            ),
+            (
+                status(Some(health(Some("disk \"full\"\n".into())))),
+                format!(
+                    r#"{status_head},{journal_head},"last_error":"disk \"full\"\n"}}}}"#
+                ),
+            ),
+            (
+                Response::Results {
+                    labels: "0 1\n1 0\n".into(),
+                },
+                r#"{"ok":true,"type":"results","labels":"0 1\n1 0\n"}"#.to_owned(),
+            ),
+            (
+                Response::Metrics {
+                    window: r#"{"type":"window","seq":3,"dur_ns":18446744073709551615,"spans":[{"name":"a","p50_us":0.25,"neg":-4,"big":1e300}],"counters":[],"gauges":[]}"#.into(),
+                },
+                r#"{"ok":true,"type":"metrics","window":{"type":"window","seq":3,"dur_ns":18446744073709551615,"spans":[{"name":"a","p50_us":0.25,"neg":-4,"big":1e300}],"counters":[],"gauges":[]}}"#.to_owned(),
+            ),
+            (
+                Response::Metrics {
+                    window: "not json".into(),
+                },
+                r#"{"ok":true,"type":"metrics","window":"not json"}"#.to_owned(),
+            ),
+            (Response::Bye, r#"{"ok":true,"type":"bye"}"#.to_owned()),
+            (
+                Response::Busy,
+                r#"{"ok":false,"type":"busy","error":"server at capacity; retry"}"#.to_owned(),
+            ),
+            (
+                Response::Error {
+                    message: "unknown op `X\"`".into(),
+                },
+                r#"{"ok":false,"type":"error","error":"unknown op `X\"`"}"#.to_owned(),
+            ),
+        ];
+        for (resp, plain) in cases {
+            let mut line = String::new();
+            resp.encode_line_flagged(false, &mut line);
+            assert_eq!(line, format!("{plain}\n"));
+            resp.encode_line_flagged(true, &mut line);
+            let flagged = format!("{},\"degraded\":true}}\n", &plain[..plain.len() - 1]);
+            assert_eq!(line, flagged);
+        }
+    }
+
     #[test]
     fn encode_line_reuses_the_buffer() {
         let mut buf = String::new();

@@ -52,12 +52,6 @@ impl TopicCosine {
         Self { model }
     }
 
-    /// Wraps an already-fitted LDA model (documents must be in task-id
-    /// order).
-    pub fn from_model(model: LdaModel) -> Self {
-        Self { model }
-    }
-
     /// The underlying LDA model.
     pub fn model(&self) -> &LdaModel {
         &self.model

@@ -24,9 +24,7 @@
 //! restarts it with `--recover`, and asserts the finished campaign's
 //! labels are byte-identical to an in-process baseline with zero
 //! `serve.invariant_violation` in the telemetry export — the CI
-//! `crash-smoke` job's entry point. It also measures journaling
-//! overhead (fsync-every-record vs no journal) into
-//! `BENCH_journal.json`.
+//! `crash-smoke` job's entry point.
 //!
 //! `--net` serves a real campaign behind the seeded chaos TCP proxy
 //! (latency, bandwidth caps, resets, corruption, blackholes) and drives
@@ -166,7 +164,7 @@ mod crash {
     use icrowd::core::ICrowdConfig;
     use icrowd_serve::client::call_once;
     use icrowd_serve::protocol::Request;
-    use icrowd_serve::{run_loadgen, serve, CampaignEngine, LoadgenConfig, ServeConfig};
+    use icrowd_serve::{run_loadgen, LoadgenConfig};
     use icrowd_sim::campaign::{
         labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice,
     };
@@ -302,52 +300,8 @@ mod crash {
         (Reaper(Some(child)), addr)
     }
 
-    /// Measures loadgen wall-clock with and without a fsync-every-record
-    /// journal, appending a JSON line to `BENCH_journal.json`.
-    fn measure_overhead(baseline: &str, journal: &Path) -> std::io::Result<()> {
-        let mut timings = [0f64; 2];
-        for (i, journaled) in [false, true].into_iter().enumerate() {
-            let engine =
-                CampaignEngine::new("table1", table1(), Approach::RandomMV, served_config());
-            if journaled {
-                engine.start_journal(journal, 1, 8).expect("journal starts");
-            }
-            let handle = serve(engine, &ServeConfig::default()).expect("bind");
-            let start = Instant::now();
-            let report = run_loadgen(&LoadgenConfig {
-                addr: handle.addr().to_string(),
-                workers: 4,
-                ..Default::default()
-            })
-            .expect("loadgen completes");
-            timings[i] = start.elapsed().as_secs_f64() * 1e3;
-            let result = handle.join();
-            assert!(report.complete && report.balanced, "{report:?}");
-            assert_eq!(
-                labels_lines(&result.labels),
-                baseline,
-                "labels diverged (journaled: {journaled})"
-            );
-        }
-        std::fs::remove_file(journal).ok();
-        let overhead_pct = (timings[1] / timings[0].max(1e-9) - 1.0) * 100.0;
-        println!(
-            "journal overhead (fsync every record): plain {:.1}ms, journaled {:.1}ms ({overhead_pct:+.1}%)",
-            timings[0], timings[1]
-        );
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open("BENCH_journal.json")?;
-        writeln!(
-            f,
-            "{{\"dataset\":\"table1\",\"fsync_every\":1,\"snapshot_every\":8,\"plain_ms\":{:.3},\"journal_ms\":{:.3},\"overhead_pct\":{:.2}}}",
-            timings[0], timings[1], overhead_pct
-        )
-    }
-
-    /// The harness: baseline → overhead → kill/recover rounds → final
-    /// round to completion → label + telemetry verification.
+    /// The harness: baseline → kill/recover rounds → final round to
+    /// completion → label + telemetry verification.
     pub fn run() {
         let expected = run_campaign(&table1(), Approach::RandomMV, &served_config());
         let baseline = labels_lines(&expected.labels);
@@ -367,9 +321,6 @@ mod crash {
         for p in [&journal, &addr_file, &labels_out, &telemetry_out] {
             std::fs::remove_file(p).ok();
         }
-
-        measure_overhead(&baseline, &journal).expect("write BENCH_journal.json");
-        std::fs::remove_file(&journal).ok();
 
         let bin = icrowd_bin();
         let mut rng = StdRng::seed_from_u64(super::SEED);

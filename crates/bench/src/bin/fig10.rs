@@ -24,7 +24,9 @@
 //! `FIG10_TELEMETRY=path` arms the `icrowd-obs` sink per configuration:
 //! each child writes its span/counter telemetry (index.build, ppr.solve,
 //! assign.loop, estimator.refresh, ...) to `path.<n>.<cap>.jsonl`; in
-//! direct child mode (`fig10 <n> <cap>`) the value is used verbatim.
+//! direct child mode (`fig10 <n> <cap>`) the value is used verbatim. The
+//! child then reads its export back and exits nonzero unless those four
+//! spans carry their full summaries and the index was built exactly once.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -122,7 +124,7 @@ fn run_one(n: usize, cap: usize) {
     let telemetry = std::env::var("FIG10_TELEMETRY").ok();
     // Telemetry is always armed: the per-request latency distribution
     // (p50/p99 of the assign.loop span) comes from the obs histograms,
-    // and the assign-gate CI job asserts the p99 against a baseline.
+    // and the CI fig10 job asserts the p99 against a baseline.
     icrowd_obs::reset();
     icrowd_obs::enable();
     let debug_mem = std::env::var("FIG10_MEM").is_ok();
@@ -244,11 +246,54 @@ fn run_one(n: usize, cap: usize) {
                 icrowd_obs::gauge_set("fig10.tasks", n as f64);
                 icrowd_obs::gauge_set("fig10.cap", cap as f64);
                 icrowd_obs::disable();
-                match icrowd_obs::write_jsonl(&path) {
-                    Ok(()) => eprintln!("telemetry written to {path}"),
-                    Err(e) => eprintln!("cannot write telemetry to {path}: {e}"),
+                let checked = icrowd_obs::write_jsonl(&path)
+                    .map_err(|e| format!("cannot write telemetry to {path}: {e}"))
+                    .and_then(|()| check_telemetry(&path));
+                match checked {
+                    Ok(()) => eprintln!("telemetry written to {path}, spans OK"),
+                    Err(e) => {
+                        eprintln!("telemetry check: {e}");
+                        std::process::exit(1);
+                    }
                 }
             }
         }
     }
+}
+
+/// Reads back a child's telemetry export and requires spans
+/// `index.build`, `ppr.solve`, `assign.loop` and `estimator.refresh`,
+/// each with its full summary, and exactly one index build: qualification
+/// selection and the estimator share one linearity index.
+fn check_telemetry(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read telemetry export {path}: {e}"))?;
+    let mut spans = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v: serde_json::Value = serde_json::from_str(line)
+            .map_err(|e| format!("unparseable telemetry line ({e}): {line}"))?;
+        if v["type"] == "span" {
+            spans.push(v);
+        }
+    }
+    for name in [
+        "index.build",
+        "ppr.solve",
+        "assign.loop",
+        "estimator.refresh",
+    ] {
+        let span = spans
+            .iter()
+            .find(|s| s["name"] == name)
+            .ok_or_else(|| format!("span {name} missing from {path}"))?;
+        for field in ["count", "total_ns", "min_ns", "max_ns", "p50_ns", "p99_ns"] {
+            if span.get(field).is_none() {
+                return Err(format!("span {name} missing {field}"));
+            }
+        }
+        if name == "index.build" && span["count"].as_u64() != Some(1) {
+            return Err(format!("index.build count {}, expected 1", span["count"]));
+        }
+    }
+    Ok(())
 }

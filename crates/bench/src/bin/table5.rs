@@ -11,6 +11,7 @@ use icrowd_assign::greedy::scheme_objective;
 use icrowd_assign::{greedy_assign, optimal_assign, top_worker_set, TopWorkerSet};
 use icrowd_core::worker::WorkerId;
 use icrowd_estimate::{AccuracyEstimator, EstimationMode};
+use icrowd_graph::LinearityIndex;
 use icrowd_sim::campaign::{build_graph, select_gold, CampaignConfig};
 use icrowd_sim::datasets::item_compare;
 use rand::rngs::StdRng;
@@ -21,7 +22,9 @@ fn main() {
     let ds = item_compare(42);
     let config = CampaignConfig::default();
     let graph = build_graph(&ds, &config);
-    let gold = select_gold(&ds, &graph, &config);
+    // One index serves gold selection and every worker pool's estimator.
+    let index = LinearityIndex::build(&graph, config.icrowd.alpha, &config.icrowd.ppr);
+    let gold = select_gold(&ds, Some(&index), &config);
 
     println!("=== Table 5: approximation error of the greedy assignment (ItemCompare) ===");
     println!(
@@ -37,8 +40,9 @@ fn main() {
     for num_workers in 3..=9usize {
         // Estimate accuracies for a worker pool that completed warm-up,
         // then build the top-worker sets Algorithm 3/OPT both consume.
-        let mut est = AccuracyEstimator::new(
+        let mut est = AccuracyEstimator::with_index(
             graph.clone(),
+            index.clone(),
             ICrowdConfig::default(),
             EstimationMode::default(),
         );

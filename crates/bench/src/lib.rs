@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::dbg_macro)]
 
-use icrowd_sim::campaign::{run_campaign_with, Approach, CampaignConfig};
+use icrowd_sim::campaign::{run_campaign, Approach, CampaignConfig};
 use icrowd_sim::datasets::Dataset;
 use icrowd_sim::metrics::DomainAccuracy;
 
@@ -86,8 +86,8 @@ pub struct AveragedResult {
     pub rows: Vec<(String, f64)>,
 }
 
-/// Runs `approach` on `dataset` across [`SEEDS`], sharing the graph and
-/// gold set per seed, and averages the per-domain accuracies.
+/// Runs `approach` on `dataset` once per seed in [`SEEDS`] and averages
+/// the per-domain accuracies.
 pub fn averaged_campaign(
     make_dataset: &dyn Fn(u64) -> Dataset,
     approach: Approach,
@@ -101,9 +101,7 @@ pub fn averaged_campaign(
             seed,
             ..base.clone()
         };
-        let graph = icrowd_sim::campaign::build_graph(&dataset, &config);
-        let gold = icrowd_sim::campaign::select_gold(&dataset, &graph, &config);
-        let r = run_campaign_with(&dataset, approach, &config, graph, gold);
+        let r = run_campaign(&dataset, approach, &config);
         accumulate(&mut sums, &r.per_domain);
         overall_sum += r.overall;
     }

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use icrowd::AssignStrategy;
 use icrowd_core::config::ICrowdConfig;
-use icrowd_graph::GraphBuilder;
+use icrowd_graph::{GraphBuilder, LinearityIndex};
 use icrowd_serve::{
     run_loadgen, CampaignEngine, ClientFaultConfig, DurabilityPolicy, LoadgenConfig, ServeConfig,
 };
@@ -489,7 +489,9 @@ fn quals_cmd(args: &Args) -> Result<String, CliError> {
     let config = campaign_config(args, name)?;
     let ds = dataset_by_name(name, config.seed)?;
     let graph = icrowd_sim::campaign::build_graph(&ds, &config);
-    let gold = icrowd_sim::campaign::select_gold(&ds, &graph, &config);
+    let index = (config.qual == QualStrategy::Influence)
+        .then(|| LinearityIndex::build(&graph, config.icrowd.alpha, &config.icrowd.ppr));
+    let gold = icrowd_sim::campaign::select_gold(&ds, index.as_ref(), &config);
     let mut out = String::new();
     writeln!(
         out,

@@ -154,6 +154,33 @@ impl AccuracyEstimator {
     pub fn new(graph: SimilarityGraph, config: ICrowdConfig, mode: EstimationMode) -> Self {
         config.validate().expect("invalid configuration");
         let index = LinearityIndex::build(&graph, config.alpha, &config.ppr);
+        Self::with_index(graph, index, config, mode)
+    }
+
+    /// Builds the estimator over a prebuilt linearity index, so the one
+    /// index a campaign builds serves both gold selection and estimation.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid, or if `index` covers a
+    /// different task count than `graph` or was built with another
+    /// `alpha` than `config.alpha`.
+    pub fn with_index(
+        graph: SimilarityGraph,
+        index: LinearityIndex,
+        config: ICrowdConfig,
+        mode: EstimationMode,
+    ) -> Self {
+        config.validate().expect("invalid configuration");
+        assert_eq!(
+            index.num_tasks(),
+            graph.num_tasks(),
+            "linearity index covers a different task count than the graph"
+        );
+        assert_eq!(
+            index.alpha(),
+            config.alpha,
+            "linearity index was built with a different alpha"
+        );
         Self {
             graph,
             index,
@@ -653,6 +680,20 @@ mod tests {
 
     fn estimator(mode: EstimationMode) -> AccuracyEstimator {
         AccuracyEstimator::new(two_clique_graph(), ICrowdConfig::default(), mode)
+    }
+
+    #[test]
+    #[should_panic(expected = "different task count")]
+    fn with_index_refuses_an_index_over_another_task_count() {
+        let config = ICrowdConfig::default();
+        let other = SimilarityGraph::from_edges(3, &[(t(0), t(1), 0.9)]);
+        let index = LinearityIndex::build(&other, config.alpha, &config.ppr);
+        let _ = AccuracyEstimator::with_index(
+            two_clique_graph(),
+            index,
+            config,
+            EstimationMode::default(),
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ use icrowd_core::task::{TaskId, TaskSet};
 use icrowd_core::voting::ConsensusState;
 use icrowd_core::worker::{ActivityTracker, Tick, WorkerId};
 use icrowd_estimate::{AccuracyEstimator, EstimationMode};
-use icrowd_graph::{InfluenceScratch, SimilarityGraph};
+use icrowd_graph::{InfluenceScratch, LinearityIndex, SimilarityGraph};
 use icrowd_platform::events::RejectReason;
 use icrowd_platform::market::{ExternalQuestionServer, SubmitOutcome};
 use icrowd_text::{CosineTfIdf, TaskSimilarity, Tokenizer};
@@ -131,6 +131,7 @@ pub struct ICrowdBuilder {
     strategy: AssignStrategy,
     mode: EstimationMode,
     graph: Option<SimilarityGraph>,
+    index: Option<LinearityIndex>,
     qualification: Option<Vec<TaskId>>,
     candidate_limit: usize,
 }
@@ -144,6 +145,7 @@ impl ICrowdBuilder {
             strategy: AssignStrategy::Adapt,
             mode: EstimationMode::default(),
             graph: None,
+            index: None,
             qualification: None,
             candidate_limit: usize::MAX,
         }
@@ -171,6 +173,14 @@ impl ICrowdBuilder {
     /// `Cos(tf-idf)` over the task texts at the configured threshold).
     pub fn graph(mut self, graph: SimilarityGraph) -> Self {
         self.graph = Some(graph);
+        self
+    }
+
+    /// Injects a prebuilt linearity index over the graph given to
+    /// [`Self::graph`] (otherwise the estimator builds its own). Valid
+    /// only together with `.graph(..)`.
+    pub fn index(mut self, index: LinearityIndex) -> Self {
+        self.index = Some(index);
         self
     }
 
@@ -202,14 +212,19 @@ impl ICrowdBuilder {
     }
 
     /// Builds the framework (runs offline graph + index construction and
-    /// qualification selection).
+    /// qualification selection, skipping whatever was injected).
     ///
     /// # Panics
-    /// Panics if the configuration is invalid or a selected
-    /// qualification microtask lacks ground truth.
+    /// Panics if the configuration is invalid, an index was injected
+    /// without a graph or does not match it, or a selected qualification
+    /// microtask lacks ground truth.
     pub fn build(self) -> ICrowd {
         let _span = icrowd_obs::span!("framework.build");
         self.config.validate().expect("invalid configuration");
+        assert!(
+            self.index.is_none() || self.graph.is_some(),
+            "ICrowdBuilder::index requires ICrowdBuilder::graph"
+        );
         let graph = self.graph.unwrap_or_else(|| {
             let _span = icrowd_obs::span!("graph.build");
             let metric = CosineTfIdf::new(&self.tasks, &Tokenizer::new());
@@ -220,7 +235,12 @@ impl ICrowdBuilder {
             }
             builder.build(&self.tasks, &metric)
         });
-        let estimator = AccuracyEstimator::new(graph, self.config.clone(), self.mode);
+        let estimator = match self.index {
+            Some(index) => {
+                AccuracyEstimator::with_index(graph, index, self.config.clone(), self.mode)
+            }
+            None => AccuracyEstimator::new(graph, self.config.clone(), self.mode),
+        };
         let qualification = self.qualification.unwrap_or_else(|| {
             let _span = icrowd_obs::span!("qualification.select");
             icrowd_assign::select_qualification_influence(

@@ -248,10 +248,12 @@ pub struct CampaignEngine {
 }
 
 impl CampaignEngine {
-    /// Prepares a campaign for serving: offline work (graph + gold
+    /// Prepares a campaign for serving: offline work (graph, one
+    /// linearity index shared by gold selection and the estimator, gold
     /// selection) runs here, exactly as `run_campaign` would, and the
     /// marketplace driver is built from the same
-    /// [`icrowd_sim::campaign::CampaignSetup`].
+    /// [`icrowd_sim::campaign::CampaignSetup`]. `recover()` calls this
+    /// too, so a restarted server's setup builds the index once as well.
     ///
     /// `dataset_key` is the name clients feed to
     /// [`icrowd_sim::datasets::by_name`] to regenerate `dataset`.

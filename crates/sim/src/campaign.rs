@@ -223,7 +223,8 @@ pub struct CampaignResult {
     pub spend_cents: u64,
     /// Regular assignments per worker (profile names).
     pub worker_assignments: Vec<(String, u32)>,
-    /// Wall-clock time of the whole campaign, milliseconds.
+    /// Wall-clock time of the whole campaign, offline phase included,
+    /// milliseconds.
     pub elapsed_ms: f64,
     /// The shared qualification/gold set used.
     pub gold: Vec<TaskId>,
@@ -262,16 +263,25 @@ pub fn build_graph(dataset: &Dataset, config: &CampaignConfig) -> SimilarityGrap
 }
 
 /// Selects the shared qualification/gold set for a campaign.
+///
+/// Influence selection (Algorithm 4) reads the supports of the
+/// campaign's linearity index, so `index` must be given under
+/// [`QualStrategy::Influence`]; a campaign builds that index once and
+/// hands the same value on to the iCrowd estimator. Random selection
+/// reads no index.
+///
+/// # Panics
+/// Panics under influence selection when `index` is `None`.
 pub fn select_gold(
     dataset: &Dataset,
-    graph: &SimilarityGraph,
+    index: Option<&LinearityIndex>,
     config: &CampaignConfig,
 ) -> Vec<TaskId> {
     match config.qual {
-        QualStrategy::Influence => {
-            let index = LinearityIndex::build(graph, config.icrowd.alpha, &config.icrowd.ppr);
-            select_qualification_influence(&index, config.icrowd.warmup.num_qualification)
-        }
+        QualStrategy::Influence => select_qualification_influence(
+            index.expect("influence qualification reads the linearity index"),
+            config.icrowd.warmup.num_qualification,
+        ),
         QualStrategy::Random => {
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0x51ED);
             select_qualification_random(
@@ -306,28 +316,13 @@ pub fn run_campaign(
     approach: Approach,
     config: &CampaignConfig,
 ) -> CampaignResult {
-    let graph = build_graph(dataset, config);
-    let gold = select_gold(dataset, &graph, config);
-    run_campaign_with(dataset, approach, config, graph, gold)
-}
-
-/// Runs a campaign with a pre-built graph and gold set (lets experiment
-/// sweeps share the expensive offline work across approaches).
-pub fn run_campaign_with(
-    dataset: &Dataset,
-    approach: Approach,
-    config: &CampaignConfig,
-    graph: SimilarityGraph,
-    gold: Vec<TaskId>,
-) -> CampaignResult {
     let start = Instant::now();
-    let setup = prepare_campaign_with(dataset, approach, config, graph, gold);
     let CampaignSetup {
         mut server,
         scripts,
         market: market_config,
         gold,
-    } = setup;
+    } = prepare_campaign(dataset, approach, config);
     let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = dataset
         .spawn_workers(config.seed)
         .into_iter()
@@ -350,7 +345,7 @@ pub fn run_campaign_with(
 
 /// The marketplace-side ingredients of a campaign: the answer server,
 /// the worker scripts, the market configuration and the shared gold
-/// set. Both the in-process harness ([`run_campaign_with`]) and the TCP
+/// set. Both the in-process harness ([`run_campaign`]) and the TCP
 /// serving layer build exactly this, so a served campaign runs the same
 /// deterministic schedule as an in-process one at the same seed.
 pub struct CampaignSetup {
@@ -364,19 +359,22 @@ pub struct CampaignSetup {
     pub gold: Vec<TaskId>,
 }
 
-/// Builds a [`CampaignSetup`], running the offline work (graph + gold
-/// selection) first.
+/// Builds a [`CampaignSetup`], running the offline work first: the
+/// graph, then one linearity index shared by influence gold selection
+/// and the iCrowd estimator (none when neither reads it), then the gold
+/// set.
 pub fn prepare_campaign(
     dataset: &Dataset,
     approach: Approach,
     config: &CampaignConfig,
 ) -> CampaignSetup {
     let graph = build_graph(dataset, config);
-    let gold = select_gold(dataset, &graph, config);
-    prepare_campaign_with(dataset, approach, config, graph, gold)
+    prepare(dataset, approach, config, graph, None)
 }
 
-/// Builds a [`CampaignSetup`] from a pre-built graph and gold set.
+/// Builds a [`CampaignSetup`] from a pre-built graph and gold set. The
+/// gold set is given, so the linearity index is built here only for an
+/// iCrowd server's estimator, once.
 pub fn prepare_campaign_with(
     dataset: &Dataset,
     approach: Approach,
@@ -384,6 +382,27 @@ pub fn prepare_campaign_with(
     graph: SimilarityGraph,
     gold: Vec<TaskId>,
 ) -> CampaignSetup {
+    prepare(dataset, approach, config, graph, Some(gold))
+}
+
+/// Builds a [`CampaignSetup`] over `graph`. This is the one place a
+/// campaign builds Algorithm 1's linearity index (lines 2–4): at most
+/// once, and only when something reads it. Influence qualification
+/// selects the gold set from it when `gold` is not given, and an iCrowd
+/// server's estimator propagates over it; a random baseline under
+/// random qualification builds none.
+fn prepare(
+    dataset: &Dataset,
+    approach: Approach,
+    config: &CampaignConfig,
+    graph: SimilarityGraph,
+    gold: Option<Vec<TaskId>>,
+) -> CampaignSetup {
+    let selects_by_influence = gold.is_none() && config.qual == QualStrategy::Influence;
+    let server_reads = matches!(approach, Approach::ICrowd(_));
+    let index = (selects_by_influence || server_reads)
+        .then(|| LinearityIndex::build(&graph, config.icrowd.alpha, &config.icrowd.ppr));
+    let gold = gold.unwrap_or_else(|| select_gold(dataset, index.as_ref(), config));
     let total_answers =
         dataset.tasks.len() * config.icrowd.assignment_size + dataset.workers.len() * gold.len();
     let scripts = worker_scripts(config, dataset.workers.len(), total_answers);
@@ -391,7 +410,7 @@ pub fn prepare_campaign_with(
         num_hits: total_answers / 100 + dataset.workers.len() + 1,
         ..Default::default()
     };
-    let server = CampaignServer::new(dataset, approach, config, graph, gold.clone());
+    let server = CampaignServer::new(dataset, approach, config, graph, index, gold.clone());
     CampaignSetup {
         server,
         scripts,
@@ -538,12 +557,15 @@ pub enum CampaignServer {
 
 impl CampaignServer {
     /// Builds the server for `approach` over the dataset's tasks, with
-    /// the shared graph and gold set.
-    pub fn new(
+    /// the shared graph, linearity index and gold set. An iCrowd server
+    /// takes the index [`prepare`] built for it; the random baselines
+    /// read neither graph nor index.
+    fn new(
         dataset: &Dataset,
         approach: Approach,
         config: &CampaignConfig,
         graph: SimilarityGraph,
+        index: Option<LinearityIndex>,
         gold: Vec<TaskId>,
     ) -> Self {
         match approach {
@@ -553,7 +575,8 @@ impl CampaignServer {
                     .strategy(strategy)
                     .estimation_mode(config.estimation_mode)
                     .graph(graph)
-                    .qualification(gold.clone())
+                    .index(index.expect("an iCrowd server reads the campaign's index"))
+                    .qualification(gold)
                     .build(),
             )),
             Approach::RandomMV => CampaignServer::Random(Box::new(RandomServer::new(

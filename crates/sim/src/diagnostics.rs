@@ -104,6 +104,7 @@ mod tests {
     use icrowd::platform::ExternalQuestionServer;
     use icrowd::{AssignStrategy, ICrowdBuilder};
     use icrowd_core::config::{ICrowdConfig, WarmupConfig};
+    use icrowd_graph::LinearityIndex;
 
     use crate::campaign::{build_graph, select_gold, CampaignConfig, MetricChoice};
     use crate::datasets::table1;
@@ -132,11 +133,13 @@ mod tests {
             ..Default::default()
         };
         let graph = build_graph(&ds, &config);
-        let gold = select_gold(&ds, &graph, &config);
+        let index = LinearityIndex::build(&graph, config.icrowd.alpha, &config.icrowd.ppr);
+        let gold = select_gold(&ds, Some(&index), &config);
         let mut srv = ICrowdBuilder::new(ds.tasks.clone())
             .config(config.icrowd.clone())
             .strategy(AssignStrategy::Adapt)
             .graph(graph)
+            .index(index)
             .qualification(gold.clone())
             .build();
         // Drive the crowd to completion.

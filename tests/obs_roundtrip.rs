@@ -2,10 +2,16 @@
 //! survive JSONL export → parse intact (the `icrowd obs` analyzer and
 //! any external tooling read exactly these lines), window reports must
 //! be valid JSON, and — the invariant the whole plane hangs on —
-//! telemetry must never change consensus labels.
+//! telemetry must never change consensus labels. The plane also counts
+//! the offline work: every path that prepares a campaign builds its
+//! linearity index at most once.
 
 use icrowd::AssignStrategy;
-use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig};
+use icrowd_serve::CampaignEngine;
+use icrowd_sim::campaign::{
+    labels_lines, prepare_campaign, run_campaign, Approach, CampaignConfig, MetricChoice,
+    QualStrategy,
+};
 use icrowd_sim::datasets::table1;
 use serde_json::Value;
 
@@ -141,4 +147,56 @@ fn telemetry_on_or_off_labels_are_byte_identical() {
     assert_eq!(off.overall, on.overall);
     assert_eq!(off.answers, on.answers);
     assert_eq!(off.spend_cents, on.spend_cents);
+}
+
+/// Algorithm 1's index is one PPR solve per task. A campaign builds it
+/// once and shares it: influence gold selection and the iCrowd
+/// estimator read the same value, and a random baseline under random
+/// qualification builds none.
+#[test]
+fn every_campaign_path_builds_the_linearity_index_at_most_once() {
+    let _g = guard();
+    let dataset = table1();
+    let tasks = dataset.tasks.len() as u64;
+    let icrowd = Approach::ICrowd(AssignStrategy::Adapt);
+    for (approach, qual, builds) in [
+        (icrowd, QualStrategy::Influence, 1),
+        (Approach::RandomMV, QualStrategy::Influence, 1),
+        (icrowd, QualStrategy::Random, 1),
+        (Approach::RandomMV, QualStrategy::Random, 0),
+    ] {
+        let mut config = CampaignConfig {
+            metric: MetricChoice::Jaccard,
+            qual,
+            ..Default::default()
+        };
+        config.icrowd.similarity_threshold = 0.3;
+        config.icrowd.warmup.num_qualification = 3;
+        let paths: [(&str, &dyn Fn()); 3] = [
+            ("prepare_campaign", &|| {
+                let _ = prepare_campaign(&dataset, approach, &config);
+            }),
+            ("run_campaign", &|| {
+                let _ = run_campaign(&dataset, approach, &config);
+            }),
+            ("CampaignEngine::new", &|| {
+                let _ = CampaignEngine::new("table1", dataset.clone(), approach, config.clone());
+            }),
+        ];
+        for (path, prepare) in paths {
+            icrowd_obs::reset();
+            icrowd_obs::enable();
+            prepare();
+            icrowd_obs::disable();
+            let case = format!("{path}, {} with {}", approach.name(), qual.name());
+            let built = icrowd_obs::span_histogram("index.build").map_or(0, |h| h.count());
+            assert_eq!(built, builds, "index builds, {case}");
+            assert_eq!(
+                icrowd_obs::counter_value("ppr.solves"),
+                builds * tasks,
+                "PPR solves, {case}"
+            );
+        }
+    }
+    icrowd_obs::reset();
 }

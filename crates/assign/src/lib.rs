@@ -8,6 +8,10 @@
 //! * [`greedy`] — Algorithm 3: the greedy approximation to the NP-hard
 //!   optimal microtask assignment (disjoint top-worker sets maximizing
 //!   summed accuracy).
+//! * [`buffer`] — Steps 1–2 as the online request path runs them: one
+//!   flat, reusable buffer of top worker sets and an Algorithm-3 walk
+//!   that stops at the requester. `top_worker_set` and `greedy_assign`
+//!   are its references.
 //! * [`optimal`] — an exact branch-and-bound solver for the same problem,
 //!   feasible only for small active-worker counts; powers the Table 5
 //!   approximation-error experiment.
@@ -21,12 +25,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::dbg_macro)]
 
+pub mod buffer;
 pub mod greedy;
 pub mod optimal;
 pub mod qualification;
 pub mod testing;
 pub mod top_workers;
 
+pub use buffer::{TopSetBuffer, TopSetView};
 pub use greedy::{greedy_assign, Assignment};
 pub use optimal::optimal_assign;
 pub use qualification::{select_qualification_influence, select_qualification_random};

@@ -27,9 +27,10 @@ pub const EMPTY_COWORKER_QUALITY: f64 = 0.25;
 
 /// Picks the performance-test microtask for an idle worker.
 ///
-/// `candidates` lists `(task, current co-workers)` pairs with remaining
-/// capacity that `worker` has not been assigned. Returns `None` when
-/// `candidates` is empty.
+/// `candidates` yields `(task, current co-workers)` pairs with remaining
+/// capacity that `worker` has not been assigned; the co-workers may be
+/// any iterator, so a caller can pass borrowed lists. Returns `None`
+/// when `candidates` is empty.
 ///
 /// Score: `p̂(worker, task) × variance(worker, task) × quality(co-workers)`,
 /// where quality is the mean estimated accuracy of the co-workers on the
@@ -39,35 +40,47 @@ pub const EMPTY_COWORKER_QUALITY: f64 = 0.25;
 /// where the worker is *plausibly* competent — a test whose subject is
 /// probably wrong both risks the task's majority and yields a weak
 /// Equation-(5) grading. Ties break toward the smaller task id.
-pub fn performance_test_assignment(
-    estimator: &mut AccuracyEstimator,
+pub fn performance_test_assignment<C>(
+    estimator: &AccuracyEstimator,
     worker: WorkerId,
-    candidates: &[(TaskId, Vec<WorkerId>)],
-) -> Option<TaskId> {
+    candidates: impl IntoIterator<Item = (TaskId, C)>,
+) -> Option<TaskId>
+where
+    C: IntoIterator<Item = WorkerId>,
+{
     let mut best: Option<(f64, TaskId)> = None;
     for (task, coworkers) in candidates {
-        let variance = estimator.uncertainty(worker, *task);
-        let quality = if coworkers.is_empty() {
+        let variance = estimator.uncertainty(worker, task);
+        let mut count = 0usize;
+        let sum: f64 = coworkers
+            .into_iter()
+            .inspect(|_| count += 1)
+            .map(|cw| estimate(estimator, cw, task))
+            .sum();
+        let quality = if count == 0 {
             EMPTY_COWORKER_QUALITY
         } else {
-            // Single-task sparse lookups: cost independent of |T|.
-            let sum: f64 = coworkers
-                .iter()
-                .map(|&cw| estimator.accuracies_for(cw, &[*task])[0])
-                .sum();
-            sum / coworkers.len() as f64
+            sum / count as f64
         };
-        let own = estimator.accuracies_for(worker, &[*task])[0];
+        let own = estimate(estimator, worker, task);
         let score = own * variance * quality;
         let better = match best {
             None => true,
-            Some((bs, bt)) => score > bs + 1e-15 || ((score - bs).abs() <= 1e-15 && *task < bt),
+            Some((bs, bt)) => score > bs + 1e-15 || ((score - bs).abs() <= 1e-15 && task < bt),
         };
         if better {
-            best = Some((score, *task));
+            best = Some((score, task));
         }
     }
     best.map(|(_, t)| t)
+}
+
+/// Single-task estimate by one accumulator-cell lookup: cost independent
+/// of |T|, and bitwise the dense estimate.
+fn estimate(estimator: &AccuracyEstimator, worker: WorkerId, task: TaskId) -> f64 {
+    estimator
+        .cell_score(worker, task)
+        .unwrap_or_else(|| estimator.baseline_score(worker))
 }
 
 #[cfg(test)]
@@ -99,7 +112,7 @@ mod tests {
         e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
         e.record_qualification(w(0), t(1), Answer::YES, Answer::YES);
         let candidates = vec![(t(1), vec![]), (t(2), vec![])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), candidates);
         assert_eq!(
             pick,
             Some(t(2)),
@@ -118,7 +131,7 @@ mod tests {
         // Worker 0 has no evidence anywhere: variance is equal on both
         // candidates; co-worker quality decides.
         let candidates = vec![(t(2), vec![w(2)]), (t(3), vec![w(1)])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), candidates);
         assert_eq!(pick, Some(t(3)), "the good co-worker makes a better judge");
     }
 
@@ -127,22 +140,23 @@ mod tests {
         let mut e = estimator();
         e.record_qualification(w(1), t(2), Answer::YES, Answer::YES);
         let candidates = vec![(t(0), vec![]), (t(2), vec![w(1)])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), candidates);
         assert_eq!(pick, Some(t(2)));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        let mut e = estimator();
-        assert_eq!(performance_test_assignment(&mut e, w(0), &[]), None);
+        let e = estimator();
+        let none: Vec<(TaskId, Vec<WorkerId>)> = Vec::new();
+        assert_eq!(performance_test_assignment(&e, w(0), none), None);
     }
 
     #[test]
     fn ties_break_to_smaller_task_id() {
-        let mut e = estimator();
+        let e = estimator();
         // No evidence at all: both candidates score identically.
         let candidates = vec![(t(3), vec![]), (t(1), vec![])];
-        let pick = performance_test_assignment(&mut e, w(0), &candidates);
+        let pick = performance_test_assignment(&e, w(0), candidates);
         assert_eq!(pick, Some(t(1)));
     }
 }

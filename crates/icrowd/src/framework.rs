@@ -48,16 +48,26 @@
 //!   O(workers) expiry sweep, and a **remaining-capacity counter**
 //!   (`rem_cap`) replacing the per-candidate capacity-holder walk.
 //!
-//! The rebuild-per-request scoring survives as the debug-mode oracle:
-//! every capped request in a debug build re-derives the top worker sets
-//! the old way and asserts bitwise equality, and
-//! [`ICrowd::validate_incremental_state`] re-checks every maintained
+//! Both modes then share one Step 1–3 pipeline over state kept across
+//! requests: the candidate list and a flat [`TopSetBuffer`] of top
+//! worker sets are cleared and refilled, never reallocated, and
+//! Algorithm 3 is walked only until the requester's set is committed.
+//! Uncapped, every open task with capacity is a candidate, scored from
+//! each active worker's dense estimate cache; capped, the warm∪cold
+//! subsets above feed the same buffer.
+//!
+//! The paper-level references, [`icrowd_assign::top_worker_set`] and
+//! [`icrowd_assign::greedy_assign`], survive as the debug-mode oracle:
+//! every request in a debug build re-derives the top worker sets from a
+//! full active × candidates score matrix, asserts bitwise equality with
+//! the buffer and that the walk decides what the greedy scheme decides,
+//! and [`ICrowd::validate_incremental_state`] re-checks every maintained
 //! structure against from-scratch recomputation.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use icrowd_assign::{greedy_assign, performance_test_assignment, top_worker_set, TopWorkerSet};
+use icrowd_assign::{performance_test_assignment, TopSetBuffer};
 use icrowd_core::answer::{Answer, Vote};
 use icrowd_core::config::ICrowdConfig;
 use icrowd_core::task::{TaskId, TaskSet};
@@ -285,6 +295,8 @@ impl ICrowdBuilder {
             open,
             open_cursor: 0,
             influence_scratch: InfluenceScratch::new(),
+            candidates: Vec::new(),
+            sets: TopSetBuffer::default(),
             regular_assignments: Vec::new(),
             test_assignments: 0,
             early_stops: 0,
@@ -337,6 +349,10 @@ pub struct ICrowd {
     /// Reusable visited-bitmap scratch for influence-support walks in
     /// candidate assembly (one walk per active worker per request).
     influence_scratch: InfluenceScratch,
+    /// This request's candidate tasks, ascending; refilled per request.
+    candidates: Vec<TaskId>,
+    /// This request's top worker sets; refilled per request.
+    sets: TopSetBuffer,
     /// Regular (non-warmup) assignments per worker — Figure 15's metric.
     regular_assignments: Vec<u32>,
     /// Step-3 performance-test assignments issued.
@@ -399,7 +415,7 @@ impl ICrowd {
     /// accepted alternative; this uses the framework's own estimates as
     /// the weights). Qualification tasks keep their requester labels;
     /// tasks whose weighted vote is empty fall back to [`Self::results`].
-    pub fn results_weighted(&mut self) -> std::collections::HashMap<TaskId, Answer> {
+    pub fn results_weighted(&self) -> std::collections::HashMap<TaskId, Answer> {
         let mut out = self.results();
         for t in self.tasks.ids() {
             let votes = self.consensus.votes(t).votes().to_vec();
@@ -408,7 +424,7 @@ impl ICrowd {
             }
             let num_choices = self.tasks[t].num_choices;
             let weighted = icrowd_core::voting::weighted_majority_vote(&votes, num_choices, |w| {
-                self.estimator.accuracies_for(w, &[t])[0]
+                estimate(&self.estimator, w, t)
             });
             if let Some(o) = weighted {
                 out.insert(t, o.answer);
@@ -498,22 +514,20 @@ impl ICrowd {
     }
 
     /// Workers consuming capacity on `task`: regular voters + in-flight.
-    fn capacity_holders(&self, task: TaskId) -> Vec<WorkerId> {
-        let mut out: Vec<WorkerId> = self.consensus.assigned_workers(task).collect();
-        if let Some(extra) = self.inflight_workers.get(task.index()) {
-            out.extend(extra.iter().copied());
-        }
-        out
+    fn capacity_holders(&self, task: TaskId) -> impl Iterator<Item = WorkerId> + '_ {
+        self.consensus
+            .assigned_workers(task)
+            .chain(self.inflight_workers[task.index()].iter().copied())
     }
 
-    /// Whether `worker` may be assigned `task`.
+    /// Whether `worker` may be assigned the candidate `task`: she neither
+    /// voted on it nor holds it. Candidates are open tasks, and
+    /// qualification tasks are never open (asserted by
+    /// [`Self::validate_incremental_state`]), so warm-up history needs no
+    /// check.
     fn eligible(&self, worker: WorkerId, task: TaskId) -> bool {
-        !self.warmup.has_answered(worker, task)
-            && self.consensus.votes(task).answer_of(worker).is_none()
-            && self
-                .inflight_workers
-                .get(task.index())
-                .is_none_or(|v| !v.contains(&worker))
+        self.consensus.votes(task).answer_of(worker).is_none()
+            && !self.inflight_workers[task.index()].contains(&worker)
     }
 
     /// Remaining capacity of `task` — the maintained counter, O(1).
@@ -606,14 +620,17 @@ impl ICrowd {
         self.open_cursor = cursor;
     }
 
-    /// Assembles the candidate task pool for this round (see module
-    /// docs): estimate supports of active workers plus a rotating sample
-    /// of other open tasks, all filtered to capacity > 0.
-    fn candidate_tasks(&mut self, active: &[WorkerId]) -> Vec<TaskId> {
-        let mut cand: BTreeSet<u32> = BTreeSet::new();
+    /// Fills `out` with this round's candidate pool, ascending and
+    /// filtered to capacity > 0: every open task while they fit under
+    /// the candidate limit, else the estimate supports of the active
+    /// workers plus a rotating sample of other open tasks (see module
+    /// docs).
+    fn candidate_tasks(&mut self, active: &[WorkerId], out: &mut Vec<TaskId>) {
+        out.clear();
         if self.open.len() <= self.candidate_limit {
-            cand.extend(self.open.iter().copied());
+            out.extend(self.open.iter().map(|&t| TaskId(t)));
         } else {
+            let mut cand: BTreeSet<u32> = BTreeSet::new();
             // Tasks the graph can say anything about for these workers.
             // The walk is bounded: support discovered past the pool cap
             // could never be pooled anyway.
@@ -641,11 +658,28 @@ impl ICrowd {
             // Rotating sample of further open tasks for exploration.
             let sample = self.candidate_limit.saturating_sub(cand.len());
             self.sample_open_into(&mut cand, sample, false);
+            out.extend(cand.into_iter().map(TaskId));
         }
-        cand.into_iter()
-            .map(TaskId)
-            .filter(|&t| self.remaining_capacity(t) > 0)
-            .collect()
+        out.retain(|&t| self.remaining_capacity(t) > 0);
+    }
+
+    /// Whether Step 1 reads estimates from the dense per-worker caches.
+    /// On small task sets the cache amortizes across requests; past the
+    /// candidate limit one accumulator-cell lookup per (worker, task)
+    /// keeps cost independent of |T| (Figure 10). Both read the same
+    /// bits.
+    fn dense_scores(&self) -> bool {
+        self.tasks.len() <= self.candidate_limit
+    }
+
+    /// The estimate of `worker` on `task` as Step 1 reads it. With
+    /// `dense`, her cache must have been refreshed this request.
+    fn score(&self, worker: WorkerId, task: TaskId, dense: bool) -> f64 {
+        if dense {
+            self.estimator.accuracy_cached(worker, task)
+        } else {
+            estimate(&self.estimator, worker, task)
+        }
     }
 
     /// Algorithm 2 for one requesting worker.
@@ -664,67 +698,57 @@ impl ICrowd {
             return self.adaptive_assign_capped(worker, &active);
         }
 
-        let candidates = self.candidate_tasks(&active);
-        if candidates.is_empty() {
-            return None;
-        }
-        // Per-worker estimates over the candidate pool. On small task
-        // sets the dense per-worker cache amortizes across requests; past
-        // the candidate limit the sparse path keeps cost independent of
-        // |T| (Figure 10).
-        let use_sparse = self.tasks.len() > self.candidate_limit;
-        let acc: Vec<Vec<f64>> = active
-            .iter()
-            .map(|&w| {
-                if use_sparse {
-                    self.estimator.accuracies_for(w, &candidates)
-                } else {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.candidate_tasks(&active, &mut candidates);
+        let pick = if candidates.is_empty() {
+            None
+        } else {
+            let dense = self.dense_scores();
+            if dense {
+                for &w in &active {
                     self.estimator.accuracies(w);
-                    candidates
-                        .iter()
-                        .map(|&t| self.estimator.accuracy_cached(w, t))
-                        .collect()
                 }
-            })
-            .collect();
-
-        // Step 1: top worker sets.
-        let mut sets: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
-        for (ci, &t) in candidates.iter().enumerate() {
-            let remaining = self.remaining_capacity(t);
-            if remaining == 0 {
-                continue;
             }
-            let eligible = active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| self.eligible(w, t))
-                .map(|(wi, &w)| (w, acc[wi][ci]));
-            let set = top_worker_set(t, eligible, remaining);
-            if !set.workers.is_empty() {
-                sets.push(set);
+            // Step 1: top worker sets. Eligibility is read once per task
+            // from its voters and holders.
+            let mut sets = std::mem::take(&mut self.sets);
+            sets.clear();
+            for &t in &candidates {
+                let voters = self.consensus.votes(t).votes();
+                let holders = &self.inflight_workers[t.index()];
+                sets.begin_set(t, self.remaining_capacity(t));
+                for &w in &active {
+                    if !voters.iter().any(|v| v.worker == w) && !holders.contains(&w) {
+                        sets.offer(w, self.score(w, t, dense));
+                    }
+                }
+                sets.end_set();
             }
-        }
+            self.sets = sets;
 
-        self.finish_assign(worker, &sets, &candidates, MAX_TEST_CANDIDATES)
+            #[cfg(debug_assertions)]
+            self.debug_assert_sets_match_oracle(worker, &active, &candidates);
+
+            self.finish_assign(worker, &candidates, MAX_TEST_CANDIDATES)
+        };
+        self.candidates = candidates;
+        pick
     }
 
-    /// Steps 2–3 of Algorithm 2 over prepared top worker sets: greedy
-    /// disjoint packing, the requester's best containing set as the
-    /// conflict fallback, and performance testing when no set contains
-    /// her.
+    /// Steps 2–3 of Algorithm 2 over this request's top worker sets:
+    /// greedy disjoint packing walked until the requester's set is
+    /// committed, the requester's best containing set as the conflict
+    /// fallback, and performance testing when no set contains her.
     fn finish_assign(
         &mut self,
         worker: WorkerId,
-        sets: &[TopWorkerSet],
         candidates: &[TaskId],
         max_test: usize,
     ) -> Option<TaskId> {
         // Step 2: greedy optimal assignment; serve the requester if some
         // winning set contains her.
-        let scheme = greedy_assign(sets);
-        if let Some(assignment) = scheme.iter().find(|a| a.worker_ids().any(|w| w == worker)) {
-            return Some(assignment.task);
+        if let Some(task) = self.sets.walk(worker) {
+            return Some(task);
         }
 
         // The requester is a top worker for some tasks but lost the
@@ -734,21 +758,7 @@ impl ICrowd {
         // most" (Section 4.1): her best accuracy among the sets that
         // contain her. Step-3 testing is reserved for workers who are top
         // workers for NO task.
-        if let Some(task) = sets
-            .iter()
-            .filter_map(|set| {
-                set.workers
-                    .iter()
-                    .find(|&&(w, _)| w == worker)
-                    .map(|&(_, p)| (set.task, p, set.average_accuracy()))
-            })
-            .max_by(|(ta, pa, aa), (tb, pb, ab)| {
-                // total_cmp: an all-NaN accuracy column (a worker with no
-                // observations under fault load) must not panic the loop.
-                pa.total_cmp(pb).then(aa.total_cmp(ab)).then(tb.cmp(ta))
-            })
-            .map(|(t, _, _)| t)
-        {
+        if let Some(task) = self.sets.best_containing(worker) {
             return Some(task);
         }
 
@@ -756,18 +766,20 @@ impl ICrowd {
         // sample suffices — any reasonably uncertain task does the job,
         // and scanning co-workers of thousands of tasks would reintroduce
         // the per-request cost the candidate cap removed.
-        let eligible: Vec<TaskId> = candidates
-            .iter()
-            .copied()
-            .filter(|&t| self.eligible(worker, t) && self.remaining_capacity(t) > 0)
-            .collect();
-        let stride = (eligible.len() / max_test).max(1);
-        let test_candidates: Vec<(TaskId, Vec<WorkerId>)> = eligible
-            .iter()
-            .step_by(stride)
-            .map(|&t| (t, self.capacity_holders(t)))
-            .collect();
-        let pick = performance_test_assignment(&mut self.estimator, worker, &test_candidates);
+        let eligible = || {
+            candidates
+                .iter()
+                .copied()
+                .filter(|&t| self.eligible(worker, t) && self.remaining_capacity(t) > 0)
+        };
+        let stride = (eligible().count() / max_test).max(1);
+        let pick = performance_test_assignment(
+            &self.estimator,
+            worker,
+            eligible()
+                .step_by(stride)
+                .map(|t| (t, self.capacity_holders(t))),
+        );
         if pick.is_some() {
             self.test_assignments += 1;
             icrowd_obs::counter_add("assign.test", 1);
@@ -780,8 +792,8 @@ impl ICrowd {
     /// exploration sample, and each top worker set is assembled from the
     /// task's warm scores merged with a shared cold ranking instead of a
     /// full active × candidates score matrix. Produces sets bitwise
-    /// identical to the rebuild-per-request construction (asserted in
-    /// debug builds against [`Self::debug_assert_sets_match_oracle`]).
+    /// identical to the full construction (asserted in debug builds by
+    /// [`Self::debug_assert_sets_match_oracle`]).
     fn adaptive_assign_capped(&mut self, worker: WorkerId, active: &[WorkerId]) -> Option<TaskId> {
         // Candidate selection: the best few open-with-capacity tasks
         // from each active worker's rank cache, plus exploration.
@@ -814,7 +826,9 @@ impl ICrowd {
         if cand.is_empty() {
             return None;
         }
-        let candidates: Vec<TaskId> = cand.iter().copied().map(TaskId).collect();
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(cand.iter().copied().map(TaskId));
 
         // Shared cold ranking: every active worker at her absent-cell
         // score, ordered exactly as `top_worker_set` orders (score
@@ -825,20 +839,16 @@ impl ICrowd {
             .collect();
         cold_rank.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let k = self.config.assignment_size;
-        let cold_full: Vec<(WorkerId, f64)> = cold_rank.iter().copied().take(k).collect();
         let mut active_mask = vec![false; self.in_flight.len()];
         for &w in active {
             active_mask[w.index()] = true;
         }
 
         // Step 1: top worker sets.
-        let mut sets: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
-        let mut subset: Vec<(WorkerId, f64)> = Vec::new();
+        let mut sets = std::mem::take(&mut self.sets);
+        sets.clear();
         for &t in &candidates {
-            let remaining = usize::from(self.rem_cap[t.index()]);
-            if remaining == 0 {
-                continue;
-            }
+            let remaining = self.remaining_capacity(t);
             let warm_here = self.warm.get(&t.0);
             let any_active_warm =
                 warm_here.is_some_and(|l| l.iter().any(|&(w, _)| active_mask[w.index()]));
@@ -847,22 +857,18 @@ impl ICrowd {
                 // warm-up history (qualification tasks are never open),
                 // so every active worker is eligible at her cold score —
                 // the set is a shared prefix of the cold ranking.
-                sets.push(TopWorkerSet {
-                    task: t,
-                    workers: cold_full.clone(),
-                    remaining: k,
-                });
+                sets.push_set(t, k, cold_rank.iter().copied().take(k));
                 continue;
             }
             // Warm or partially filled: the true top-`remaining` set is
             // contained in (eligible warm actives) ∪ (the first
             // `remaining` eligible cold actives) — any later cold worker
             // is dominated by `remaining` earlier entries.
-            subset.clear();
+            sets.begin_set(t, remaining);
             if let Some(list) = warm_here {
                 for &(w, s) in list {
                     if active_mask[w.index()] && self.eligible(w, t) {
-                        subset.push((w, s));
+                        sets.offer(w, s);
                     }
                 }
             }
@@ -875,33 +881,37 @@ impl ICrowd {
                     continue;
                 }
                 if self.eligible(w, t) {
-                    subset.push((w, s));
+                    sets.offer(w, s);
                     cold_taken += 1;
                 }
             }
-            let set = top_worker_set(t, subset.iter().copied(), remaining);
-            if !set.workers.is_empty() {
-                sets.push(set);
-            }
+            sets.end_set();
         }
+        self.sets = sets;
 
         #[cfg(debug_assertions)]
-        self.debug_assert_sets_match_oracle(active, &candidates, &sets);
+        self.debug_assert_sets_match_oracle(worker, active, &candidates);
 
-        self.finish_assign(worker, &sets, &candidates, MAX_TEST_CANDIDATES_CAPPED)
+        let pick = self.finish_assign(worker, &candidates, MAX_TEST_CANDIDATES_CAPPED);
+        self.candidates = candidates;
+        pick
     }
 
-    /// Debug-mode oracle for the capped fast path: re-derives the top
-    /// worker sets the way the uncapped path does — a full active ×
-    /// candidates score matrix through the estimator — and asserts the
-    /// incremental construction matched bitwise.
+    /// Debug-mode oracle for both paths: re-derives the top worker sets
+    /// with the paper-level reference — a full active × candidates score
+    /// matrix through the estimator, eligibility from the capacity
+    /// holders and warm-up history, [`icrowd_assign::top_worker_set`]
+    /// per task — and asserts the buffer matched bitwise and that the
+    /// walk serves the requester exactly the task
+    /// [`icrowd_assign::greedy_assign`]'s scheme gives her.
     #[cfg(debug_assertions)]
     fn debug_assert_sets_match_oracle(
         &mut self,
+        worker: WorkerId,
         active: &[WorkerId],
         candidates: &[TaskId],
-        sets: &[TopWorkerSet],
     ) {
+        use icrowd_assign::{greedy_assign, top_worker_set, TopWorkerSet};
         let acc: Vec<Vec<f64>> = active
             .iter()
             .map(|&w| self.estimator.accuracies_for(w, candidates))
@@ -911,27 +921,46 @@ impl ICrowd {
             let remaining = self
                 .config
                 .assignment_size
-                .saturating_sub(self.capacity_holders(t).len());
+                .saturating_sub(self.capacity_holders(t).count());
             if remaining == 0 {
                 continue;
             }
             let eligible = active
                 .iter()
                 .enumerate()
-                .filter(|&(_, &w)| self.eligible(w, t))
+                .filter(|&(_, &w)| self.eligible(w, t) && !self.warmup.has_answered(w, t))
                 .map(|(wi, &w)| (w, acc[wi][ci]));
             let set = top_worker_set(t, eligible, remaining);
             if !set.workers.is_empty() {
                 oracle.push(set);
             }
         }
-        assert_eq!(oracle.len(), sets.len(), "oracle disagrees on set count");
-        for (a, b) in oracle.iter().zip(sets) {
+        assert_eq!(
+            oracle.len(),
+            self.sets.len(),
+            "oracle disagrees on set count"
+        );
+        for (a, b) in oracle.iter().zip(self.sets.sets()) {
             assert_eq!(a.task, b.task, "oracle disagrees on set task");
             let aw: Vec<(u32, u64)> = a.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
             let bw: Vec<(u32, u64)> = b.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
             assert_eq!(aw, bw, "oracle disagrees on workers of task {:?}", a.task);
+            assert_eq!(
+                a.average_accuracy().to_bits(),
+                b.average.to_bits(),
+                "oracle disagrees on the average of task {:?}",
+                a.task
+            );
         }
+        let served = greedy_assign(&oracle)
+            .into_iter()
+            .find(|a| a.worker_ids().any(|w| w == worker))
+            .map(|a| a.task);
+        assert_eq!(
+            self.sets.walk(worker),
+            served,
+            "the walk disagrees with greedy_assign for worker {worker:?}"
+        );
     }
 
     /// Whether the candidate-pool cap — and with it the incremental
@@ -1070,12 +1099,16 @@ impl ICrowd {
             let swept = self
                 .config
                 .assignment_size
-                .saturating_sub(self.capacity_holders(t).len());
+                .saturating_sub(self.capacity_holders(t).count());
             assert_eq!(
                 usize::from(self.rem_cap[t.index()]),
                 swept,
                 "rem_cap drifted from recomputation on task {tid}"
             );
+        }
+        // Candidates are open tasks, so eligibility skips warm-up history.
+        for q in self.warmup.qualification_tasks() {
+            assert!(!self.open.contains(&q.0), "qualification task {q} is open");
         }
         // Every live lease is covered by a queue entry at its exact
         // deadline (lazy invalidation only ever leaves *extra* entries).
@@ -1129,26 +1162,21 @@ impl ICrowd {
     /// (`now` is deliberately unused: BestEffort ignores the rest of the
     /// crowd by definition.)
     fn best_effort_assign(&mut self, worker: WorkerId, _now: Tick) -> Option<TaskId> {
-        let active = vec![worker];
-        let candidates: Vec<TaskId> = self
-            .candidate_tasks(&active)
-            .into_iter()
-            .filter(|&t| self.eligible(worker, t) && self.remaining_capacity(t) > 0)
-            .collect();
-        let acc = if self.tasks.len() > self.candidate_limit {
-            self.estimator.accuracies_for(worker, &candidates)
-        } else {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.candidate_tasks(&[worker], &mut candidates);
+        let dense = self.dense_scores();
+        if dense {
             self.estimator.accuracies(worker);
-            candidates
-                .iter()
-                .map(|&t| self.estimator.accuracy_cached(worker, t))
-                .collect()
-        };
-        candidates
-            .into_iter()
-            .zip(acc)
+        }
+        let pick = candidates
+            .iter()
+            .copied()
+            .filter(|&t| self.eligible(worker, t))
+            .map(|t| (t, self.score(worker, t, dense)))
             .max_by(|(ta, a), (tb, b)| a.total_cmp(b).then(tb.cmp(ta)))
-            .map(|(t, _)| t)
+            .map(|(t, _)| t);
+        self.candidates = candidates;
+        pick
     }
 
     /// Records an assignment as in flight under a fresh lease.
@@ -1170,6 +1198,14 @@ impl ICrowd {
             self.rem_cap[task.index()] -= 1;
         }
     }
+}
+
+/// `worker`'s estimate on `task` by one accumulator-cell lookup: cost
+/// independent of |T|, and bitwise the dense estimate.
+fn estimate(estimator: &AccuracyEstimator, worker: WorkerId, task: TaskId) -> f64 {
+    estimator
+        .cell_score(worker, task)
+        .unwrap_or_else(|| estimator.baseline_score(worker))
 }
 
 impl ExternalQuestionServer for ICrowd {
@@ -1307,7 +1343,7 @@ impl ExternalQuestionServer for ICrowd {
                                 let posterior = icrowd_core::probability::vote_posterior(
                                     &votes,
                                     num_choices,
-                                    |w| self.estimator.accuracies_for(w, &[task])[0],
+                                    |w| estimate(&self.estimator, w, task),
                                 );
                                 if let Some((ans, conf)) = posterior {
                                     if conf >= tau {

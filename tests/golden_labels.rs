@@ -1,12 +1,14 @@
 //! Campaign labels pinned to fixed bytes.
 //!
-//! serve-smoke, `tests/serve_e2e.rs` and perfbench's gate compare served
-//! labels with `run_campaign`, so a change that moves both paths
+//! The CI serve job, `tests/serve_e2e.rs` and perfbench's gate compare
+//! served labels with `run_campaign`, so a change that moves both paths
 //! together passes them all. These files were written by this exact
 //! call and hold `run_campaign`'s consensus labels (`labels_lines`) and
 //! its gold set, one task id a line. Any change to the offline build,
 //! gold selection, assignment or aggregation that moves a byte fails
-//! here.
+//! here. Every iCrowd strategy is pinned: Adapt and QF-Only run
+//! Algorithm 2's top-worker sets and greedy walk, BestEffort the
+//! candidate pool.
 
 use icrowd::AssignStrategy;
 use icrowd_core::config::ICrowdConfig;
@@ -84,5 +86,43 @@ fn served_item_compare_seed_42_labels_match_the_golden_bytes() {
         &result,
         include_str!("golden/item_compare_42_icrowd.labels"),
         include_str!("golden/item_compare_42.gold"),
+    );
+}
+
+/// Pins one strategy on both inputs: yahooqa at the default config and
+/// item_compare at the served config.
+fn assert_strategy_golden(
+    strategy: AssignStrategy,
+    yahooqa_labels: &str,
+    item_compare_labels: &str,
+) {
+    let approach = Approach::ICrowd(strategy);
+    assert_golden(
+        &run_campaign(&yahooqa(42), approach, &CampaignConfig::default()),
+        yahooqa_labels,
+        include_str!("golden/yahooqa_42.gold"),
+    );
+    assert_golden(
+        &run_campaign(&item_compare(42), approach, &served_config(42)),
+        item_compare_labels,
+        include_str!("golden/item_compare_42.gold"),
+    );
+}
+
+#[test]
+fn qf_only_labels_match_the_golden_bytes() {
+    assert_strategy_golden(
+        AssignStrategy::QfOnly,
+        include_str!("golden/yahooqa_42_qfonly.labels"),
+        include_str!("golden/item_compare_42_qfonly.labels"),
+    );
+}
+
+#[test]
+fn best_effort_labels_match_the_golden_bytes() {
+    assert_strategy_golden(
+        AssignStrategy::BestEffort,
+        include_str!("golden/yahooqa_42_besteffort.labels"),
+        include_str!("golden/item_compare_42_besteffort.labels"),
     );
 }

@@ -124,12 +124,6 @@ pub fn select_qualification_random<R: Rng>(num_tasks: usize, q: usize, rng: &mut
     ids[..take].iter().map(|&i| TaskId(i)).collect()
 }
 
-/// The influence `INF(T^q)` of a qualification set — exposed for
-/// experiments comparing selection strategies (Figure 7).
-pub fn influence(index: &LinearityIndex, selection: &[TaskId]) -> usize {
-    index.influence(selection)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +177,7 @@ mod tests {
         assert!((7..=8).contains(&sel[2].index()), "third from C: {:?}", sel);
         // Together they influence all but the isolated task... the isolated
         // task influences only itself, and is not selected yet.
-        assert_eq!(influence(&idx, &sel), 9);
+        assert_eq!(idx.influence(&sel), 9);
     }
 
     #[test]
@@ -192,7 +186,7 @@ mod tests {
         let small = select_qualification_influence(&idx, 2);
         let large = select_qualification_influence(&idx, 4);
         assert_eq!(&large[..2], &small[..], "greedy choices are a prefix chain");
-        assert!(influence(&idx, &large) >= influence(&idx, &small));
+        assert!(idx.influence(&large) >= idx.influence(&small));
     }
 
     #[test]
@@ -203,7 +197,7 @@ mod tests {
         // order so the requester still gets Q tasks.
         let sel = select_qualification_influence(&idx, 7);
         assert_eq!(sel.len(), 7);
-        assert_eq!(influence(&idx, &sel[..4]), 10, "first 4 cover everything");
+        assert_eq!(idx.influence(&sel[..4]), 10, "first 4 cover everything");
         let mut dedup = sel.clone();
         dedup.sort();
         dedup.dedup();
@@ -214,12 +208,12 @@ mod tests {
     fn greedy_matches_exhaustive_on_small_instance() {
         let idx = clustered_index();
         let greedy_sel = select_qualification_influence(&idx, 2);
-        let greedy_inf = influence(&idx, &greedy_sel);
+        let greedy_inf = idx.influence(&greedy_sel);
         // Exhaustive best over all pairs.
         let mut best = 0;
         for a in 0..10u32 {
             for b in (a + 1)..10u32 {
-                best = best.max(influence(&idx, &[t(a), t(b)]));
+                best = best.max(idx.influence(&[t(a), t(b)]));
             }
         }
         // Coverage is a matroid-free max-coverage instance where greedy is

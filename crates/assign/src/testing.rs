@@ -55,14 +55,14 @@ where
         let sum: f64 = coworkers
             .into_iter()
             .inspect(|_| count += 1)
-            .map(|cw| estimate(estimator, cw, task))
+            .map(|cw| estimator.estimate(cw, task))
             .sum();
         let quality = if count == 0 {
             EMPTY_COWORKER_QUALITY
         } else {
             sum / count as f64
         };
-        let own = estimate(estimator, worker, task);
+        let own = estimator.estimate(worker, task);
         let score = own * variance * quality;
         let better = match best {
             None => true,
@@ -73,14 +73,6 @@ where
         }
     }
     best.map(|(_, t)| t)
-}
-
-/// Single-task estimate by one accumulator-cell lookup: cost independent
-/// of |T|, and bitwise the dense estimate.
-fn estimate(estimator: &AccuracyEstimator, worker: WorkerId, task: TaskId) -> f64 {
-    estimator
-        .cell_score(worker, task)
-        .unwrap_or_else(|| estimator.baseline_score(worker))
 }
 
 #[cfg(test)]

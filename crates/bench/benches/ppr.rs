@@ -123,7 +123,7 @@ fn bench_estimator_refresh(c: &mut Criterion) {
             };
             e.record_qualification(worker, t, ans, Answer::YES);
             round += 1;
-            black_box(e.accuracy(worker, t))
+            black_box(e.estimate(worker, t))
         })
     });
 

@@ -424,8 +424,7 @@ mod crash {
         assert!(report.balanced, "conservation law violated: {report:?}");
         let final_labels = std::fs::read_to_string(&labels_out).expect("child wrote --labels-out");
         assert_eq!(
-            report.labels.as_deref(),
-            Some(baseline.as_str()),
+            report.labels, baseline,
             "loadgen-fetched labels diverged from baseline"
         );
         assert_eq!(final_labels, baseline, "label file diverged from baseline");
@@ -555,8 +554,7 @@ mod net {
         assert!(result.accounting.balanced());
         if parity {
             assert_eq!(
-                report.labels.as_deref(),
-                Some(baseline),
+                report.labels, baseline,
                 "labels diverged from baseline under {name}"
             );
         }

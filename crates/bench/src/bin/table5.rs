@@ -91,7 +91,7 @@ fn main() {
                         }
                         let eligible = pool[already..]
                             .iter()
-                            .map(|&wi| (WorkerId(wi), est.accuracy(WorkerId(wi), t)))
+                            .map(|&wi| (WorkerId(wi), est.estimate(WorkerId(wi), t)))
                             .collect::<Vec<_>>();
                         top_worker_set(t, eligible, k - already)
                     })

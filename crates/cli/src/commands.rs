@@ -671,13 +671,10 @@ fn loadgen_cmd(args: &Args) -> Result<String, CliError> {
         io_timeout_ms: args.get_parsed("io-timeout-ms", 5_000u64)?,
         faults,
         shutdown: !args.has_flag("no-shutdown"),
-        fetch_labels: true,
     };
     let telemetry = telemetry_begin(args);
     let report = run_loadgen(&config).map_err(CliError)?;
-    if let Some(labels) = &report.labels {
-        write_labels(args, labels)?;
-    }
+    write_labels(args, &report.labels)?;
 
     let mut out = String::new();
     let target = if config.addr.is_empty() {

@@ -266,7 +266,7 @@ impl AccuracyEstimator {
         let mut mismatch_accs = Vec::new();
         for v in votes {
             self.register_worker(v.worker);
-            let p = self.accuracy(v.worker, task);
+            let p = self.estimate(v.worker, task);
             if v.answer == consensus {
                 match_accs.push(p);
             } else {
@@ -445,18 +445,6 @@ impl AccuracyEstimator {
         state.cache.as_deref().expect("cache just filled")
     }
 
-    /// Single-task estimate: a cache read when warm, otherwise one
-    /// accumulator-cell lookup — never forces the dense rebuild.
-    pub fn accuracy(&mut self, worker: WorkerId, task: TaskId) -> f64 {
-        self.register_worker(worker);
-        let baseline = self.baseline(worker);
-        let state = &self.workers[worker.index()];
-        if let Some(cache) = &state.cache {
-            return cache[task.index()];
-        }
-        Self::cell_estimate(self.mode, baseline, state.accum.get(&task.0))
-    }
-
     /// Read-only estimate for an already-cached worker; returns the
     /// baseline if no cache exists yet.
     pub fn accuracy_cached(&self, worker: WorkerId, task: TaskId) -> f64 {
@@ -466,22 +454,13 @@ impl AccuracyEstimator {
         }
     }
 
-    /// Estimates for an explicit candidate list only, without building or
-    /// touching the dense per-worker cache.
-    ///
-    /// One accumulator-cell lookup per candidate — `O(|tasks| ·
-    /// log nnz(accum))`, independent of both the total task count *and*
-    /// the number of observations — which is what keeps per-request
-    /// assignment flat on million-task sets (Figure 10).
-    pub fn accuracies_for(&mut self, worker: WorkerId, tasks: &[TaskId]) -> Vec<f64> {
-        self.register_worker(worker);
-        let baseline = self.baseline(worker);
-        let mode = self.mode;
-        let state = &self.workers[worker.index()];
-        tasks
-            .iter()
-            .map(|t| Self::cell_estimate(mode, baseline, state.accum.get(&t.0)))
-            .collect()
+    /// The estimate of `worker` on `task`: her accumulator cell's score
+    /// ([`Self::cell_score`]), else [`Self::baseline_score`]. One
+    /// `BTreeMap` lookup, independent of the task count, and the same
+    /// bits the dense cache holds; never builds or touches the cache.
+    pub fn estimate(&self, worker: WorkerId, task: TaskId) -> f64 {
+        self.cell_score(worker, task)
+            .unwrap_or_else(|| self.baseline_score(worker))
     }
 
     /// The mode's absent-cell estimate for `worker`: what every task
@@ -779,8 +758,8 @@ mod tests {
         assert!(q_dissent < 0.5, "dissenting is negative evidence");
         assert!((q_match + q_dissent - 1.0).abs() < 1e-9);
         // Estimates reflect it: w0 beats w2 on the neighboring task 0.
-        let p0 = e.accuracy(w(0), t(0));
-        let p2 = e.accuracy(w(2), t(0));
+        let p0 = e.estimate(w(0), t(0));
+        let p2 = e.estimate(w(2), t(0));
         assert!(p0 > p2);
     }
 
@@ -841,9 +820,9 @@ mod tests {
     fn cache_invalidation_on_new_evidence() {
         let mut e = estimator(EstimationMode::Centered);
         e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-        let before = e.accuracy(w(0), t(1));
+        let before = e.accuracies(w(0))[1];
         e.record_qualification(w(0), t(1), Answer::NO, Answer::YES);
-        let after = e.accuracy(w(0), t(1));
+        let after = e.accuracies(w(0))[1];
         assert!(
             after < before,
             "fresh negative evidence must lower the estimate"
@@ -871,12 +850,12 @@ mod tests {
                 },
             ];
             e.record_completed_task(t(1), &votes, Answer::YES);
-            let all: Vec<TaskId> = (0..6).map(t).collect();
-            let sparse = e.accuracies_for(w(0), &all);
             let dense = e.accuracies(w(0)).to_vec();
-            for (i, (s, d)) in sparse.iter().zip(&dense).enumerate() {
-                assert!(
-                    (s - d).abs() < 1e-12,
+            for (i, d) in dense.iter().enumerate() {
+                let s = e.estimate(w(0), t(i as u32));
+                assert_eq!(
+                    s.to_bits(),
+                    d.to_bits(),
                     "{mode:?} task {i}: sparse {s} vs dense {d}"
                 );
             }
@@ -998,8 +977,7 @@ mod tests {
             let mut e = estimator(mode);
             e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
             inject(&mut e, w(0), t(4), 0.3);
-            let all: Vec<TaskId> = (0..6).map(t).collect();
-            let dense = e.accuracies_for(w(0), &all);
+            let dense = e.accuracies(w(0)).to_vec();
             let sparse: std::collections::BTreeMap<u32, f64> =
                 e.cell_scores(w(0)).map(|(t, s)| (t.0, s)).collect();
             for (j, &d) in dense.iter().enumerate() {

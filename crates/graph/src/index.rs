@@ -105,111 +105,15 @@ impl LinearityIndex {
         acc
     }
 
-    /// The influence support of a qualification set `T^q` (Section 5):
-    /// the set of tasks receiving non-zero mass from `Σ_{t in T^q} p_t`,
-    /// as a sorted id vector.
-    pub fn influence_support(&self, tasks: &[TaskId]) -> Vec<u32> {
-        let mut scratch = InfluenceScratch::new();
-        let mut ids = self.influence_support_with(tasks, &mut scratch).to_vec();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Scratch-reusing variant of [`Self::influence_support`]: marks
-    /// reached tasks in a visited bitmap instead of collecting, sorting
-    /// and deduplicating, so repeated calls (the per-request candidate
-    /// pool, influence sweeps over many sets) allocate nothing after the
-    /// first. Returns the distinct reached ids in **discovery order**,
-    /// not sorted; callers needing sorted output use
-    /// [`Self::influence_support`].
-    pub fn influence_support_with<'s>(
-        &self,
-        tasks: &[TaskId],
-        scratch: &'s mut InfluenceScratch,
-    ) -> &'s [u32] {
-        scratch.touched.clear();
-        if scratch.visited.len() < self.vectors.len() {
-            scratch.visited.resize(self.vectors.len(), false);
-        }
-        for t in tasks {
-            for id in self.vectors[t.index()].support() {
-                let seen = &mut scratch.visited[id as usize];
-                if !*seen {
-                    *seen = true;
-                    scratch.touched.push(id);
-                }
-            }
-        }
-        // Un-mark via the touched list so clearing costs O(|support|),
-        // not O(|T|), keeping the scratch ready for the next call.
-        for &id in &scratch.touched {
-            scratch.visited[id as usize] = false;
-        }
-        &scratch.touched
-    }
-
-    /// Bounded variant of [`Self::influence_support_with`]: the walk
-    /// stops as soon as `cap` distinct tasks have been discovered, so a
-    /// caller assembling a capacity-capped candidate pool never pays for
-    /// support beyond the cap. The result is a prefix of what the
-    /// unbounded walk would discover (same seed order, same discovery
-    /// order); when the cap binds it holds exactly `cap` ids.
-    pub fn influence_support_bounded<'s>(
-        &self,
-        tasks: &[TaskId],
-        scratch: &'s mut InfluenceScratch,
-        cap: usize,
-    ) -> &'s [u32] {
-        scratch.touched.clear();
-        if scratch.visited.len() < self.vectors.len() {
-            scratch.visited.resize(self.vectors.len(), false);
-        }
-        'walk: for t in tasks {
-            if scratch.touched.len() >= cap {
-                break;
-            }
-            for id in self.vectors[t.index()].support() {
-                let seen = &mut scratch.visited[id as usize];
-                if !*seen {
-                    *seen = true;
-                    scratch.touched.push(id);
-                    if scratch.touched.len() >= cap {
-                        break 'walk;
-                    }
-                }
-            }
-        }
-        for &id in &scratch.touched {
-            scratch.visited[id as usize] = false;
-        }
-        &scratch.touched
-    }
-
-    /// `INF(T^q)`: the size of the influence support (Definition 5).
+    /// `INF(T^q)` (Definition 5): the number of tasks receiving non-zero
+    /// mass from `Σ_{t ∈ T^q} p_t`, i.e. the size of the union of the
+    /// selected tasks' supports.
     pub fn influence(&self, tasks: &[TaskId]) -> usize {
-        let mut scratch = InfluenceScratch::new();
-        self.influence_with(tasks, &mut scratch)
-    }
-
-    /// Scratch-reusing variant of [`Self::influence`] for hot loops.
-    pub fn influence_with(&self, tasks: &[TaskId], scratch: &mut InfluenceScratch) -> usize {
-        self.influence_support_with(tasks, scratch).len()
-    }
-}
-
-/// Reusable working memory for influence queries
-/// ([`LinearityIndex::influence_support_with`]): a visited bitmap plus
-/// the list of marked ids used to clear it cheaply between calls.
-#[derive(Debug, Clone, Default)]
-pub struct InfluenceScratch {
-    visited: Vec<bool>,
-    touched: Vec<u32>,
-}
-
-impl InfluenceScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+        let reached: std::collections::HashSet<u32> = tasks
+            .iter()
+            .flat_map(|t| self.vectors[t.index()].support())
+            .collect();
+        reached.len()
     }
 }
 
@@ -402,67 +306,5 @@ mod tests {
                 assert_eq!(b.capacity(), b.nnz());
             }
         }
-    }
-
-    #[test]
-    fn scratch_influence_matches_allocating_path() {
-        let g = lumpy_graph(60);
-        let idx = LinearityIndex::build(
-            &g,
-            1.0,
-            &PprConfig {
-                index_epsilon: 1e-3,
-                ..Default::default()
-            },
-        );
-        let mut scratch = InfluenceScratch::new();
-        let sets: Vec<Vec<TaskId>> = vec![
-            vec![],
-            vec![t(0)],
-            vec![t(0), t(1), t(2)],
-            vec![t(5), t(33), t(59)],
-            (0..60).map(t).collect(),
-        ];
-        for set in &sets {
-            let sorted = idx.influence_support(set);
-            let mut via_scratch = idx.influence_support_with(set, &mut scratch).to_vec();
-            via_scratch.sort_unstable();
-            assert_eq!(sorted, via_scratch);
-            assert_eq!(idx.influence(set), idx.influence_with(set, &mut scratch));
-        }
-        // Scratch state fully resets between calls: re-running the first
-        // non-empty set gives identical results after a large query.
-        let first = idx.influence_support_with(&[t(0)], &mut scratch).to_vec();
-        let _ = idx.influence_support_with(&sets[4], &mut scratch);
-        let again = idx.influence_support_with(&[t(0)], &mut scratch).to_vec();
-        assert_eq!(first, again);
-    }
-
-    #[test]
-    fn bounded_walk_is_a_prefix_of_the_unbounded_walk() {
-        let g = lumpy_graph(60);
-        let idx = LinearityIndex::build(
-            &g,
-            1.0,
-            &PprConfig {
-                index_epsilon: 1e-3,
-                ..Default::default()
-            },
-        );
-        let mut scratch = InfluenceScratch::new();
-        let seeds: Vec<TaskId> = vec![t(0), t(11), t(33), t(59)];
-        let full = idx.influence_support_with(&seeds, &mut scratch).to_vec();
-        for cap in [0, 1, 2, full.len() - 1, full.len(), full.len() + 10] {
-            let bounded = idx
-                .influence_support_bounded(&seeds, &mut scratch, cap)
-                .to_vec();
-            assert_eq!(bounded.len(), cap.min(full.len()), "cap={cap}");
-            assert_eq!(bounded, full[..bounded.len()], "cap={cap}");
-        }
-        // The scratch bitmap is fully unmarked after an early exit: an
-        // unbounded walk right after a tightly-capped one sees everything.
-        let _ = idx.influence_support_bounded(&seeds, &mut scratch, 2);
-        let again = idx.influence_support_with(&seeds, &mut scratch).to_vec();
-        assert_eq!(again, full);
     }
 }

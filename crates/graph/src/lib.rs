@@ -33,7 +33,7 @@ pub mod sparsevec;
 
 pub use builder::GraphBuilder;
 pub use csr::SimilarityGraph;
-pub use index::{InfluenceScratch, LinearityIndex};
+pub use index::LinearityIndex;
 pub use parallel::{par_map_indexed, resolve_threads};
 pub use ppr::{power_iteration, sparse_ppr};
 pub use sparsevec::SparseTaskVector;

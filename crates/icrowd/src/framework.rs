@@ -22,19 +22,21 @@
 //!
 //! ## Candidate pools and scalability
 //!
-//! On small task sets every open task is a candidate each round. On very
+//! A campaign's pipeline is fixed when it is built. Uncapped (the
+//! default), every open task with remaining capacity is a candidate each
+//! round, scored from each active worker's dense estimate cache. On very
 //! large sets (the Figure 10 regime) that is wasteful: accuracy evidence
-//! only ever distinguishes tasks near the workers' completed ones, so the
-//! builder's `candidate_limit` caps the pool at the union of the active
-//! workers' *estimate supports* (tasks reachable from their observations
-//! in the similarity graph — an index lookup) plus a rotating sample of
-//! other open tasks. This is the "effective index structure" that keeps
-//! per-request assignment cost independent of `|T|`.
+//! only ever distinguishes tasks near the workers' completed ones, so
+//! the builder's `candidate_limit` selects the capped pipeline for the
+//! whole campaign. Its pool is the few best warm tasks from each active
+//! worker's rank cache plus a rotating sample of other open tasks,
+//! bounded by the limit. This is the "effective index structure" that
+//! keeps per-request assignment cost independent of `|T|`.
 //!
 //! ## The incremental assignment hot path
 //!
-//! Under a candidate cap the framework additionally maintains, instead
-//! of rebuilding per request:
+//! Under a candidate cap the framework maintains, instead of rebuilding
+//! per request:
 //!
 //! * a per-worker **rank cache** (`rank`) of her open warm tasks —
 //!   tasks with a populated estimator accumulator cell — keyed so set
@@ -74,7 +76,7 @@ use icrowd_core::task::{TaskId, TaskSet};
 use icrowd_core::voting::ConsensusState;
 use icrowd_core::worker::{ActivityTracker, Tick, WorkerId};
 use icrowd_estimate::{AccuracyEstimator, EstimationMode};
-use icrowd_graph::{InfluenceScratch, LinearityIndex, SimilarityGraph};
+use icrowd_graph::{LinearityIndex, SimilarityGraph};
 use icrowd_platform::events::RejectReason;
 use icrowd_platform::market::{ExternalQuestionServer, SubmitOutcome};
 use icrowd_text::{CosineTfIdf, TaskSimilarity, Tokenizer};
@@ -213,8 +215,10 @@ impl ICrowdBuilder {
         self
     }
 
-    /// Caps the per-request candidate pool (see module docs). The default
-    /// (`usize::MAX`) considers every open task.
+    /// Caps the per-request candidate pool, which selects the capped
+    /// pipeline for the whole campaign under `Adapt` and `QfOnly` (see
+    /// module docs). `BestEffort` ignores it. The default (`usize::MAX`)
+    /// considers every open task.
     pub fn candidate_limit(mut self, limit: usize) -> Self {
         assert!(limit > 0, "candidate_limit must be positive");
         self.candidate_limit = limit;
@@ -294,7 +298,6 @@ impl ICrowdBuilder {
             warm: BTreeMap::new(),
             open,
             open_cursor: 0,
-            influence_scratch: InfluenceScratch::new(),
             candidates: Vec::new(),
             sets: TopSetBuffer::default(),
             regular_assignments: Vec::new(),
@@ -346,9 +349,6 @@ pub struct ICrowd {
     /// Round-robin cursor into `open` for candidate sampling.
     open_cursor: u32,
     candidate_limit: usize,
-    /// Reusable visited-bitmap scratch for influence-support walks in
-    /// candidate assembly (one walk per active worker per request).
-    influence_scratch: InfluenceScratch,
     /// This request's candidate tasks, ascending; refilled per request.
     candidates: Vec<TaskId>,
     /// This request's top worker sets; refilled per request.
@@ -393,11 +393,6 @@ impl ICrowd {
         &self.estimator
     }
 
-    /// Mutable estimator access (used by experiment harnesses).
-    pub fn estimator_mut(&mut self) -> &mut AccuracyEstimator {
-        &mut self.estimator
-    }
-
     /// The warm-up component.
     pub fn warmup(&self) -> &WarmUp {
         &self.warmup
@@ -424,7 +419,7 @@ impl ICrowd {
             }
             let num_choices = self.tasks[t].num_choices;
             let weighted = icrowd_core::voting::weighted_majority_vote(&votes, num_choices, |w| {
-                estimate(&self.estimator, w, t)
+                self.estimator.estimate(w, t)
             });
             if let Some(o) = weighted {
                 out.insert(t, o.answer);
@@ -574,20 +569,13 @@ impl ICrowd {
         }
     }
 
-    /// Rotating exploration sampler: inserts open tasks into `cand`
-    /// starting at the persisted cursor, counting only *fresh*
-    /// insertions toward `budget` — a task already pooled (e.g. from an
-    /// influence support overlapping the cursor window) must not
+    /// Rotating exploration sampler: inserts open tasks with remaining
+    /// capacity into `cand` starting at the persisted cursor, counting
+    /// only *fresh* insertions toward `budget` — a task already pooled
+    /// (e.g. from a rank cache overlapping the cursor window) must not
     /// silently shrink the exploration sample. A full-wrap guard
-    /// terminates once every open task has been visited. With
-    /// `require_capacity`, full tasks are skipped outright instead of
-    /// being pooled and filtered later.
-    fn sample_open_into(
-        &mut self,
-        cand: &mut BTreeSet<u32>,
-        budget: usize,
-        require_capacity: bool,
-    ) {
+    /// terminates once every open task has been visited.
+    fn sample_open_into(&mut self, cand: &mut BTreeSet<u32>, budget: usize) {
         let mut taken = 0usize;
         let mut wrapped = false;
         let mut cursor = self.open_cursor;
@@ -598,7 +586,7 @@ impl ICrowd {
                     if wrapped && t >= start {
                         break;
                     }
-                    if (!require_capacity || self.rem_cap[t as usize] > 0) && cand.insert(t) {
+                    if self.rem_cap[t as usize] > 0 && cand.insert(t) {
                         taken += 1;
                     }
                     match t.checked_add(1) {
@@ -620,66 +608,13 @@ impl ICrowd {
         self.open_cursor = cursor;
     }
 
-    /// Fills `out` with this round's candidate pool, ascending and
-    /// filtered to capacity > 0: every open task while they fit under
-    /// the candidate limit, else the estimate supports of the active
-    /// workers plus a rotating sample of other open tasks (see module
-    /// docs).
-    fn candidate_tasks(&mut self, active: &[WorkerId], out: &mut Vec<TaskId>) {
-        out.clear();
-        if self.open.len() <= self.candidate_limit {
-            out.extend(self.open.iter().map(|&t| TaskId(t)));
-        } else {
-            let mut cand: BTreeSet<u32> = BTreeSet::new();
-            // Tasks the graph can say anything about for these workers.
-            // The walk is bounded: support discovered past the pool cap
-            // could never be pooled anyway.
-            for &w in active {
-                if cand.len() >= self.candidate_limit {
-                    break;
-                }
-                if let Some(observed) = self.estimator.observed(w) {
-                    let seeds: Vec<TaskId> = observed.keys().map(|&t| TaskId(t)).collect();
-                    let support = self.estimator.index().influence_support_bounded(
-                        &seeds,
-                        &mut self.influence_scratch,
-                        self.candidate_limit,
-                    );
-                    for &t in support {
-                        if cand.len() >= self.candidate_limit {
-                            break;
-                        }
-                        if self.open.contains(&t) {
-                            cand.insert(t);
-                        }
-                    }
-                }
-            }
-            // Rotating sample of further open tasks for exploration.
-            let sample = self.candidate_limit.saturating_sub(cand.len());
-            self.sample_open_into(&mut cand, sample, false);
-            out.extend(cand.into_iter().map(TaskId));
-        }
-        out.retain(|&t| self.remaining_capacity(t) > 0);
-    }
-
-    /// Whether Step 1 reads estimates from the dense per-worker caches.
-    /// On small task sets the cache amortizes across requests; past the
-    /// candidate limit one accumulator-cell lookup per (worker, task)
-    /// keeps cost independent of |T| (Figure 10). Both read the same
-    /// bits.
-    fn dense_scores(&self) -> bool {
-        self.tasks.len() <= self.candidate_limit
-    }
-
-    /// The estimate of `worker` on `task` as Step 1 reads it. With
-    /// `dense`, her cache must have been refreshed this request.
-    fn score(&self, worker: WorkerId, task: TaskId, dense: bool) -> f64 {
-        if dense {
-            self.estimator.accuracy_cached(worker, task)
-        } else {
-            estimate(&self.estimator, worker, task)
-        }
+    /// The uncapped candidate pool: every open task with remaining
+    /// capacity, ascending.
+    fn candidate_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.open
+            .iter()
+            .map(|&t| TaskId(t))
+            .filter(|&t| self.remaining_capacity(t) > 0)
     }
 
     /// Algorithm 2 for one requesting worker.
@@ -694,23 +629,22 @@ impl ICrowd {
             return None;
         }
 
-        if self.capped() && self.open.len() > self.candidate_limit {
+        if self.capped() {
             return self.adaptive_assign_capped(worker, &active);
         }
 
         let mut candidates = std::mem::take(&mut self.candidates);
-        self.candidate_tasks(&active, &mut candidates);
+        candidates.clear();
+        candidates.extend(self.candidate_tasks());
         let pick = if candidates.is_empty() {
             None
         } else {
-            let dense = self.dense_scores();
-            if dense {
-                for &w in &active {
-                    self.estimator.accuracies(w);
-                }
+            for &w in &active {
+                self.estimator.accuracies(w);
             }
-            // Step 1: top worker sets. Eligibility is read once per task
-            // from its voters and holders.
+            // Step 1: top worker sets over the refreshed dense caches.
+            // Eligibility is read once per task from its voters and
+            // holders.
             let mut sets = std::mem::take(&mut self.sets);
             sets.clear();
             for &t in &candidates {
@@ -719,7 +653,7 @@ impl ICrowd {
                 sets.begin_set(t, self.remaining_capacity(t));
                 for &w in &active {
                     if !voters.iter().any(|v| v.worker == w) && !holders.contains(&w) {
-                        sets.offer(w, self.score(w, t, dense));
+                        sets.offer(w, self.estimator.accuracy_cached(w, t));
                     }
                 }
                 sets.end_set();
@@ -822,7 +756,7 @@ impl ICrowd {
             }
         }
         let budget = EXPLORE_SAMPLE.min(self.candidate_limit.saturating_sub(cand.len()));
-        self.sample_open_into(&mut cand, budget, true);
+        self.sample_open_into(&mut cand, budget);
         if cand.is_empty() {
             return None;
         }
@@ -912,12 +846,8 @@ impl ICrowd {
         candidates: &[TaskId],
     ) {
         use icrowd_assign::{greedy_assign, top_worker_set, TopWorkerSet};
-        let acc: Vec<Vec<f64>> = active
-            .iter()
-            .map(|&w| self.estimator.accuracies_for(w, candidates))
-            .collect();
         let mut oracle: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
-        for (ci, &t) in candidates.iter().enumerate() {
+        for &t in candidates {
             let remaining = self
                 .config
                 .assignment_size
@@ -927,9 +857,8 @@ impl ICrowd {
             }
             let eligible = active
                 .iter()
-                .enumerate()
-                .filter(|&(_, &w)| self.eligible(w, t) && !self.warmup.has_answered(w, t))
-                .map(|(wi, &w)| (w, acc[wi][ci]));
+                .filter(|&&w| self.eligible(w, t) && !self.warmup.has_answered(w, t))
+                .map(|&w| (w, self.estimator.estimate(w, t)));
             let set = top_worker_set(t, eligible, remaining);
             if !set.workers.is_empty() {
                 oracle.push(set);
@@ -963,10 +892,11 @@ impl ICrowd {
         );
     }
 
-    /// Whether the candidate-pool cap — and with it the incremental
-    /// candidate cache — is in force.
+    /// Whether the capped pipeline and its incremental candidate caches
+    /// are in force: a candidate cap was set and the strategy reads it
+    /// (BestEffort ignores it). Fixed at build time.
     fn capped(&self) -> bool {
-        self.candidate_limit != usize::MAX
+        self.candidate_limit != usize::MAX && self.strategy != AssignStrategy::BestEffort
     }
 
     /// Rank-cache key for a (score, task) pair. Scores are clamped to
@@ -1158,25 +1088,16 @@ impl ICrowd {
         assert_eq!(warm_view, inverse, "warm index is not the inverse of rank");
     }
 
-    /// The BestEffort strategy: the requester's own best eligible task.
-    /// (`now` is deliberately unused: BestEffort ignores the rest of the
-    /// crowd by definition.)
-    fn best_effort_assign(&mut self, worker: WorkerId, _now: Tick) -> Option<TaskId> {
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.candidate_tasks(&[worker], &mut candidates);
-        let dense = self.dense_scores();
-        if dense {
-            self.estimator.accuracies(worker);
-        }
-        let pick = candidates
-            .iter()
-            .copied()
+    /// The BestEffort strategy: the requester's own best eligible task,
+    /// read from her refreshed dense cache. The rest of the crowd is
+    /// ignored by definition.
+    fn best_effort_assign(&mut self, worker: WorkerId) -> Option<TaskId> {
+        self.estimator.accuracies(worker);
+        self.candidate_tasks()
             .filter(|&t| self.eligible(worker, t))
-            .map(|t| (t, self.score(worker, t, dense)))
+            .map(|t| (t, self.estimator.accuracy_cached(worker, t)))
             .max_by(|(ta, a), (tb, b)| a.total_cmp(b).then(tb.cmp(ta)))
-            .map(|(t, _)| t);
-        self.candidates = candidates;
-        pick
+            .map(|(t, _)| t)
     }
 
     /// Records an assignment as in flight under a fresh lease.
@@ -1198,14 +1119,6 @@ impl ICrowd {
             self.rem_cap[task.index()] -= 1;
         }
     }
-}
-
-/// `worker`'s estimate on `task` by one accumulator-cell lookup: cost
-/// independent of |T|, and bitwise the dense estimate.
-fn estimate(estimator: &AccuracyEstimator, worker: WorkerId, task: TaskId) -> f64 {
-    estimator
-        .cell_score(worker, task)
-        .unwrap_or_else(|| estimator.baseline_score(worker))
 }
 
 impl ExternalQuestionServer for ICrowd {
@@ -1244,7 +1157,7 @@ impl ExternalQuestionServer for ICrowd {
 
         let assigned = match self.strategy {
             AssignStrategy::Adapt | AssignStrategy::QfOnly => self.adaptive_assign(worker, now),
-            AssignStrategy::BestEffort => self.best_effort_assign(worker, now),
+            AssignStrategy::BestEffort => self.best_effort_assign(worker),
         };
         match assigned {
             Some(task) => {
@@ -1343,7 +1256,7 @@ impl ExternalQuestionServer for ICrowd {
                                 let posterior = icrowd_core::probability::vote_posterior(
                                     &votes,
                                     num_choices,
-                                    |w| estimate(&self.estimator, w, task),
+                                    |w| self.estimator.estimate(w, task),
                                 );
                                 if let Some((ans, conf)) = posterior {
                                     if conf >= tau {
@@ -1728,12 +1641,12 @@ mod tests {
         let mut srv = setup(AssignStrategy::Adapt, 1);
         // One qualification task is preset, so 5 open tasks remain.
         // Pre-pool the first three open ids so the cursor window overlaps
-        // the existing pool (as influence-support candidates do).
+        // the existing pool (as rank-cache candidates do).
         let open: Vec<u32> = srv.open.iter().copied().collect();
         assert_eq!(open.len(), 5);
         let mut cand: BTreeSet<u32> = open[..3].iter().copied().collect();
         srv.open_cursor = 0;
-        srv.sample_open_into(&mut cand, 2, false);
+        srv.sample_open_into(&mut cand, 2);
         assert_eq!(
             cand.len(),
             5,
@@ -1747,18 +1660,18 @@ mod tests {
         let mut cand: BTreeSet<u32> = srv.open.iter().copied().collect();
         let before = cand.len();
         srv.open_cursor = 2;
-        srv.sample_open_into(&mut cand, 3, false);
+        srv.sample_open_into(&mut cand, 3);
         assert_eq!(cand.len(), before, "no fresh task exists; must not spin");
     }
 
     #[test]
-    fn rotating_sampler_skips_full_tasks_when_asked() {
+    fn rotating_sampler_skips_full_tasks() {
         let mut srv = setup(AssignStrategy::Adapt, 1);
         let open: Vec<u32> = srv.open.iter().copied().collect();
         srv.rem_cap[open[0] as usize] = 0;
         let mut cand = BTreeSet::new();
         srv.open_cursor = 0;
-        srv.sample_open_into(&mut cand, open.len(), true);
+        srv.sample_open_into(&mut cand, open.len());
         assert!(!cand.contains(&open[0]), "full task must be skipped");
         assert_eq!(cand.len(), open.len() - 1);
     }

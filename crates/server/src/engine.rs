@@ -654,6 +654,25 @@ impl CampaignEngine {
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
+        // A task or answer outside the campaign is a malformed request,
+        // refused before the driver can count or journal it.
+        let Some(t) = self.dataset.tasks.get(task) else {
+            return Response::Error {
+                message: format!(
+                    "task {} is out of range: the campaign has {} tasks",
+                    task.0,
+                    self.dataset.tasks.len()
+                ),
+            };
+        };
+        if !t.is_valid_answer(answer) {
+            return Response::Error {
+                message: format!(
+                    "answer {} is out of range: task {} has {} choices",
+                    answer.0, task.0, t.num_choices
+                ),
+            };
+        }
         let mut core = self.core_lock();
         core.saw(worker);
         let Core {

@@ -137,8 +137,6 @@ pub struct LoadgenConfig {
     pub faults: Option<ClientFaultConfig>,
     /// Send `SHUTDOWN` after the campaign completes.
     pub shutdown: bool,
-    /// Fetch the final consensus labels via `RESULTS`.
-    pub fetch_labels: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -152,7 +150,6 @@ impl Default for LoadgenConfig {
             io_timeout_ms: 5_000,
             faults: None,
             shutdown: true,
-            fetch_labels: true,
         }
     }
 }
@@ -192,8 +189,8 @@ pub struct LoadgenReport {
     pub submit_p50_us: f64,
     /// p99 of `SUBMIT_ANSWER` round-trips, microseconds.
     pub submit_p99_us: f64,
-    /// Final consensus labels (when fetched).
-    pub labels: Option<String>,
+    /// Final consensus labels, fetched via `RESULTS`.
+    pub labels: String,
 }
 
 /// One logical worker in the dispenser.
@@ -438,26 +435,20 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     })
 }
 
-/// One attempt at the end-of-run probe: connect, fetch STATUS (and
-/// LABELS when requested), then send SHUTDOWN. Any transport failure
-/// aborts the attempt; the caller retries the whole sequence.
-fn final_probe(config: &LoadgenConfig) -> Result<(Value, Option<String>), String> {
+/// One attempt at the end-of-run probe: connect, fetch STATUS and
+/// RESULTS, then send SHUTDOWN. Any transport failure aborts the
+/// attempt; the caller retries the whole sequence.
+fn final_probe(config: &LoadgenConfig) -> Result<(Value, String), String> {
     let mut conn = Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config))?;
     let status = conn.call(&Request::Status)?;
     expect_ok(&status, "status")?;
-    let labels = if config.fetch_labels {
-        let results = conn.call(&Request::Results)?;
-        expect_ok(&results, "results")?;
-        Some(
-            results
-                .get("labels")
-                .and_then(Value::as_str)
-                .ok_or("results carry no labels")?
-                .to_owned(),
-        )
-    } else {
-        None
-    };
+    let results = conn.call(&Request::Results)?;
+    expect_ok(&results, "results")?;
+    let labels = results
+        .get("labels")
+        .and_then(Value::as_str)
+        .ok_or("results carry no labels")?
+        .to_owned();
     if config.shutdown {
         let bye = conn.call(&Request::Shutdown)?;
         expect_ok(&bye, "shutdown")?;

@@ -46,7 +46,7 @@ pub struct EstimationQuality {
 /// dataset's workers (workers are addressed by their campaign external
 /// ids `"W1"`, `"W2"`, ... in profile order, the convention of
 /// [`crate::campaign::run_campaign`]).
-pub fn estimation_quality(server: &mut ICrowd, dataset: &Dataset) -> Vec<EstimationQuality> {
+pub fn estimation_quality(server: &ICrowd, dataset: &Dataset) -> Vec<EstimationQuality> {
     let mut out = Vec::new();
     for (d, name) in dataset.domains.iter() {
         let domain_tasks: Vec<TaskId> = dataset
@@ -62,8 +62,11 @@ pub fn estimation_quality(server: &mut ICrowd, dataset: &Dataset) -> Vec<Estimat
         let mut tru = Vec::new();
         for (i, profile) in dataset.workers.iter().enumerate() {
             let w = WorkerId(i as u32);
-            let values = server.estimator_mut().accuracies_for(w, &domain_tasks);
-            est.push(values.iter().sum::<f64>() / values.len() as f64);
+            let sum: f64 = domain_tasks
+                .iter()
+                .map(|&t| server.estimator().estimate(w, t))
+                .sum();
+            est.push(sum / domain_tasks.len() as f64);
             tru.push(profile.domain_accuracy[d.index()]);
         }
         out.push(EstimationQuality {
@@ -159,7 +162,7 @@ mod tests {
         }
         assert!(srv.is_complete());
 
-        let quality = estimation_quality(&mut srv, &ds);
+        let quality = estimation_quality(&srv, &ds);
         assert_eq!(quality.len(), 3, "one row per domain");
         for q in &quality {
             assert!((-1.0..=1.0).contains(&q.correlation), "{q:?}");

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use icrowd::AssignStrategy;
 use icrowd_platform::journal::{crc32, encode_record, JournalRecord, JOURNAL_VERSION};
 use icrowd_platform::market::WorkerBehavior;
 use icrowd_serve::protocol::Request;
@@ -169,8 +170,8 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
         "the restart produced no client retries — the outage was not exercised"
     );
     assert_eq!(
-        lg.labels.as_deref(),
-        Some(labels_lines(&expected.labels).as_str()),
+        lg.labels,
+        labels_lines(&expected.labels),
         "recovered consensus diverged from the uninterrupted baseline"
     );
     assert_eq!(
@@ -336,5 +337,82 @@ fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
         bytes,
         "a refused journal was modified"
     );
+    std::fs::remove_file(&journal).ok();
+}
+
+/// A SUBMIT_ANSWER naming a task outside the campaign, or an answer
+/// outside its task's choices, is refused before the driver sees it:
+/// nothing is counted or journaled, STATUS stays balanced, and the
+/// journal, driven past more checkpoints afterwards, still recovers to
+/// the labels of an uninterrupted run.
+#[test]
+fn out_of_range_submissions_are_refused_before_the_driver() {
+    let approach = Approach::ICrowd(AssignStrategy::Adapt);
+    let config = quick_config();
+    let expected = labels_lines(&run_campaign(&table1(), approach, &config).labels);
+    let journal = tmp("out_of_range.journal");
+    std::fs::remove_file(&journal).ok();
+    let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
+    engine.start_journal(&journal, 1, 2).expect("journal");
+    let health = || engine.journal_health().expect("journal attached");
+    let refused = |line: &str, field: &str| {
+        let ops = health().ops;
+        let req = Request::parse(line).expect("the line parses");
+        match engine.handle(&req, 0) {
+            Response::Error { message } => assert!(message.contains(field), "{message}"),
+            other => panic!("{line} was not refused: {other:?}"),
+        }
+        assert_eq!(health().ops, ops, "{line} was journaled");
+    };
+
+    refused(
+        r#"{"op":"SUBMIT_ANSWER","worker":"W1","task":4000000,"answer":0}"#,
+        "task",
+    );
+    // The worker whose turn it is gets an assignment; an answer beyond
+    // the task's two choices on that scheduled submit is refused too.
+    let (worker, task) = (1..=table1().workers.len())
+        .map(|i| format!("W{i}"))
+        .find_map(
+            |w| match engine.handle(&Request::RequestTask { worker: w.clone() }, 0) {
+                Response::Task(task) => Some((w, task)),
+                _ => None,
+            },
+        )
+        .expect("some worker holds the first assignment");
+    refused(
+        &format!(
+            r#"{{"op":"SUBMIT_ANSWER","worker":"{worker}","task":{},"answer":2}}"#,
+            task.0
+        ),
+        "answer",
+    );
+    match engine.handle(&Request::Status, 0) {
+        Response::Status {
+            accounting,
+            balanced,
+            ..
+        } => {
+            assert!(balanced, "{accounting:?}");
+            assert_eq!(
+                accounting.answers_submitted, 0,
+                "a refused line was counted"
+            );
+        }
+        other => panic!("STATUS answered {other:?}"),
+    }
+
+    // The holder re-polls, gets the same task back and answers it.
+    assert!(
+        drive(&engine, 10_000, || true),
+        "the campaign did not finish"
+    );
+    let snapshots = health().snapshots;
+    assert!(snapshots >= 2, "only {snapshots} checkpoints written");
+    assert_eq!(engine.labels(), expected);
+    drop(engine);
+    let (recovered, _) =
+        recover(&journal, "table1", table1(), approach, config, 1, 2).expect("recovery succeeds");
+    assert_eq!(recovered.labels(), expected);
     std::fs::remove_file(&journal).ok();
 }

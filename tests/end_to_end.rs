@@ -1,10 +1,12 @@
 //! End-to-end campaigns across every crate: datasets → similarity →
 //! graph → estimation → assignment → platform → aggregation → metrics.
 
-use icrowd::core::{ICrowdConfig, WarmupConfig};
-use icrowd::AssignStrategy;
+use icrowd::core::{Answer, ICrowdConfig, PprConfig, Tick, WarmupConfig};
+use icrowd::platform::ExternalQuestionServer;
+use icrowd::{AssignStrategy, ICrowdBuilder};
+use icrowd_graph::GraphBuilder;
 use icrowd_sim::campaign::{run_campaign, Approach, CampaignConfig, MetricChoice};
-use icrowd_sim::datasets::{table1, yahooqa};
+use icrowd_sim::datasets::{scalability_edges, scalability_tasks, table1, yahooqa};
 
 fn table1_config() -> CampaignConfig {
     CampaignConfig {
@@ -104,4 +106,54 @@ fn gold_tasks_are_excluded_from_measurement_for_every_approach() {
         let measured: usize = r.per_domain.iter().map(|d| d.total).sum();
         assert_eq!(measured + r.gold.len(), ds.tasks.len(), "{}", r.approach);
     }
+}
+
+/// The capped pipeline (Figure 10's candidate cap) over a connected
+/// similarity graph, run to completion: rank and warm upkeep over real
+/// PPR supports, and the late phase with fewer open tasks than the cap,
+/// both hold. Debug builds replay the set oracle on every request.
+#[test]
+fn a_capped_campaign_over_a_connected_graph_runs_to_completion() {
+    let (n, neighbors) = (200, 10);
+    let graph = GraphBuilder::new(0.5)
+        .with_max_neighbors(neighbors)
+        .build_from_edges(n, scalability_edges(n, neighbors, 42));
+    // fig10's configuration, built on one thread.
+    let config = ICrowdConfig {
+        warmup: WarmupConfig {
+            num_qualification: 10,
+            ..Default::default()
+        },
+        ppr: PprConfig {
+            index_epsilon: 1e-3,
+            max_iterations: 20,
+            tolerance: 1e-6,
+            threads: 1,
+        },
+        ..Default::default()
+    };
+    let k = config.assignment_size;
+    let mut server = ICrowdBuilder::new(scalability_tasks(n))
+        .config(config)
+        .strategy(AssignStrategy::Adapt)
+        .graph(graph)
+        .candidate_limit(32)
+        .build();
+    // 20 workers in turn, as fig10's child loop drives them.
+    let mut tick = 0u64;
+    while !server.is_complete() {
+        assert!(tick < 20_000, "the capped campaign stalled");
+        for w in 0..20 {
+            let name = format!("W{w}");
+            if let Some(t) = server.request_task(&name, Tick(tick)) {
+                server.submit_answer(&name, t, Answer::YES, Tick(tick));
+            }
+            tick += 1;
+        }
+    }
+    for t in server.tasks().ids() {
+        let votes = server.consensus().votes(t).len();
+        assert!(votes <= k, "task {t} holds {votes} votes");
+    }
+    server.validate_incremental_state();
 }

@@ -95,8 +95,7 @@ fn resetting_proxy_still_converges_to_baseline_labels() {
     assert!(report.balanced, "accounting unbalanced under resets");
     assert!(result.accounting.balanced());
     assert_eq!(
-        report.labels.as_deref(),
-        Some(baseline.as_str()),
+        report.labels, baseline,
         "labels diverged from baseline under resets"
     );
     assert!(stats.resets > 0, "proxy never reset a connection");

@@ -69,7 +69,6 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
         think_ms: 0,
         faults: None,
         shutdown: true,
-        fetch_labels: true,
         ..Default::default()
     })
     .expect("loadgen completes");
@@ -78,8 +77,8 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
     assert!(report.complete, "campaign did not complete: {report:?}");
     assert!(report.balanced, "conservation law violated: {report:?}");
     assert_eq!(
-        report.labels.as_deref(),
-        Some(labels_lines(&expected.labels).as_str()),
+        report.labels,
+        labels_lines(&expected.labels),
         "served consensus diverged from the in-process path"
     );
     assert_eq!(labels_lines(&served.labels), labels_lines(&expected.labels));
@@ -362,7 +361,6 @@ fn loadgen_duplicates_do_not_perturb_consensus() {
             seed: 11,
         }),
         shutdown: true,
-        fetch_labels: true,
         ..Default::default()
     })
     .expect("loadgen completes");

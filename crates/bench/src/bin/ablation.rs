@@ -7,9 +7,9 @@
 //!    in DESIGN.md §1.
 //! 2. **Qualification count Q** — the warm-up budget's accuracy/cost
 //!    trade-off.
-//! 3. **Worker dynamics** — uniform vs heavy-tail vs session crowds,
-//!    showing the adaptive assigner matters most when expertise is
-//!    temporally scarce.
+//! 3. **Worker dynamics** — uniform vs heavy-tail vs session crowds:
+//!    iCrowd's adaptive assigner against the myopic BestEffort strategy
+//!    and RandomMV, per crowd regime.
 
 use icrowd::core::{ICrowdConfig, WarmupConfig};
 use icrowd::estimate::EstimationMode;
@@ -68,7 +68,7 @@ fn main() {
         );
     }
 
-    println!("\n=== Ablation 3: worker dynamics (YahooQA, iCrowd vs RandomMV) ===");
+    println!("\n=== Ablation 3: worker dynamics (YahooQA, iCrowd vs BestEffort vs RandomMV) ===");
     for (name, dynamics) in [
         (
             "uniform",
@@ -84,13 +84,21 @@ fn main() {
             dynamics,
             ..Default::default()
         };
-        let ic = averaged_campaign(&yahooqa, Approach::ICrowd(AssignStrategy::Adapt), &config);
-        let mv = averaged_campaign(&yahooqa, Approach::RandomMV, &config);
+        let overall = |approach| {
+            averaged_campaign(&yahooqa, approach, &config)
+                .rows
+                .last()
+                .unwrap()
+                .1
+        };
+        let ic = overall(Approach::ICrowd(AssignStrategy::Adapt));
+        let be = overall(Approach::ICrowd(AssignStrategy::BestEffort));
+        let mv = overall(Approach::RandomMV);
         println!(
-            "{name:<12} iCrowd = {:.3}   RandomMV = {:.3}   gap = {:+.3}",
-            ic.rows.last().unwrap().1,
-            mv.rows.last().unwrap().1,
-            ic.rows.last().unwrap().1 - mv.rows.last().unwrap().1
+            "{name:<12} iCrowd = {ic:.3}   BestEffort = {be:.3}   RandomMV = {mv:.3}   \
+             gap = {:+.3}   BestEffort - iCrowd = {:+.3}",
+            ic - mv,
+            be - ic
         );
     }
     icrowd_bench::telemetry::finish(telemetry);

@@ -20,7 +20,9 @@
 //! a quick 20k..100k pass. `FIG10_THREADS` sets the offline-build worker
 //! thread count (`0`/unset = all hardware threads; the built index is
 //! bit-identical regardless). `FIG10_JSON=path` additionally appends one
-//! JSON object per configuration to `path` for machine consumption.
+//! JSON object per configuration to `path` for machine consumption. Each
+//! configuration reports its process's peak resident set (`VmHWM`, read
+//! once when the run finishes) as `peak_rss_mb`.
 //! `FIG10_TELEMETRY=path` arms the `icrowd-obs` sink per configuration:
 //! each child writes its span/counter telemetry (index.build, ppr.solve,
 //! assign.loop, estimator.refresh, ...) to `path.<n>.<cap>.jsonl`; in
@@ -108,16 +110,18 @@ fn build_threads_label() -> String {
     }
 }
 
-fn rss_mb() -> u64 {
+/// A `/proc/self/status` memory field (`VmRSS`, `VmHWM`, ...) in MiB;
+/// 0 where the file is unavailable.
+fn status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("VmRSS"))
+                .find(|l| l.starts_with(field))
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|kb| kb.parse::<u64>().ok())
         })
-        .map_or(0, |kb| kb / 1024)
+        .map_or(0.0, |kb| kb as f64 / 1024.0)
 }
 
 fn run_one(n: usize, cap: usize) {
@@ -133,13 +137,13 @@ fn run_one(n: usize, cap: usize) {
             let tasks = scalability_tasks(n);
             let edges = scalability_edges(n, cap, 42);
             if debug_mem {
-                eprintln!("after edges: {} MB", rss_mb());
+                eprintln!("after edges: {:.0} MB", status_mb("VmRSS"));
             }
             let graph = GraphBuilder::new(0.5)
                 .with_max_neighbors(cap)
                 .build_from_edges(n, edges);
             if debug_mem {
-                eprintln!("after graph: {} MB", rss_mb());
+                eprintln!("after graph: {:.0} MB", status_mb("VmRSS"));
             }
 
             let threads = build_threads();
@@ -165,7 +169,7 @@ fn run_one(n: usize, cap: usize) {
                 .build();
             let build_s = t0.elapsed().as_secs_f64();
             if debug_mem {
-                eprintln!("after server build: {} MB", rss_mb());
+                eprintln!("after server build: {:.0} MB", status_mb("VmRSS"));
             }
 
             // 20 workers churn; measure request_task time only.
@@ -188,6 +192,8 @@ fn run_one(n: usize, cap: usize) {
                     }
                 }
             }
+            // The process's peak resident set over build and assignment.
+            let peak_rss_mb = status_mb("VmHWM");
             // Per-request latency distribution from the assign.loop span
             // (nanosecond histogram recorded inside request_task).
             let (p50_us, p99_us) = icrowd_obs::span_histogram("assign.loop")
@@ -199,14 +205,15 @@ fn run_one(n: usize, cap: usize) {
                     )
                 });
             println!(
-                "{:>12} {:>6} {:>18.2} {:>22.1} {:>16.1} (p50 {:.1} us, p99 {:.1} us)",
+                "{:>12} {:>6} {:>18.2} {:>22.1} {:>16.1} (p50 {:.1} us, p99 {:.1} us, peak RSS {:.0} MiB)",
                 n,
                 cap,
                 build_s,
                 assign_time * 1e3,
                 assign_time * 1e6 / requests as f64,
                 p50_us,
-                p99_us
+                p99_us,
+                peak_rss_mb
             );
             // Latency gate: FIG10_MAX_P99_US fails the child when the
             // assignment p99 regressed past the budget.
@@ -233,6 +240,7 @@ fn run_one(n: usize, cap: usize) {
                     "per_request_us": assign_time * 1e6 / requests as f64,
                     "request_p50_us": p50_us,
                     "request_p99_us": p99_us,
+                    "peak_rss_mb": peak_rss_mb,
                 });
                 if let Ok(mut f) = std::fs::OpenOptions::new()
                     .create(true)

@@ -7,7 +7,8 @@
 //! ## Incremental accumulators
 //!
 //! Rather than re-summing over all observations on every estimate, each
-//! worker carries *running accumulators* keyed by task id — per task `j`
+//! worker carries *running accumulators* in a task-keyed row (a flat
+//! open-addressed table over the tasks she has touched) — per task `j`
 //! the weighted sum `Σ_i q_i·w_i·M_ij`, the mass `Σ_i w_i·M_ij` and the
 //! squared mass `Σ_i (w_i·M_ij)²` (for the effective-sample-size
 //! shrinkage), where `w_i` is the mode's information weight. All three
@@ -15,8 +16,9 @@
 //! observation is an `O(nnz(p_t))` delta: subtract the old observation's
 //! contribution (replacement case), add the new one. A per-cell
 //! contributor count retires a cell exactly when its last observation is
-//! withdrawn, so cancelled terms cannot leave floating-point residue in
-//! the normalized mode's `dev/mass` quotient. Estimates at any task are
+//! withdrawn: the cell is zeroed in place and reads as absent, so
+//! cancelled terms cannot leave floating-point residue in the normalized
+//! mode's `dev/mass` quotient. Estimates at any task are
 //! then a single cell lookup; the cached dense vector is patched in
 //! place over the delta's support whenever the baseline is unchanged,
 //! and only a baseline shift (a new qualification grade) forces a full
@@ -39,9 +41,10 @@ use icrowd_core::answer::{Answer, Vote};
 use icrowd_core::config::ICrowdConfig;
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::WorkerId;
-use icrowd_graph::{LinearityIndex, SimilarityGraph, SparseTaskVector};
+use icrowd_graph::{LinearityIndex, SimilarityGraph};
 
 use crate::observed::{observed_accuracy, qualification_observed};
+use crate::row::TaskRow;
 use crate::uncertainty::NeighborhoodEvidence;
 
 /// How raw propagated mass is turned into accuracy estimates.
@@ -90,17 +93,18 @@ pub enum EstimationMode {
 #[derive(Debug, Clone, Copy, Default)]
 struct AccumCell {
     /// Number of observations currently contributing. When it returns to
-    /// zero the cell is *removed*, restoring exact zeros instead of the
-    /// `O(ε)` residue numeric cancellation would leave (which the
-    /// normalized mode would otherwise divide by).
+    /// zero the cell is *zeroed* in place and reads as absent, restoring
+    /// exact zeros instead of the `O(ε)` residue numeric cancellation
+    /// would leave (which the normalized mode would otherwise divide by).
     n: u32,
     s1: f64,
     mass: f64,
     mass2: f64,
 }
 
-/// Per-worker estimation state.
-#[derive(Debug, Clone)]
+/// Per-worker estimation state. The default is empty and allocates
+/// nothing, whatever the task count.
+#[derive(Debug, Clone, Default)]
 struct WorkerState {
     /// Observed accuracies `q^w` over globally completed tasks, keyed by
     /// task id. A map (not a sparse vector) because `q = 0` — a provably
@@ -108,9 +112,9 @@ struct WorkerState {
     /// zero-dropping sparse representation would silently discard.
     observed: std::collections::BTreeMap<u32, f64>,
     /// Running accumulators over the union of the observed tasks' PPR
-    /// supports, keyed by task id. Maintained incrementally by
-    /// [`AccuracyEstimator::set_observed`].
-    accum: std::collections::BTreeMap<u32, AccumCell>,
+    /// supports, keyed by task id; a cell with `n == 0` is absent.
+    /// Maintained incrementally by [`AccuracyEstimator::set_observed`].
+    accum: TaskRow<AccumCell>,
     /// Correct / total counts on qualification microtasks.
     quals_correct: u32,
     quals_total: u32,
@@ -124,18 +128,10 @@ struct WorkerState {
     evidence: NeighborhoodEvidence,
 }
 
-impl WorkerState {
-    fn new(num_tasks: usize) -> Self {
-        Self {
-            observed: std::collections::BTreeMap::new(),
-            accum: std::collections::BTreeMap::new(),
-            quals_correct: 0,
-            quals_total: 0,
-            cache: None,
-            cache_baseline: 0.0,
-            evidence: NeighborhoodEvidence::new(num_tasks),
-        }
-    }
+/// The accumulator cell at `task`, if any observation contributes.
+#[inline]
+fn live(accum: &TaskRow<AccumCell>, task: u32) -> Option<&AccumCell> {
+    accum.get(task).filter(|c| c.n > 0)
 }
 
 /// The accuracy estimator: linearity index + per-worker observations.
@@ -146,6 +142,10 @@ pub struct AccuracyEstimator {
     config: ICrowdConfig,
     mode: EstimationMode,
     workers: Vec<WorkerState>,
+    /// Equation-(5) inputs of the completion being recorded, kept across
+    /// calls so recording a completion allocates nothing.
+    match_accs: Vec<f64>,
+    mismatch_accs: Vec<f64>,
 }
 
 impl AccuracyEstimator {
@@ -187,12 +187,9 @@ impl AccuracyEstimator {
             config,
             mode,
             workers: Vec::new(),
+            match_accs: Vec::new(),
+            mismatch_accs: Vec::new(),
         }
-    }
-
-    /// The similarity graph the estimator runs on.
-    pub fn graph(&self) -> &SimilarityGraph {
-        &self.graph
     }
 
     /// The precomputed linearity index.
@@ -205,26 +202,16 @@ impl AccuracyEstimator {
         &self.config
     }
 
-    /// The estimation mode in force.
-    pub fn mode(&self) -> EstimationMode {
-        self.mode
-    }
-
     /// Number of tasks covered.
     pub fn num_tasks(&self) -> usize {
         self.index.num_tasks()
-    }
-
-    /// Number of registered workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Ensures state exists for `worker` (ids are dense; registering
     /// worker `w` implicitly registers every smaller id).
     pub fn register_worker(&mut self, worker: WorkerId) {
         while self.workers.len() <= worker.index() {
-            self.workers.push(WorkerState::new(self.num_tasks()));
+            self.workers.push(WorkerState::default());
         }
     }
 
@@ -262,8 +249,10 @@ impl AccuracyEstimator {
     pub fn record_completed_task(&mut self, task: TaskId, votes: &[Vote], consensus: Answer) {
         icrowd_obs::counter_add("estimator.completed_tasks", 1);
         // Gather current estimates first (immutable pass), then update.
-        let mut match_accs = Vec::new();
-        let mut mismatch_accs = Vec::new();
+        let mut match_accs = std::mem::take(&mut self.match_accs);
+        let mut mismatch_accs = std::mem::take(&mut self.mismatch_accs);
+        match_accs.clear();
+        mismatch_accs.clear();
         for v in votes {
             self.register_worker(v.worker);
             let p = self.estimate(v.worker, task);
@@ -281,6 +270,8 @@ impl AccuracyEstimator {
             let state = &mut self.workers[v.worker.index()];
             Self::set_observed(&self.graph, &self.index, mode, baseline, state, task, q);
         }
+        self.match_accs = match_accs;
+        self.mismatch_accs = mismatch_accs;
     }
 
     /// The baseline derived from a worker state directly (warm-up average
@@ -321,7 +312,7 @@ impl AccuracyEstimator {
             Some(cache) if state.cache_baseline == baseline => {
                 icrowd_obs::counter_add("estimator.cache_patch", 1);
                 for (j, _) in index.vector(task).iter() {
-                    cache[j.index()] = Self::cell_estimate(mode, baseline, state.accum.get(&j.0));
+                    cache[j.index()] = Self::cell_estimate(mode, baseline, live(&state.accum, j.0));
                 }
             }
             cache => {
@@ -338,16 +329,16 @@ impl AccuracyEstimator {
     fn apply_delta(
         index: &LinearityIndex,
         mode: EstimationMode,
-        accum: &mut std::collections::BTreeMap<u32, AccumCell>,
+        accum: &mut TaskRow<AccumCell>,
         task: TaskId,
         q: f64,
         sign: f64,
     ) {
         let info = (2.0 * q - 1.0).abs();
         if mode == EstimationMode::Normalized && info == 0.0 {
-            // Mirrors the from-scratch path: uninformative observations
-            // (Equation-5 posterior exactly 0.5) contribute nothing, on
-            // the way in *and* on the way out.
+            // As in the from-scratch math (`tests/estimator_oracle.rs`):
+            // uninformative observations (Equation-5 posterior exactly
+            // 0.5) contribute nothing, on the way in *and* on the way out.
             return;
         }
         for (j, m) in index.vector(task).iter() {
@@ -359,20 +350,17 @@ impl AccuracyEstimator {
                     (q * wm, wm, wm * wm)
                 }
             };
-            let retire = {
-                let cell = accum.entry(j.0).or_default();
-                cell.s1 += sign * ds1;
-                cell.mass += sign * dmass;
-                cell.mass2 += sign * dmass2;
-                if sign > 0.0 {
-                    cell.n += 1;
-                } else {
-                    cell.n -= 1;
+            let cell = accum.entry(j.0);
+            cell.s1 += sign * ds1;
+            cell.mass += sign * dmass;
+            cell.mass2 += sign * dmass2;
+            if sign > 0.0 {
+                cell.n += 1;
+            } else {
+                cell.n -= 1;
+                if cell.n == 0 {
+                    *cell = AccumCell::default();
                 }
-                cell.n == 0
-            };
-            if retire {
-                accum.remove(&j.0);
             }
         }
     }
@@ -456,7 +444,7 @@ impl AccuracyEstimator {
 
     /// The estimate of `worker` on `task`: her accumulator cell's score
     /// ([`Self::cell_score`]), else [`Self::baseline_score`]. One
-    /// `BTreeMap` lookup, independent of the task count, and the same
+    /// row lookup, independent of the task count, and the same
     /// bits the dense cache holds; never builds or touches the cache.
     pub fn estimate(&self, worker: WorkerId, task: TaskId) -> f64 {
         self.cell_score(worker, task)
@@ -474,11 +462,11 @@ impl AccuracyEstimator {
 
     /// The estimate at `task` if the worker has a populated accumulator
     /// cell there, else `None` (meaning the estimate is
-    /// [`Self::baseline_score`]). One `BTreeMap` lookup; never touches
-    /// the dense cache.
+    /// [`Self::baseline_score`]). One row lookup; never touches the
+    /// dense cache.
     pub fn cell_score(&self, worker: WorkerId, task: TaskId) -> Option<f64> {
         let state = self.workers.get(worker.index())?;
-        let cell = state.accum.get(&task.0)?;
+        let cell = live(&state.accum, task.0)?;
         Some(Self::cell_estimate(
             self.mode,
             self.baseline(worker),
@@ -487,9 +475,10 @@ impl AccuracyEstimator {
     }
 
     /// All tasks with a populated accumulator cell for `worker`, with
-    /// their estimates, in ascending task-id order. Tasks not yielded
-    /// estimate to [`Self::baseline_score`]. This is the delta surface
-    /// incremental candidate caches subscribe to: after any
+    /// their estimates, in the row's table order (not task-id order: it
+    /// depends on the order the cells were first touched). Tasks not
+    /// yielded estimate to [`Self::baseline_score`]. This is the delta
+    /// surface incremental candidate caches subscribe to: after any
     /// `record_*` call, only the recorded task's PPR support can have
     /// entered, left, or changed value in this iteration.
     pub fn cell_scores(&self, worker: WorkerId) -> impl Iterator<Item = (TaskId, f64)> + '_ {
@@ -499,9 +488,12 @@ impl AccuracyEstimator {
             .get(worker.index())
             .into_iter()
             .flat_map(move |s| {
-                s.accum.iter().map(move |(&j, cell)| {
-                    (TaskId(j), Self::cell_estimate(mode, baseline, Some(cell)))
-                })
+                s.accum
+                    .iter()
+                    .filter(|(_, cell)| cell.n > 0)
+                    .map(move |(j, cell)| {
+                        (TaskId(j), Self::cell_estimate(mode, baseline, Some(cell)))
+                    })
             })
     }
 
@@ -514,86 +506,10 @@ impl AccuracyEstimator {
         mode: EstimationMode,
     ) -> Vec<f64> {
         let mut out = vec![Self::cell_estimate(mode, baseline, None); num_tasks];
-        for (&j, cell) in &state.accum {
+        for (j, cell) in state.accum.iter().filter(|(_, c)| c.n > 0) {
             out[j as usize] = Self::cell_estimate(mode, baseline, Some(cell));
         }
         out
-    }
-
-    /// The reference path: recomputes the dense estimate from the raw
-    /// observations, ignoring the accumulators. Kept as the oracle the
-    /// incremental path is tested against (and as executable
-    /// documentation of the estimator's math).
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn compute_from_scratch(
-        index: &LinearityIndex,
-        state: &WorkerState,
-        baseline: f64,
-        mode: EstimationMode,
-    ) -> Vec<f64> {
-        match mode {
-            EstimationMode::Raw => {
-                let q: SparseTaskVector = state.observed.iter().map(|(&t, &q)| (t, q)).collect();
-                let mut p = index.estimate_dense(&q);
-                for v in &mut p {
-                    *v = v.clamp(0.0, 1.0);
-                }
-                p
-            }
-            EstimationMode::Centered => {
-                // Propagate deviations from the baseline, then re-add it.
-                // The restart weight damps a single observation's deviation
-                // at its own task (e.g. x0.5 at alpha = 1) — deliberately
-                // NOT compensated: damping keeps one lucky qualification
-                // answer from saturating a worker's estimates at 0/1, so
-                // ranking stays informative until several observations
-                // agree.
-                let centered: SparseTaskVector = state
-                    .observed
-                    .iter()
-                    .map(|(&t, &q)| (t, q - baseline))
-                    .collect();
-                let mut p = index.estimate_dense(&centered);
-                for v in &mut p {
-                    *v = (baseline + *v).clamp(0.0, 1.0);
-                }
-                p
-            }
-            EstimationMode::Normalized => {
-                let n = index.num_tasks();
-                let mut dev = vec![0.0f64; n];
-                let mut mass = vec![0.0f64; n];
-                let mut mass2 = vec![0.0f64; n];
-                for (&i, &q) in state.observed.iter() {
-                    // Information weight: an Equation-(5) posterior of 0.5
-                    // says nothing about the worker (it is exactly what a
-                    // coin-flip context produces) and must not dilute the
-                    // informative observations; ground-truth grades (q of
-                    // 0 or 1) carry full weight.
-                    let info = (2.0 * q - 1.0).abs();
-                    if info == 0.0 {
-                        continue;
-                    }
-                    let d = q - baseline;
-                    for (j, m) in index.vector(TaskId(i)).iter() {
-                        let wm = info * m;
-                        dev[j.index()] += d * wm;
-                        mass[j.index()] += wm;
-                        mass2[j.index()] += wm * wm;
-                    }
-                }
-                (0..n)
-                    .map(|j| {
-                        if mass[j] <= 0.0 {
-                            return baseline;
-                        }
-                        let avg_dev = dev[j] / mass[j];
-                        let n_eff = mass[j] * mass[j] / mass2[j];
-                        (baseline + avg_dev * n_eff / (n_eff + 1.0)).clamp(0.0, 1.0)
-                    })
-                    .collect()
-            }
-        }
     }
 
     /// The worker's observed accuracies `q^w`, keyed by task id.
@@ -827,183 +743,6 @@ mod tests {
             after < before,
             "fresh negative evidence must lower the estimate"
         );
-    }
-
-    #[test]
-    fn sparse_path_matches_dense_path_in_every_mode() {
-        for mode in [
-            EstimationMode::Raw,
-            EstimationMode::Centered,
-            EstimationMode::Normalized,
-        ] {
-            let mut e = estimator(mode);
-            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-            e.record_qualification(w(0), t(3), Answer::NO, Answer::YES);
-            let votes = vec![
-                Vote {
-                    worker: w(0),
-                    answer: Answer::YES,
-                },
-                Vote {
-                    worker: w(1),
-                    answer: Answer::YES,
-                },
-            ];
-            e.record_completed_task(t(1), &votes, Answer::YES);
-            let dense = e.accuracies(w(0)).to_vec();
-            for (i, d) in dense.iter().enumerate() {
-                let s = e.estimate(w(0), t(i as u32));
-                assert_eq!(
-                    s.to_bits(),
-                    d.to_bits(),
-                    "{mode:?} task {i}: sparse {s} vs dense {d}"
-                );
-            }
-        }
-    }
-
-    /// Injects a fractional observation directly (bypassing Equation 5)
-    /// so replacement and info-weight edge cases are exercised exactly.
-    fn inject(e: &mut AccuracyEstimator, worker: WorkerId, task: TaskId, q: f64) {
-        e.register_worker(worker);
-        let mode = e.mode;
-        let baseline = e.baseline(worker);
-        let AccuracyEstimator {
-            graph,
-            index,
-            workers,
-            ..
-        } = e;
-        AccuracyEstimator::set_observed(
-            graph,
-            index,
-            mode,
-            baseline,
-            &mut workers[worker.index()],
-            task,
-            q,
-        );
-    }
-
-    #[test]
-    fn incremental_matches_from_scratch_in_every_mode() {
-        for mode in [
-            EstimationMode::Raw,
-            EstimationMode::Centered,
-            EstimationMode::Normalized,
-        ] {
-            let mut e = estimator(mode);
-            // Qualifications (baseline shifts), fractional consensus
-            // observations, replacements — including replacing an
-            // informative observation with an uninformative 0.5 and
-            // back, the hardest case for delta bookkeeping.
-            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-            e.record_qualification(w(0), t(3), Answer::NO, Answer::YES);
-            inject(&mut e, w(0), t(1), 0.85);
-            inject(&mut e, w(0), t(4), 0.3);
-            inject(&mut e, w(0), t(1), 0.6); // replacement
-            inject(&mut e, w(0), t(4), 0.5); // informative → uninformative
-            inject(&mut e, w(0), t(5), 0.5); // starts uninformative
-            inject(&mut e, w(0), t(5), 0.95); // uninformative → informative
-            e.record_qualification(w(0), t(2), Answer::YES, Answer::YES);
-            let incremental = e.accuracies(w(0)).to_vec();
-            let baseline = e.baseline(w(0));
-            let scratch =
-                AccuracyEstimator::compute_from_scratch(&e.index, &e.workers[0], baseline, mode);
-            for (j, (inc, scr)) in incremental.iter().zip(&scratch).enumerate() {
-                assert!(
-                    (inc - scr).abs() < 1e-9,
-                    "{mode:?} task {j}: incremental {inc} vs from-scratch {scr}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cache_patch_matches_full_rebuild_in_every_mode() {
-        for mode in [
-            EstimationMode::Raw,
-            EstimationMode::Centered,
-            EstimationMode::Normalized,
-        ] {
-            let mut e = estimator(mode);
-            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-            // Warm the dense cache, then record baseline-preserving
-            // observations so `set_observed` takes the in-place patch
-            // path rather than dropping the cache.
-            let _ = e.accuracies(w(0));
-            inject(&mut e, w(0), t(4), 0.9);
-            inject(&mut e, w(0), t(4), 0.2); // replacement through the patch
-            assert!(
-                e.workers[0].cache.is_some(),
-                "{mode:?}: patch path must keep the cache alive"
-            );
-            let patched = e.accuracies(w(0)).to_vec();
-            let baseline = e.baseline(w(0));
-            let rebuilt = AccuracyEstimator::compute_incremental(
-                e.num_tasks(),
-                &e.workers[0],
-                baseline,
-                mode,
-            );
-            assert_eq!(patched, rebuilt, "{mode:?}: patched cache must be exact");
-        }
-    }
-
-    #[test]
-    fn withdrawing_last_observation_retires_accumulator_cells() {
-        let mut e = estimator(EstimationMode::Normalized);
-        inject(&mut e, w(0), t(1), 0.9);
-        assert!(!e.workers[0].accum.is_empty());
-        inject(&mut e, w(0), t(1), 0.5); // info = 0: sole contributor leaves
-        assert!(
-            e.workers[0].accum.is_empty(),
-            "cells must retire exactly, not decay to fp residue"
-        );
-        // And the estimate falls back to the baseline everywhere.
-        let baseline = e.baseline(w(0));
-        for &v in e.accuracies(w(0)) {
-            assert_eq!(v, baseline);
-        }
-    }
-
-    #[test]
-    fn cell_scores_cover_the_dense_vector_in_every_mode() {
-        for mode in [
-            EstimationMode::Raw,
-            EstimationMode::Centered,
-            EstimationMode::Normalized,
-        ] {
-            let mut e = estimator(mode);
-            e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
-            inject(&mut e, w(0), t(4), 0.3);
-            let dense = e.accuracies(w(0)).to_vec();
-            let sparse: std::collections::BTreeMap<u32, f64> =
-                e.cell_scores(w(0)).map(|(t, s)| (t.0, s)).collect();
-            for (j, &d) in dense.iter().enumerate() {
-                let via_cell = sparse
-                    .get(&(j as u32))
-                    .copied()
-                    .unwrap_or_else(|| e.baseline_score(w(0)));
-                assert!(
-                    (via_cell - d).abs() < 1e-15,
-                    "{mode:?} task {j}: cell view {via_cell} vs dense {d}"
-                );
-                assert_eq!(
-                    e.cell_score(w(0), t(j as u32)),
-                    sparse.get(&(j as u32)).copied()
-                );
-            }
-            // Unknown workers expose an empty cell view and the default
-            // absent-cell score.
-            assert_eq!(e.cell_scores(w(9)).count(), 0);
-            let absent = if mode == EstimationMode::Raw {
-                0.0
-            } else {
-                0.5
-            };
-            assert_eq!(e.baseline_score(w(9)), absent);
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 pub mod estimator;
 pub mod observed;
+mod row;
 pub mod uncertainty;
 
 pub use estimator::{AccuracyEstimator, EstimationMode};

@@ -19,39 +19,36 @@ use icrowd_core::probability::beta_variance;
 use icrowd_core::task::TaskId;
 use icrowd_graph::SimilarityGraph;
 
+use crate::row::TaskRow;
+
 /// Per-task fractional evidence counts `(N1, N0)` for one worker.
 ///
 /// Sparse: a worker's evidence only ever touches her observed tasks and
-/// their graph neighbors, so the dense two-`Vec<f64>`-of-`|T|` layout
-/// wasted O(|T|) zeroed memory *per worker* — and registering a worker
-/// mid-campaign paid that allocation inside a single `request_task`
-/// call (a multi-hundred-µs spike at Figure-10 scale). Absent entries
-/// read as zero evidence, bit-identical to the dense representation.
-#[derive(Debug, Clone)]
+/// their graph neighbors, so the counts live in a task-keyed row (a
+/// flat open-addressed table) over exactly those tasks. The dense
+/// two-`Vec<f64>`-of-`|T|` layout wasted O(|T|) zeroed memory *per
+/// worker*, and registering a worker mid-campaign paid that allocation
+/// inside a single `request_task` call (a multi-hundred-µs spike at
+/// Figure-10 scale). Absent entries read as zero evidence,
+/// bit-identical to the dense representation. A withdrawn observation
+/// leaves its cells in place, holding whatever its subtraction left.
+/// The default holds no evidence and allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct NeighborhoodEvidence {
-    counts: std::collections::HashMap<u32, (f64, f64)>,
-    num_tasks: usize,
+    counts: TaskRow<(f64, f64)>,
 }
 
 impl NeighborhoodEvidence {
-    /// Zero evidence over `num_tasks` tasks.
-    pub fn new(num_tasks: usize) -> Self {
-        Self {
-            counts: std::collections::HashMap::new(),
-            num_tasks,
-        }
-    }
-
     /// Records an observation with correctness `q` on `task`: the task
     /// itself and every graph neighbor gain `q` correct / `1 − q`
     /// incorrect fractional counts.
     pub fn record(&mut self, graph: &SimilarityGraph, task: TaskId, q: f64) {
         debug_assert!((0.0..=1.0).contains(&q));
-        let cell = self.counts.entry(task.0).or_insert((0.0, 0.0));
+        let cell = self.counts.entry(task.0);
         cell.0 += q;
         cell.1 += 1.0 - q;
         for (nb, _) in graph.neighbors(task) {
-            let cell = self.counts.entry(nb.0).or_insert((0.0, 0.0));
+            let cell = self.counts.entry(nb.0);
             cell.0 += q;
             cell.1 += 1.0 - q;
         }
@@ -63,11 +60,11 @@ impl NeighborhoodEvidence {
     /// double-counted).
     pub fn withdraw(&mut self, graph: &SimilarityGraph, task: TaskId, q: f64) {
         debug_assert!((0.0..=1.0).contains(&q));
-        let cell = self.counts.entry(task.0).or_insert((0.0, 0.0));
+        let cell = self.counts.entry(task.0);
         cell.0 -= q;
         cell.1 -= 1.0 - q;
         for (nb, _) in graph.neighbors(task) {
-            let cell = self.counts.entry(nb.0).or_insert((0.0, 0.0));
+            let cell = self.counts.entry(nb.0);
             cell.0 -= q;
             cell.1 -= 1.0 - q;
         }
@@ -75,7 +72,7 @@ impl NeighborhoodEvidence {
 
     /// The evidence counts `(N1, N0)` at `task`.
     pub fn counts(&self, task: TaskId) -> (f64, f64) {
-        self.counts.get(&task.0).copied().unwrap_or((0.0, 0.0))
+        self.counts.get(task.0).copied().unwrap_or((0.0, 0.0))
     }
 
     /// The beta-posterior variance at `task` — the paper's Step-3
@@ -84,16 +81,6 @@ impl NeighborhoodEvidence {
     pub fn variance(&self, task: TaskId) -> f64 {
         let (n1, n0) = self.counts(task);
         beta_variance(n1, n0)
-    }
-
-    /// Number of tasks tracked.
-    pub fn len(&self) -> usize {
-        self.num_tasks
-    }
-
-    /// Whether no tasks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.num_tasks == 0
     }
 }
 
@@ -112,7 +99,7 @@ mod tests {
     #[test]
     fn evidence_reaches_neighbors_only() {
         let g = path_graph();
-        let mut ev = NeighborhoodEvidence::new(4);
+        let mut ev = NeighborhoodEvidence::default();
         ev.record(&g, t(0), 1.0);
         assert_eq!(ev.counts(t(0)), (1.0, 0.0));
         assert_eq!(ev.counts(t(1)), (1.0, 0.0), "direct neighbor sees it");
@@ -123,7 +110,7 @@ mod tests {
     #[test]
     fn fractional_correctness_splits_counts() {
         let g = path_graph();
-        let mut ev = NeighborhoodEvidence::new(4);
+        let mut ev = NeighborhoodEvidence::default();
         ev.record(&g, t(1), 0.75);
         let (n1, n0) = ev.counts(t(1));
         assert!((n1 - 0.75).abs() < 1e-12);
@@ -133,7 +120,7 @@ mod tests {
     #[test]
     fn variance_drops_as_evidence_accumulates() {
         let g = path_graph();
-        let mut ev = NeighborhoodEvidence::new(4);
+        let mut ev = NeighborhoodEvidence::default();
         let before = ev.variance(t(1));
         assert!((before - 1.0 / 12.0).abs() < 1e-12, "uniform prior");
         ev.record(&g, t(0), 1.0);
@@ -148,7 +135,7 @@ mod tests {
     #[test]
     fn untouched_tasks_stay_maximally_uncertain() {
         let g = path_graph();
-        let mut ev = NeighborhoodEvidence::new(4);
+        let mut ev = NeighborhoodEvidence::default();
         ev.record(&g, t(0), 1.0);
         assert!((ev.variance(t(3)) - 1.0 / 12.0).abs() < 1e-12);
     }

@@ -96,15 +96,6 @@ impl LinearityIndex {
         out
     }
 
-    /// Sparse variant of [`Self::estimate_dense`].
-    pub fn estimate_sparse(&self, q: &SparseTaskVector) -> SparseTaskVector {
-        let mut acc = SparseTaskVector::new();
-        for (i, qi) in q.iter() {
-            acc.add_scaled(&self.vectors[i.index()], qi);
-        }
-        acc
-    }
-
     /// `INF(T^q)` (Definition 5): the number of tasks receiving non-zero
     /// mass from `Σ_{t ∈ T^q} p_t`, i.e. the size of the union of the
     /// selected tasks' supports.
@@ -155,11 +146,6 @@ mod tests {
         let via_index = idx.estimate_dense(&q_sparse);
         for (a, b) in via_index.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-        // Sparse variant agrees with dense variant.
-        let sparse = idx.estimate_sparse(&q_sparse);
-        for i in 0..6u32 {
-            assert!((sparse.get(t(i)) - via_index[i as usize]).abs() < 1e-12);
         }
     }
 

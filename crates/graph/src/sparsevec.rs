@@ -109,36 +109,6 @@ impl SparseTaskVector {
         self.entries.iter().map(|&(_, v)| v.abs()).sum()
     }
 
-    /// `self += scale * other` (in place, allocation only on growth).
-    pub fn add_scaled(&mut self, other: &SparseTaskVector, scale: f64) {
-        if scale == 0.0 || other.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (a, b) = (&self.entries, &other.entries);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((b[j].0, scale * b[j].1));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((a[i].0, a[i].1 + scale * b[j].1));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend(b[j..].iter().map(|&(k, v)| (k, scale * v)));
-        self.entries = merged;
-    }
-
     /// Drops entries with `|v| <= epsilon`.
     ///
     /// Note: like `Vec::retain`, this keeps the underlying capacity (the
@@ -214,52 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_merges_correctly() {
-        let mut a = SparseTaskVector::from_pairs(vec![(0, 1.0), (2, 1.0)]);
-        let b = SparseTaskVector::from_pairs(vec![(1, 2.0), (2, 2.0), (3, 2.0)]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.entries(), &[(0, 1.0), (1, 1.0), (2, 2.0), (3, 1.0)]);
-        // Zero scale and empty other are no-ops.
-        let snapshot = a.clone();
-        a.add_scaled(&b, 0.0);
-        a.add_scaled(&SparseTaskVector::new(), 3.0);
-        assert_eq!(a, snapshot);
-    }
-
-    #[test]
     fn unit_truncate_and_norms() {
-        let mut v = SparseTaskVector::unit(TaskId(3));
-        assert_eq!(v.get(TaskId(3)), 1.0);
-        v.add_scaled(&SparseTaskVector::from_pairs(vec![(4, 1e-9)]), 1.0);
+        assert_eq!(SparseTaskVector::unit(TaskId(3)).get(TaskId(3)), 1.0);
+        let mut v = SparseTaskVector::from_pairs(vec![(3, 1.0), (4, 1e-9)]);
         assert_eq!(v.nnz(), 2);
         v.truncate(1e-6);
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.sum(), 1.0);
         assert_eq!(v.l1(), 1.0);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn add_scaled_matches_dense_math(
-                a in proptest::collection::vec((0u32..20, -2.0f64..2.0), 0..10),
-                b in proptest::collection::vec((0u32..20, -2.0f64..2.0), 0..10),
-                s in -3.0f64..3.0,
-            ) {
-                let mut sa = SparseTaskVector::from_pairs(a.clone());
-                let sb = SparseTaskVector::from_pairs(b.clone());
-                let da = sa.to_dense(20);
-                let db = sb.to_dense(20);
-                sa.add_scaled(&sb, s);
-                let got = sa.to_dense(20);
-                for i in 0..20 {
-                    let want = da[i] + s * db[i];
-                    prop_assert!((got[i] - want).abs() < 1e-12);
-                }
-            }
-        }
     }
 }

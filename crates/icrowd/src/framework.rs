@@ -952,36 +952,37 @@ impl ICrowd {
     /// changes its voters' cells over exactly the support of its PPR
     /// vector (and no baselines), so only those (voter, task) entries
     /// are re-scored.
-    fn record_completion_capped(&mut self, task: TaskId, votes: &[Vote], consensus: Answer) {
-        let support: Vec<u32> = self.estimator.index().vector(task).support().collect();
+    fn record_completion_capped(&mut self, task: TaskId, answer: Answer) {
+        let Self {
+            estimator,
+            consensus,
+            open,
+            warm,
+            rank,
+            ..
+        } = self;
+        let votes = consensus.votes(task).votes();
         for v in votes {
             let w = v.worker;
-            for &j in &support {
-                if let Some(list) = self.warm.get_mut(&j) {
+            for j in estimator.index().vector(task).support() {
+                if let Some(list) = warm.get_mut(&j) {
                     if let Ok(pos) = list.binary_search_by_key(&w, |&(x, _)| x) {
                         let (_, old_score) = list[pos];
                         list.remove(pos);
                         if list.is_empty() {
-                            self.warm.remove(&j);
+                            warm.remove(&j);
                         }
-                        if let Some(ranked) = self.rank.get_mut(w.index()) {
+                        if let Some(ranked) = rank.get_mut(w.index()) {
                             ranked.remove(&Self::rank_key(old_score, j));
                         }
                     }
                 }
             }
         }
-        self.estimator.record_completed_task(task, votes, consensus);
-        let Self {
-            estimator,
-            open,
-            warm,
-            rank,
-            ..
-        } = self;
+        estimator.record_completed_task(task, votes, answer);
         for v in votes {
             let w = v.worker;
-            for &j in &support {
+            for j in estimator.index().vector(task).support() {
                 if !open.contains(&j) {
                     continue;
                 }
@@ -1251,10 +1252,9 @@ impl ExternalQuestionServer for ICrowd {
                         // even before (k+1)/2 votes agree.
                         if !self.consensus.is_completed(task) {
                             if let Some(tau) = self.config.early_stop_confidence {
-                                let votes = self.consensus.votes(task).votes().to_vec();
                                 let num_choices = self.tasks[task].num_choices;
                                 let posterior = icrowd_core::probability::vote_posterior(
-                                    &votes,
+                                    self.consensus.votes(task).votes(),
                                     num_choices,
                                     |w| self.estimator.estimate(w, task),
                                 );
@@ -1276,13 +1276,12 @@ impl ExternalQuestionServer for ICrowd {
                                     .consensus
                                     .consensus(task)
                                     .expect("completed task has consensus");
-                                let votes = self.consensus.votes(task).votes().to_vec();
                                 if self.capped() {
-                                    self.record_completion_capped(task, &votes, consensus_ans);
+                                    self.record_completion_capped(task, consensus_ans);
                                 } else {
                                     self.estimator.record_completed_task(
                                         task,
-                                        &votes,
+                                        self.consensus.votes(task).votes(),
                                         consensus_ans,
                                     );
                                 }

@@ -923,6 +923,16 @@ mod tests {
         .unwrap_err()
         .0;
         assert!(err.contains(metrics_out) && !err.contains("bind"), "{err}");
+        // An unknown durability policy is refused up front, by name.
+        // (The unopenable --metrics-out stops a serve that accepted the
+        // policy before it could bind and block.)
+        let err = run_line(&format!(
+            "serve --dataset table1 --approach random-mv --q 3 --durability bogus \
+             --metrics-every 100 --metrics-out {metrics_out}"
+        ))
+        .unwrap_err()
+        .0;
+        assert!(err.contains("durability"), "{err}");
         // --journal on a non-empty file is refused, by path, instead of
         // truncating the log a crashed server left for --recover. (The
         // unopenable --metrics-out stops a serve that got past the

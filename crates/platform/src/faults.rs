@@ -76,15 +76,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether this plan can never inject anything.
-    pub fn is_noop(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.dup_rate == 0.0
-            && self.late_rate == 0.0
-            && self.stall_rate == 0.0
-            && self.churn.iter().all(|c| c.fraction == 0.0)
-    }
-
     /// Validates rate ranges.
     ///
     /// # Errors
@@ -111,7 +102,7 @@ impl FaultConfig {
     }
 
     /// Parses a compact fault specification, the format accepted by
-    /// `icrowd campaign --faults <spec>` and the `chaos` bench bin:
+    /// `icrowd campaign|compare|serve --faults <spec>`:
     ///
     /// ```text
     /// drop=0.2,stall=0.05,dup=0.1,late=0.1:12,churn=50:0.3,seed=7
@@ -172,13 +163,6 @@ pub struct FaultStats {
     pub stalls: u64,
     /// Workers departed in churn spikes.
     pub churned: u64,
-}
-
-impl FaultStats {
-    /// Total faults injected.
-    pub fn total(&self) -> u64 {
-        self.drops + self.dups + self.lates + self.stalls + self.churned
-    }
 }
 
 /// The per-run fault injector: a [`FaultConfig`] plus a deterministic
@@ -318,13 +302,11 @@ mod tests {
                 fraction: 0.3
             }]
         );
-        assert!(!c.is_noop());
     }
 
     #[test]
     fn parse_defaults_and_noop() {
         let c = FaultConfig::parse("").unwrap();
-        assert!(c.is_noop());
         assert_eq!(c, FaultConfig::default());
         let c = FaultConfig::parse("late=0.5").unwrap();
         assert_eq!(c.late_max_ticks, 8, "default max delay");
@@ -390,7 +372,7 @@ mod tests {
             assert!(p.late_delay().is_none());
             assert!(!p.duplicate());
         }
-        assert_eq!(p.stats().total(), 0);
+        assert_eq!(p.stats(), FaultStats::default());
     }
 
     #[test]

@@ -33,10 +33,11 @@ use std::time::Duration;
 
 use icrowd_platform::faults::splitmix64;
 
-/// Chaos proxy fault configuration. All rates are per-connection
-/// probabilities in `[0, 1]`; latency and bandwidth apply to every
+/// Chaos proxy fault configuration. The reset and blackhole rates are
+/// per-connection probabilities and the corruption rate a per-chunk
+/// one, all in `[0, 1]`; latency and bandwidth apply to every
 /// connection. The default forwards cleanly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosProxyConfig {
     /// Seed of the per-connection decision stream.
     pub seed: u64,
@@ -54,82 +55,6 @@ pub struct ChaosProxyConfig {
     /// Probability that a connection is blackholed: accepted, then all
     /// traffic swallowed until the client gives up.
     pub blackhole_rate: f64,
-}
-
-impl Default for ChaosProxyConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            latency_up_ms: 0,
-            latency_down_ms: 0,
-            bandwidth_bps: 0,
-            reset_rate: 0.0,
-            corrupt_rate: 0.0,
-            blackhole_rate: 0.0,
-        }
-    }
-}
-
-impl ChaosProxyConfig {
-    /// Validates rate ranges.
-    ///
-    /// # Errors
-    /// Returns a human-readable message naming the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        let unit = |name: &str, v: f64| -> Result<(), String> {
-            if (0.0..=1.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("{name} must lie in [0, 1], got {v}"))
-            }
-        };
-        unit("reset rate", self.reset_rate)?;
-        unit("corrupt rate", self.corrupt_rate)?;
-        unit("blackhole rate", self.blackhole_rate)
-    }
-
-    /// Parses a compact chaos-proxy specification:
-    ///
-    /// ```text
-    /// latency=5:10,bw=65536,reset=0.1,corrupt=0.01,blackhole=0.05,seed=7
-    /// ```
-    ///
-    /// `latency` takes `UP_MS:DOWN_MS` or a single value for both
-    /// directions. Unknown keys and out-of-range rates are errors.
-    ///
-    /// # Errors
-    /// Returns a human-readable message describing the malformed field.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut config = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("chaos proxy spec entry `{part}` is not key=value"))?;
-            let bad = |what: &str| format!("invalid {what} in chaos proxy spec entry `{part}`");
-            let value = value.trim();
-            match key.trim() {
-                "seed" => config.seed = value.parse().map_err(|_| bad("seed"))?,
-                "latency" => match value.split_once(':') {
-                    Some((up, down)) => {
-                        config.latency_up_ms = up.parse().map_err(|_| bad("latency"))?;
-                        config.latency_down_ms = down.parse().map_err(|_| bad("latency"))?;
-                    }
-                    None => {
-                        let both: u64 = value.parse().map_err(|_| bad("latency"))?;
-                        config.latency_up_ms = both;
-                        config.latency_down_ms = both;
-                    }
-                },
-                "bw" => config.bandwidth_bps = value.parse().map_err(|_| bad("bandwidth"))?,
-                "reset" => config.reset_rate = value.parse().map_err(|_| bad("rate"))?,
-                "corrupt" => config.corrupt_rate = value.parse().map_err(|_| bad("rate"))?,
-                "blackhole" => config.blackhole_rate = value.parse().map_err(|_| bad("rate"))?,
-                other => return Err(format!("unknown chaos proxy spec key `{other}`")),
-            }
-        }
-        config.validate()?;
-        Ok(config)
-    }
 }
 
 /// Tally of faults the proxy injected, readable while it runs.
@@ -476,26 +401,6 @@ fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_parses_and_rejects() {
-        let c = ChaosProxyConfig::parse(
-            "latency=5:10,bw=65536,reset=0.1,corrupt=0.01,blackhole=0.05,seed=7",
-        )
-        .unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.latency_up_ms, 5);
-        assert_eq!(c.latency_down_ms, 10);
-        assert_eq!(c.bandwidth_bps, 65536);
-        assert_eq!(c.reset_rate, 0.1);
-        assert_eq!(c.corrupt_rate, 0.01);
-        assert_eq!(c.blackhole_rate, 0.05);
-        let c = ChaosProxyConfig::parse("latency=3").unwrap();
-        assert_eq!((c.latency_up_ms, c.latency_down_ms), (3, 3));
-        assert!(ChaosProxyConfig::parse("reset=1.5").is_err());
-        assert!(ChaosProxyConfig::parse("warp=1").is_err());
-        assert!(ChaosProxyConfig::parse("latency").is_err());
-    }
 
     #[test]
     fn connection_fates_are_deterministic_per_seed() {

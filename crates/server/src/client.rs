@@ -70,12 +70,22 @@ impl Conn {
     /// # Errors
     /// I/O failures, closed connections, and unparseable responses.
     pub fn call_traced(&mut self, req: &Request, trace: Option<u64>) -> Result<Value, String> {
+        self.send_traced(req, trace)?;
+        self.recv()
+    }
+
+    /// Writes one request line without reading the reply.
+    pub(crate) fn send_traced(&mut self, req: &Request, trace: Option<u64>) -> Result<(), String> {
         serde_json::write_to_string(&req.to_value_traced(trace), &mut self.buf);
         self.buf.push('\n');
         self.writer
             .write_all(self.buf.as_bytes())
             .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
+            .map_err(|e| format!("send: {e}"))
+    }
+
+    /// Reads one response line.
+    pub(crate) fn recv(&mut self) -> Result<Value, String> {
         let mut line = String::new();
         self.reader
             .read_line(&mut line)

@@ -372,28 +372,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         return Err(e);
     }
 
-    // Final probe: accounting, labels, optional shutdown. The server
-    // may be mid-restart right now (a crash harness kills it at
-    // arbitrary instants), so the probe rides through transport
-    // failures the same way the drive loop does: re-resolve the
-    // address, back off, retry whole until the give-up deadline. Every
-    // request in the probe is idempotent, so restarting it is safe.
-    let probe_deadline = Instant::now() + Duration::from_millis(config.give_up_ms.max(5_000));
-    let mut streak = 0u32;
-    let (status, labels) = loop {
-        match final_probe(config) {
-            Ok(out) => break out,
-            Err(e) => {
-                if Instant::now() >= probe_deadline {
-                    return Err(format!("final probe never succeeded: {e}"));
-                }
-                shared.retries.fetch_add(1, Ordering::Relaxed);
-                icrowd_obs::counter_add("loadgen.retry", 1);
-                backoff_sleep(streak, &mut jitter_rng);
-                streak += 1;
-            }
-        }
-    };
+    let (status, labels) = probe_until_done(config, &shared.retries, &mut jitter_rng)?;
 
     let accepted = status_u64(&status, "accepted");
     let snap = icrowd_obs::snapshot();
@@ -435,13 +414,48 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     })
 }
 
+/// The end-of-run probe: accounting, labels, optional shutdown. The
+/// server may be mid-restart right now (a crash harness kills it at
+/// arbitrary instants), so the probe rides through transport failures
+/// the same way the drive loop does: re-resolve the address, back off,
+/// retry whole until the give-up deadline. Every request in the probe
+/// is idempotent, so restarting it is safe.
+fn probe_until_done(
+    config: &LoadgenConfig,
+    retries: &AtomicU64,
+    rng: &mut StdRng,
+) -> Result<(Value, String), String> {
+    let deadline = Instant::now() + Duration::from_millis(config.give_up_ms.max(5_000));
+    let mut streak = 0u32;
+    loop {
+        match final_probe(config) {
+            Ok(out) => return Ok(out),
+            Err(e) => {
+                if Instant::now() >= deadline {
+                    return Err(format!("final probe never succeeded: {e}"));
+                }
+                retries.fetch_add(1, Ordering::Relaxed);
+                icrowd_obs::counter_add("loadgen.retry", 1);
+                backoff_sleep(streak, rng);
+                streak += 1;
+            }
+        }
+    }
+}
+
 /// One attempt at the end-of-run probe: connect, fetch STATUS and
-/// RESULTS, then send SHUTDOWN. Any transport failure aborts the
-/// attempt; the caller retries the whole sequence.
+/// RESULTS, then send SHUTDOWN. A failure before SHUTDOWN is written
+/// aborts the attempt; the caller retries the whole sequence.
 fn final_probe(config: &LoadgenConfig) -> Result<(Value, String), String> {
     let mut conn = Conn::open_timeout(resolve_addr(config).as_str(), io_timeout(config))?;
     let status = conn.call(&Request::Status)?;
     expect_ok(&status, "status")?;
+    // A corrupting network can garble a key and leave valid JSON.
+    for flag in ["complete", "balanced"] {
+        if status.get(flag).and_then(Value::as_bool).is_none() {
+            return Err(format!("status without `{flag}`: {status:?}"));
+        }
+    }
     let results = conn.call(&Request::Results)?;
     expect_ok(&results, "results")?;
     let labels = results
@@ -450,8 +464,16 @@ fn final_probe(config: &LoadgenConfig) -> Result<(Value, String), String> {
         .ok_or("results carry no labels")?
         .to_owned();
     if config.shutdown {
-        let bye = conn.call(&Request::Shutdown)?;
-        expect_ok(&bye, "shutdown")?;
+        conn.send_traced(&Request::Shutdown, None)?;
+        // The server may be draining already, so a lost or garbled
+        // `bye` (a reset between the drain and the reply, a flipped
+        // byte) ends the probe with what it read: a retry would only
+        // find a drained server. Only an explicit refusal retries.
+        if let Ok(bye) = conn.recv() {
+            if bye.get("ok").and_then(Value::as_bool) == Some(false) {
+                return Err(format!("shutdown refused: {bye:?}"));
+            }
+        }
     }
     Ok((status, labels))
 }
@@ -744,6 +766,55 @@ fn cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    /// A server that answers STATUS and RESULTS, then takes SHUTDOWN
+    /// and goes away before its `bye` comes back (as when a proxy resets
+    /// the connection mid-drain). The probe ends with what it read at
+    /// once instead of retrying a drained server until the give-up
+    /// deadline.
+    #[test]
+    fn a_lost_shutdown_reply_ends_the_final_probe() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            for reply in [
+                r#"{"ok":true,"type":"status","complete":true,"balanced":true}"#,
+                r#"{"ok":true,"type":"results","labels":"T0 1\n"}"#,
+            ] {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                writeln!(writer, "{reply}").unwrap();
+            }
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("SHUTDOWN"), "{line}");
+            // Returning closes the connection and the listener unanswered.
+        });
+        let config = LoadgenConfig {
+            addr,
+            give_up_ms: 1_000,
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let retries = AtomicU64::new(0);
+        let (status, labels) = probe_until_done(&config, &retries, &mut jitter_rng())
+            .expect("the probe ends with what it read");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the probe took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(status.get("complete").and_then(Value::as_bool), Some(true));
+        assert_eq!(labels, "T0 1\n");
+        assert_eq!(retries.load(Ordering::Relaxed), 0);
+        server.join().unwrap();
+    }
 
     #[test]
     fn fault_spec_parses_the_documented_grammar() {

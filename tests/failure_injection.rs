@@ -4,13 +4,24 @@
 
 use icrowd::core::{Answer, ICrowdConfig, Microtask, TaskId, TaskSet, Tick, WarmupConfig};
 use icrowd::platform::{
-    ChurnSpike, ExternalQuestionServer, FaultConfig, MarketConfig, Marketplace, RejectReason,
-    SubmitOutcome, WorkerScript,
+    ChurnSpike, ExternalQuestionServer, FaultConfig, MarketConfig, MarketOutcome, Marketplace,
+    RejectReason, SubmitOutcome, WorkerScript,
 };
+use icrowd::text::{JaccardSimilarity, Tokenizer};
 use icrowd::{AssignStrategy, ICrowd, ICrowdBuilder};
 use icrowd_platform::market::WorkerBehavior;
+use icrowd_sim::datasets::table1;
 use icrowd_text::metric::MatrixSimilarity;
 use proptest::prelude::*;
+
+/// The telemetry registry is process-global and one test here arms it,
+/// so every test that drives a framework serializes through one lock:
+/// no other test's counters land in that test's counts.
+fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn tasks(n: u32) -> TaskSet {
     (0..n)
@@ -37,6 +48,7 @@ fn server(n: u32, window: u64) -> ICrowd {
 
 #[test]
 fn abandoned_assignments_release_capacity_after_the_activity_window() {
+    let _g = obs_guard();
     let mut srv = server(4, 10);
     // Ghost worker passes warm-up, takes a regular task and vanishes.
     let q = srv.request_task("GHOST", Tick(0)).unwrap();
@@ -64,6 +76,7 @@ fn abandoned_assignments_release_capacity_after_the_activity_window() {
 
 #[test]
 fn duplicate_and_unsolicited_submissions_are_rejected() {
+    let _g = obs_guard();
     let mut srv = server(3, 30);
     let q = srv.request_task("A", Tick(0)).unwrap();
     assert_eq!(
@@ -107,6 +120,7 @@ fn duplicate_and_unsolicited_submissions_are_rejected() {
 
 #[test]
 fn expired_lease_answers_are_rejected_and_the_task_is_reassigned() {
+    let _g = obs_guard();
     let mut srv = server(4, 5); // lease = activity window = 5 ticks
     let qa = srv.request_task("A", Tick(0)).unwrap();
     srv.submit_answer("A", qa, Answer::YES, Tick(0));
@@ -144,6 +158,7 @@ fn expired_lease_answers_are_rejected_and_the_task_is_reassigned() {
 
 #[test]
 fn a_crowd_of_rejected_workers_cannot_complete_but_does_not_panic() {
+    let _g = obs_guard();
     // 8 tasks, 3 of them qualification: 5 regular tasks can never
     // complete once every worker is rejected.
     let ts = tasks(8);
@@ -174,6 +189,7 @@ fn a_crowd_of_rejected_workers_cannot_complete_but_does_not_panic() {
 
 #[test]
 fn re_requests_after_stale_purge_get_fresh_assignments() {
+    let _g = obs_guard();
     let mut srv = server(5, 5);
     let q = srv.request_task("A", Tick(0)).unwrap();
     srv.submit_answer("A", q, Answer::YES, Tick(0));
@@ -186,6 +202,28 @@ fn re_requests_after_stale_purge_get_fresh_assignments() {
     let _ = first;
     // Subsequent flow still works.
     assert!(srv.request_task("A", Tick(101)).is_some());
+}
+
+/// The books a faulted marketplace run must keep, whatever it
+/// injected: both conservation laws, spend equal to payments × reward,
+/// the marketplace's rejections equal to the framework's, and no task
+/// past k votes (`at` names the run in a failure).
+fn assert_books(outcome: &MarketOutcome, server: &ICrowd, tasks: u32, at: &str) {
+    let a = outcome.accounting;
+    assert!(a.balanced(), "books out of balance at {at}: {a:?}");
+    let reward = u64::from(MarketConfig::default().reward_cents);
+    let ledger = &outcome.ledger;
+    assert_eq!(
+        ledger.total_spend(),
+        ledger.num_payments() as u64 * reward,
+        "spend != payments x reward at {at}"
+    );
+    assert_eq!(a.answers_rejected, server.answers_rejected(), "at {at}");
+    let k = ICrowdConfig::default().assignment_size;
+    for t in 0..tasks {
+        let votes = server.consensus().votes(TaskId(t)).len();
+        assert!(votes <= k, "task {t} holds {votes} votes, past k, at {at}");
+    }
 }
 
 /// Workers who always answer the ground truth (YES for `tasks()`).
@@ -212,6 +250,7 @@ proptest! {
         stall_rate in 0.0f64..0.1,
         churn_fraction in 0.0f64..0.3,
     ) {
+        let _g = obs_guard();
         let n = 8u32;
         let ts = tasks(n);
         let metric = MatrixSimilarity::from_edges(&ts, &[], "empty");
@@ -226,7 +265,6 @@ proptest! {
             .strategy(AssignStrategy::Adapt)
             .metric(&metric)
             .build();
-        let k = ICrowdConfig::default().assignment_size;
         let market = Marketplace::new(ts, MarketConfig::default());
         let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = (0..12)
             .map(|i| {
@@ -251,19 +289,8 @@ proptest! {
         };
         let outcome = market.run_with_faults(&mut srv, behaviors, Some(faults.clone()));
 
-        prop_assert!(outcome.accounting.balanced(), "{:?}", outcome.accounting);
-        prop_assert_eq!(
-            outcome.ledger.total_spend(),
-            outcome.ledger.num_payments() as u64
-                * u64::from(MarketConfig::default().reward_cents)
-        );
-        prop_assert_eq!(outcome.accounting.answers_rejected, srv.answers_rejected());
-        for t in 0..n {
-            prop_assert!(
-                srv.consensus().votes(TaskId(t)).len() <= k,
-                "task {t} holds more than k votes"
-            );
-        }
+        let at = format!("{faults:?}");
+        assert_books(&outcome, &srv, n, &at);
         // Heap-based lease expiry and counter-based remaining capacity
         // must match their swept/recomputed oracles after any fault mix.
         srv.validate_incremental_state();
@@ -299,8 +326,137 @@ proptest! {
             })
             .collect();
         let outcome2 = market2.run_with_faults(&mut capped, behaviors2, Some(faults));
-        prop_assert!(outcome2.accounting.balanced(), "{:?}", outcome2.accounting);
-        prop_assert_eq!(outcome2.accounting.answers_rejected, capped.answers_rejected());
+        assert_books(&outcome2, &capped, n, &at);
         capped.validate_incremental_state();
+    }
+}
+
+/// The marketplace cells' fault seed; it also seeds the crowd.
+const CELL_SEED: u64 = 20150531;
+
+/// One cell of the marketplace sweep: table1 under Jaccard similarity
+/// with stopwords kept (threshold 0.4), two qualification tasks and
+/// 12-tick leases, served to 24 patient workers (table1's roster
+/// cycled, one arriving every 2 ticks) through a marketplace that drops
+/// and stalls at the given rates, duplicates and delays 10% of answers
+/// (by up to 6 ticks) and churns 20% of the crowd at tick 60.
+fn run_cell(drop_rate: f64, stall_rate: f64) -> (MarketOutcome, ICrowd) {
+    let ds = table1();
+    let metric = JaccardSimilarity::new(&ds.tasks, &Tokenizer::keeping_stopwords());
+    let mut server: ICrowd = ICrowdBuilder::new(ds.tasks.clone())
+        .config(ICrowdConfig {
+            similarity_threshold: 0.4,
+            // Short leases reclaim a stalled worker's assignment well
+            // before the rest of the crowd gives up.
+            lease_ticks: Some(12),
+            warmup: WarmupConfig {
+                num_qualification: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .strategy(AssignStrategy::Adapt)
+        .metric(&metric)
+        .build();
+    let market = Marketplace::new(
+        ds.tasks.clone(),
+        MarketConfig {
+            // Enough retry headroom to outlive a stalled assignment's lease.
+            max_retries: 20,
+            ..Default::default()
+        },
+    );
+    let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = ds
+        .spawn_workers(CELL_SEED)
+        .into_iter()
+        .cycle()
+        .take(24)
+        .enumerate()
+        .map(|(i, w)| {
+            (
+                WorkerScript {
+                    arrival: Tick(i as u64 * 2),
+                    max_answers: usize::MAX,
+                    ticks_per_answer: 1,
+                },
+                Box::new(w) as Box<dyn WorkerBehavior>,
+            )
+        })
+        .collect();
+    let faults = FaultConfig {
+        seed: CELL_SEED,
+        drop_rate,
+        dup_rate: 0.1,
+        late_rate: 0.1,
+        late_max_ticks: 6,
+        stall_rate,
+        churn: vec![ChurnSpike {
+            at: 60,
+            fraction: 0.2,
+        }],
+    };
+    let outcome = market.run_with_faults(&mut server, behaviors, Some(faults));
+    (outcome, server)
+}
+
+/// The marketplace sweep: drop {0, .05, .1, .2} × stall {0, .02, .05},
+/// with duplicates, late deliveries and a churn spike in every cell.
+/// Leases reclaim what stalled workers hold, so every cell completes,
+/// with balanced books, spend equal to payments × reward, and no task
+/// past k votes.
+#[test]
+fn every_drop_and_stall_cell_completes_with_balanced_books() {
+    let _g = obs_guard();
+    let tasks = table1().tasks.len() as u32;
+    for drop_rate in [0.0, 0.05, 0.1, 0.2] {
+        for stall_rate in [0.0, 0.02, 0.05] {
+            let (outcome, server) = run_cell(drop_rate, stall_rate);
+            let at = format!("drop {drop_rate} stall {stall_rate}");
+            assert_books(&outcome, &server, tasks, &at);
+            assert!(
+                server.is_complete(),
+                "the campaign did not complete at {at}"
+            );
+        }
+    }
+}
+
+/// The worst cell (drop 0.2, stall 0.05) replays byte-identically: the
+/// event log's JSON, the accounting and the fault tally. Run with
+/// telemetry on, it counts exactly the drops, stalls, lease expiries
+/// and rejections it saw, and each of them happened.
+#[test]
+fn the_worst_cell_replays_byte_identically_and_counts_its_faults() {
+    let _g = obs_guard();
+    icrowd_obs::reset();
+    icrowd_obs::enable();
+    let (traced, server) = run_cell(0.2, 0.05);
+    let counters = icrowd_obs::snapshot().counters;
+    icrowd_obs::disable();
+    icrowd_obs::reset();
+    let (replay, _) = run_cell(0.2, 0.05);
+
+    assert_eq!(
+        traced.events.to_json_lines(),
+        replay.events.to_json_lines(),
+        "event logs differ between identical runs"
+    );
+    assert_eq!(traced.accounting, replay.accounting);
+    assert_eq!(traced.faults, replay.faults);
+
+    let seen = [
+        ("fault.drop", traced.faults.drops),
+        ("fault.stall", traced.faults.stalls),
+        ("lease.expired", server.leases_expired()),
+        ("answer.rejected.", server.answers_rejected()),
+    ];
+    for (prefix, happened) in seen {
+        let counted: u64 = counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, value)| value)
+            .sum();
+        assert!(happened > 0, "no {prefix}* in the worst cell");
+        assert_eq!(counted, happened, "{prefix}* counted wrong: {counters:?}");
     }
 }

@@ -1,8 +1,10 @@
 //! Network faults end in a clean retry or a clean error — never a
 //! hang. The chaos proxy sits between a real served campaign and the
 //! hardened load generator; a fully blackholed network must surface a
-//! bounded-time error, and a resetting one must still converge to the
-//! baseline labels through clean reconnects.
+//! bounded-time error, and a table of latency, bandwidth, reset,
+//! blackhole, corruption and storm rows must each still complete with
+//! balanced books, converging to the baseline labels through clean
+//! reconnects.
 
 use std::time::{Duration, Instant};
 
@@ -38,7 +40,11 @@ fn blackholed_network_surfaces_a_clean_error_in_bounded_time() {
     let handle = serve(engine, &ServeConfig::default()).expect("bind server");
     let proxy = ChaosProxy::start(
         handle.addr(),
-        ChaosProxyConfig::parse("blackhole=1.0,seed=3").expect("spec parses"),
+        ChaosProxyConfig {
+            seed: 3,
+            blackhole_rate: 1.0,
+            ..Default::default()
+        },
     )
     .expect("bind proxy");
 
@@ -64,39 +70,131 @@ fn blackholed_network_surfaces_a_clean_error_in_bounded_time() {
     handle.join();
 }
 
+/// Serves the campaign behind a chaos proxy and drives it with the
+/// hardened loadgen. Every injected fault must end in a clean retry:
+/// the campaign completes with balanced books in the loadgen's report
+/// and in `finalize`, the server counts no invariant violation, and the
+/// labels match the baseline. Corruption can garble a line into
+/// different but valid JSON (a stray vote), so a corrupting row claims
+/// completion and balance, not label parity. A row that resets,
+/// blackholes or corrupts must have done so: each draw is a function of
+/// the seed and the connection's index, so whether it fires does not
+/// depend on timing once the campaign has opened a few dozen
+/// connections.
+fn run_row(name: &str, proxy: ChaosProxyConfig, baseline: &str) {
+    let engine = CampaignEngine::new("table1", table1(), Approach::RandomMV, config());
+    let handle = serve(engine, &ServeConfig::default()).expect("bind server");
+    let chaos = ChaosProxy::start(handle.addr(), proxy.clone()).expect("bind proxy");
+
+    let report = run_loadgen(&LoadgenConfig {
+        addr: chaos.addr().to_string(),
+        workers: 4,
+        // Short I/O deadline so blackholed connections surface as clean
+        // retries quickly; the watchdog bounds the whole run.
+        io_timeout_ms: 200,
+        give_up_ms: 60_000,
+        ..Default::default()
+    })
+    .unwrap_or_else(|e| panic!("loadgen failed under {name}: {e}"));
+    // The loadgen's SHUTDOWN went through the proxy, which may have
+    // lost it; draining from this side cannot hang on that.
+    handle.shutdown();
+    let result = handle.join();
+    let stats = chaos.stop();
+
+    assert!(report.complete, "incomplete under {name}: {report:?}");
+    assert!(report.balanced, "loadgen saw unbalanced books under {name}");
+    let books = result.accounting;
+    assert!(books.balanced(), "unbalanced under {name}: {books:?}");
+    if proxy.corrupt_rate == 0.0 {
+        assert_eq!(report.labels, baseline, "labels diverged under {name}");
+    }
+    assert_eq!(
+        icrowd_obs::counter_value("serve.invariant_violation"),
+        0,
+        "invariant violations under {name}"
+    );
+    if proxy.reset_rate + proxy.blackhole_rate + proxy.corrupt_rate > 0.0 {
+        assert!(
+            stats.resets + stats.blackholed + stats.corrupted > 0,
+            "no fault fired under {name}: {stats:?}"
+        );
+    }
+}
+
+/// The network-fault table at seed 7: latency, a bandwidth cap,
+/// resets, blackholes, corruption and a storm of three faults at once,
+/// each behind its own server, proxy and loadgen, run side by side.
+#[test]
+fn every_proxy_fault_ends_in_a_clean_retry_with_balanced_books() {
+    let expected = run_campaign(&table1(), Approach::RandomMV, &config());
+    let baseline = labels_lines(&expected.labels);
+    let rows = [
+        (
+            "latency",
+            ChaosProxyConfig {
+                latency_up_ms: 2,
+                latency_down_ms: 1,
+                ..Default::default()
+            },
+        ),
+        (
+            "bandwidth",
+            ChaosProxyConfig {
+                bandwidth_bps: 262_144,
+                ..Default::default()
+            },
+        ),
+        (
+            "reset",
+            ChaosProxyConfig {
+                reset_rate: 0.25,
+                ..Default::default()
+            },
+        ),
+        (
+            "blackhole",
+            ChaosProxyConfig {
+                blackhole_rate: 0.25,
+                ..Default::default()
+            },
+        ),
+        (
+            "corrupt",
+            ChaosProxyConfig {
+                corrupt_rate: 0.05,
+                ..Default::default()
+            },
+        ),
+        (
+            "storm",
+            ChaosProxyConfig {
+                latency_up_ms: 1,
+                latency_down_ms: 1,
+                reset_rate: 0.1,
+                blackhole_rate: 0.1,
+                ..Default::default()
+            },
+        ),
+    ];
+    std::thread::scope(|scope| {
+        for (name, proxy) in rows {
+            let baseline = baseline.as_str();
+            scope.spawn(move || run_row(name, ChaosProxyConfig { seed: 7, ..proxy }, baseline));
+        }
+    });
+}
+
 /// Connection resets are transport damage, not protocol failures: the
 /// loadgen reconnects and the campaign still converges byte-for-byte to
 /// the baseline labels with balanced books.
 #[test]
 fn resetting_proxy_still_converges_to_baseline_labels() {
     let expected = run_campaign(&table1(), Approach::RandomMV, &config());
-    let baseline = labels_lines(&expected.labels);
-
-    let engine = CampaignEngine::new("table1", table1(), Approach::RandomMV, config());
-    let handle = serve(engine, &ServeConfig::default()).expect("bind server");
-    let proxy = ChaosProxy::start(
-        handle.addr(),
-        ChaosProxyConfig::parse("reset=0.3,seed=11").expect("spec parses"),
-    )
-    .expect("bind proxy");
-
-    let report = run_loadgen(&LoadgenConfig {
-        addr: proxy.addr().to_string(),
-        workers: 4,
-        io_timeout_ms: 500,
-        give_up_ms: 60_000,
+    let proxy = ChaosProxyConfig {
+        seed: 11,
+        reset_rate: 0.3,
         ..Default::default()
-    })
-    .expect("loadgen rides through resets");
-    let result = handle.join();
-    let stats = proxy.stop();
-
-    assert!(report.complete, "campaign incomplete under resets");
-    assert!(report.balanced, "accounting unbalanced under resets");
-    assert!(result.accounting.balanced());
-    assert_eq!(
-        report.labels, baseline,
-        "labels diverged from baseline under resets"
-    );
-    assert!(stats.resets > 0, "proxy never reset a connection");
+    };
+    run_row("reset 0.3", proxy, &labels_lines(&expected.labels));
 }

@@ -9,8 +9,9 @@
 //!   optimal microtask assignment (disjoint top-worker sets maximizing
 //!   summed accuracy).
 //! * [`buffer`] — Steps 1–2 as the online request path runs them: one
-//!   flat, reusable buffer of top worker sets and an Algorithm-3 walk
-//!   that stops at the requester. `top_worker_set` and `greedy_assign`
+//!   numbering of the active workers, a reusable buffer of top worker
+//!   sets with a member bitset each, and Algorithm 3 in commit rounds
+//!   that stop at the requester. `top_worker_set` and `greedy_assign`
 //!   are its references.
 //! * [`optimal`] — an exact branch-and-bound solver for the same problem,
 //!   feasible only for small active-worker counts; powers the Table 5

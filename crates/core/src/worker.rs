@@ -163,13 +163,16 @@ impl ActivityTracker {
         })
     }
 
-    /// All workers active at `now`, in id order.
-    pub fn active_workers(&self, now: Tick) -> Vec<WorkerId> {
-        self.workers
-            .iter()
-            .filter(|w| !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window))
-            .map(|w| w.id)
-            .collect()
+    /// Replaces the contents of `out` with all workers active at `now`,
+    /// in id order, so a caller can keep one buffer across calls.
+    pub fn active_workers(&self, now: Tick, out: &mut Vec<WorkerId>) {
+        out.clear();
+        out.extend(
+            self.workers
+                .iter()
+                .filter(|w| !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window))
+                .map(|w| w.id),
+        );
     }
 
     /// The record for `worker`, if registered.
@@ -246,7 +249,9 @@ mod tests {
         tr.set_holds_hit(w, true);
         tr.reject(w);
         assert!(!tr.is_active(w, Tick(0)));
-        assert!(tr.active_workers(Tick(0)).is_empty());
+        let mut active = vec![w];
+        tr.active_workers(Tick(0), &mut active);
+        assert!(active.is_empty());
     }
 
     #[test]
@@ -255,7 +260,9 @@ mod tests {
         let a = tr.register("A", Tick(0));
         let _b = tr.register("B", Tick(0));
         tr.touch(a, Tick(20));
-        assert_eq!(tr.active_workers(Tick(25)), vec![a]);
+        let mut active = Vec::new();
+        tr.active_workers(Tick(25), &mut active);
+        assert_eq!(active, vec![a]);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! mode's `dev/mass` quotient. Estimates at any task are
 //! then a single cell lookup; the cached dense vector is patched in
 //! place over the delta's support whenever the baseline is unchanged,
-//! and only a baseline shift (a new qualification grade) forces a full
-//! — still accumulator-driven — rebuild.
+//! and only a baseline shift (a new qualification grade) marks it stale,
+//! so the next refresh rewrites it — still from the accumulators, and in
+//! place.
 //!
 //! ## Unreached tasks
 //!
@@ -118,11 +119,16 @@ struct WorkerState {
     /// Correct / total counts on qualification microtasks.
     quals_correct: u32,
     quals_total: u32,
-    /// Cached dense estimate. Patched in place over a delta's support
-    /// when the baseline is unchanged; dropped on baseline shifts.
-    cache: Option<Vec<f64>>,
+    /// Cached dense estimate, one entry per task once first refreshed.
+    /// Patched in place over a delta's support while fresh and the
+    /// baseline is unchanged; a baseline shift marks it stale, and the
+    /// next refresh rewrites it in place.
+    cache: Vec<f64>,
+    /// Whether `cache` holds the current estimates. Nothing reads a
+    /// stale cache.
+    cache_fresh: bool,
     /// The baseline the cache was computed with (meaningless while
-    /// `cache` is `None`).
+    /// stale).
     cache_baseline: f64,
     /// Evidence counts for Step-3 uncertainty.
     evidence: NeighborhoodEvidence,
@@ -308,19 +314,15 @@ impl AccuracyEstimator {
         // The dense cache only depends on the accumulators and the
         // baseline, so while the baseline holds it can be patched over
         // the delta's support instead of rebuilt.
-        match &mut state.cache {
-            Some(cache) if state.cache_baseline == baseline => {
-                icrowd_obs::counter_add("estimator.cache_patch", 1);
-                for (j, _) in index.vector(task).iter() {
-                    cache[j.index()] = Self::cell_estimate(mode, baseline, live(&state.accum, j.0));
-                }
+        if state.cache_fresh && state.cache_baseline == baseline {
+            icrowd_obs::counter_add("estimator.cache_patch", 1);
+            for (j, _) in index.vector(task).iter() {
+                state.cache[j.index()] =
+                    Self::cell_estimate(mode, baseline, live(&state.accum, j.0));
             }
-            cache => {
-                if cache.is_some() {
-                    icrowd_obs::counter_add("estimator.cache_drop", 1);
-                }
-                *cache = None;
-            }
+        } else if state.cache_fresh {
+            icrowd_obs::counter_add("estimator.cache_stale", 1);
+            state.cache_fresh = false;
         }
     }
 
@@ -415,31 +417,42 @@ impl AccuracyEstimator {
     }
 
     /// The estimated accuracy vector `p^w` (dense, one entry per task),
-    /// rebuilding from the running accumulators and caching if stale.
+    /// rewriting the cache from the running accumulators if it is stale.
     pub fn accuracies(&mut self, worker: WorkerId) -> &[f64] {
         self.register_worker(worker);
         let baseline = self.baseline(worker);
         let mode = self.mode;
         let num_tasks = self.index.num_tasks();
         let state = &mut self.workers[worker.index()];
-        if state.cache.is_none() {
+        if !state.cache_fresh {
             let _span = icrowd_obs::span!("estimator.rebuild");
             icrowd_obs::counter_add("estimator.cache_rebuild", 1);
-            state.cache = Some(Self::compute_incremental(num_tasks, state, baseline, mode));
+            // The default value everywhere, overwritten per populated
+            // cell; after the first refresh this reuses the allocation.
+            state.cache.clear();
+            state
+                .cache
+                .resize(num_tasks, Self::cell_estimate(mode, baseline, None));
+            for (j, cell) in state.accum.iter().filter(|(_, c)| c.n > 0) {
+                state.cache[j as usize] = Self::cell_estimate(mode, baseline, Some(cell));
+            }
+            state.cache_fresh = true;
             state.cache_baseline = baseline;
         } else {
             icrowd_obs::counter_add("estimator.cache_hit", 1);
         }
-        state.cache.as_deref().expect("cache just filled")
+        &state.cache
     }
 
-    /// Read-only estimate for an already-cached worker; returns the
-    /// baseline if no cache exists yet.
-    pub fn accuracy_cached(&self, worker: WorkerId, task: TaskId) -> f64 {
-        match self.workers.get(worker.index()) {
-            Some(WorkerState { cache: Some(c), .. }) => c[task.index()],
-            _ => self.baseline(worker),
-        }
+    /// The dense estimate vector as the last [`Self::accuracies`] call
+    /// left it, or `None` when that call would have to rewrite it (never
+    /// refreshed, or stale since a baseline shift). Read-only, so several
+    /// workers' vectors can be read side by side.
+    pub fn cached_accuracies(&self, worker: WorkerId) -> Option<&[f64]> {
+        self.workers
+            .get(worker.index())
+            .filter(|s| s.cache_fresh)
+            .map(|s| s.cache.as_slice())
     }
 
     /// The estimate of `worker` on `task`: her accumulator cell's score
@@ -495,21 +508,6 @@ impl AccuracyEstimator {
                         (TaskId(j), Self::cell_estimate(mode, baseline, Some(cell)))
                     })
             })
-    }
-
-    /// Dense estimate derived from the running accumulators: the default
-    /// value everywhere, overwritten per populated cell.
-    fn compute_incremental(
-        num_tasks: usize,
-        state: &WorkerState,
-        baseline: f64,
-        mode: EstimationMode,
-    ) -> Vec<f64> {
-        let mut out = vec![Self::cell_estimate(mode, baseline, None); num_tasks];
-        for (j, cell) in state.accum.iter().filter(|(_, c)| c.n > 0) {
-            out[j as usize] = Self::cell_estimate(mode, baseline, Some(cell));
-        }
-        out
     }
 
     /// The worker's observed accuracies `q^w`, keyed by task id.
@@ -727,7 +725,8 @@ mod tests {
         assert_eq!(e.warmup_average(w(9)), None);
         assert_eq!(e.baseline(w(9)), 0.5);
         assert!(!e.should_reject(w(9)));
-        assert_eq!(e.accuracy_cached(w(9), t(0)), 0.5);
+        assert_eq!(e.estimate(w(9), t(0)), 0.5);
+        assert_eq!(e.cached_accuracies(w(9)), None, "nothing refreshed yet");
         // Unknown workers have the uniform-prior variance.
         assert!((e.uncertainty(w(9), t(0)) - 1.0 / 12.0).abs() < 1e-12);
     }
@@ -737,12 +736,17 @@ mod tests {
         let mut e = estimator(EstimationMode::Centered);
         e.record_qualification(w(0), t(0), Answer::YES, Answer::YES);
         let before = e.accuracies(w(0))[1];
+        assert_eq!(e.cached_accuracies(w(0)).map(|c| c[1]), Some(before));
         e.record_qualification(w(0), t(1), Answer::NO, Answer::YES);
+        // The baseline shifted: the stale cache is unreadable until the
+        // next refresh rewrites it.
+        assert_eq!(e.cached_accuracies(w(0)), None);
         let after = e.accuracies(w(0))[1];
         assert!(
             after < before,
             "fresh negative evidence must lower the estimate"
         );
+        assert_eq!(e.cached_accuracies(w(0)).map(|c| c[1]), Some(after));
     }
 
     #[test]

@@ -51,12 +51,17 @@
 //!   (`rem_cap`) replacing the per-candidate capacity-holder walk.
 //!
 //! Both modes then share one Step 1–3 pipeline over state kept across
-//! requests: the candidate list and a flat [`TopSetBuffer`] of top
-//! worker sets are cleared and refilled, never reallocated, and
-//! Algorithm 3 is walked only until the requester's set is committed.
-//! Uncapped, every open task with capacity is a candidate, scored from
-//! each active worker's dense estimate cache; capped, the warm∪cold
-//! subsets above feed the same buffer.
+//! requests, cleared and refilled, never reallocated. Each request
+//! numbers its free active workers once, in ascending id; a
+//! [`TopSetBuffer`] builds every top worker set on that numbering, with
+//! the task's voters and holders in one exclusion bitset and its
+//! members recorded as a bitset over it. Uncapped, every open task with
+//! capacity is a candidate and every numbered worker is offered from
+//! her dense estimate cache, looked up once per request; capped, the
+//! warm∪cold subsets above are offered. Algorithm 3 then runs in commit
+//! rounds — each commits the best set disjoint from those committed
+//! before it — and stops at the round that commits the requester's
+//! set, or once no unconflicted set contains her.
 //!
 //! The paper-level references, [`icrowd_assign::top_worker_set`] and
 //! [`icrowd_assign::greedy_assign`], survive as the debug-mode oracle:
@@ -122,6 +127,62 @@ struct Lease {
     task: TaskId,
     kind: AssignmentKind,
     deadline: Tick,
+}
+
+/// The candidate tasks of one request, kept across requests: the ids
+/// plus a mark per task, so pooling a task is one lookup and nothing is
+/// reallocated once the pool has grown to its working size.
+#[derive(Debug, Default)]
+struct CandidatePool {
+    tasks: Vec<TaskId>,
+    /// `pooled[t]` while `t` is in `tasks` during candidate selection;
+    /// all false between requests.
+    pooled: Vec<bool>,
+}
+
+impl CandidatePool {
+    fn new(num_tasks: usize) -> Self {
+        Self {
+            tasks: Vec::new(),
+            pooled: vec![false; num_tasks],
+        }
+    }
+
+    /// Pools `task`; whether it was not pooled yet.
+    fn insert(&mut self, task: u32) -> bool {
+        let mark = &mut self.pooled[task as usize];
+        if *mark {
+            return false;
+        }
+        *mark = true;
+        self.tasks.push(TaskId(task));
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Ends candidate selection: the pooled tasks ascend and every mark
+    /// is cleared for the next request.
+    fn seal(&mut self) {
+        for t in &self.tasks {
+            self.pooled[t.index()] = false;
+        }
+        self.tasks.sort_unstable();
+    }
+}
+
+/// Empties `columns` and returns its allocation free of the borrow, for
+/// the next request to refill: collecting a `Vec`'s own iterator into
+/// elements of the same layout reuses its buffer, so nothing is
+/// allocated or freed.
+fn unborrowed(mut columns: Vec<&[f64]>) -> Vec<&'static [f64]> {
+    columns.clear();
+    columns
+        .into_iter()
+        .map(|_| -> &'static [f64] { unreachable!("cleared") })
+        .collect()
 }
 
 /// Step-3 stride cap on the uncapped path.
@@ -280,6 +341,7 @@ impl ICrowdBuilder {
         let rem_cap = vec![cap16; self.tasks.len()];
         // Pre-sized so no request ever pays an O(|T|) resize mid-flight.
         let inflight_workers = vec![Vec::new(); self.tasks.len()];
+        let candidates = CandidatePool::new(self.tasks.len());
         ICrowd {
             activity: ActivityTracker::new(self.config.activity_window),
             warmup: WarmUp::new(qualification),
@@ -298,7 +360,10 @@ impl ICrowdBuilder {
             warm: BTreeMap::new(),
             open,
             open_cursor: 0,
-            candidates: Vec::new(),
+            active: Vec::new(),
+            candidates,
+            columns: Vec::new(),
+            cold_rank: Vec::new(),
             sets: TopSetBuffer::default(),
             regular_assignments: Vec::new(),
             test_assignments: 0,
@@ -349,8 +414,17 @@ pub struct ICrowd {
     /// Round-robin cursor into `open` for candidate sampling.
     open_cursor: u32,
     candidate_limit: usize,
+    /// This request's free active workers, ascending id: the numbering
+    /// of its top worker sets. Refilled per request.
+    active: Vec<WorkerId>,
     /// This request's candidate tasks, ascending; refilled per request.
-    candidates: Vec<TaskId>,
+    candidates: CandidatePool,
+    /// The uncapped Step 1's dense columns, one per numbered worker;
+    /// empty between requests, kept for its capacity.
+    columns: Vec<&'static [f64]>,
+    /// The capped pipeline's cold ranking: every numbered worker's slot
+    /// at her absent-cell score, best first. Refilled per request.
+    cold_rank: Vec<(usize, f64)>,
     /// This request's top worker sets; refilled per request.
     sets: TopSetBuffer,
     /// Regular (non-warmup) assignments per worker — Figure 15's metric.
@@ -575,7 +649,7 @@ impl ICrowd {
     /// (e.g. from a rank cache overlapping the cursor window) must not
     /// silently shrink the exploration sample. A full-wrap guard
     /// terminates once every open task has been visited.
-    fn sample_open_into(&mut self, cand: &mut BTreeSet<u32>, budget: usize) {
+    fn sample_open_into(&mut self, cand: &mut CandidatePool, budget: usize) {
         let mut taken = 0usize;
         let mut wrapped = false;
         let mut cursor = self.open_cursor;
@@ -619,54 +693,89 @@ impl ICrowd {
 
     /// Algorithm 2 for one requesting worker.
     fn adaptive_assign(&mut self, worker: WorkerId, now: Tick) -> Option<TaskId> {
-        let mut active = self.activity.active_workers(now);
-        if !active.contains(&worker) {
-            active.push(worker);
+        let mut active = std::mem::take(&mut self.active);
+        self.activity.active_workers(now, &mut active);
+        if let Err(pos) = active.binary_search(&worker) {
+            active.insert(pos, worker);
         }
         // Keep only workers free to take a task right now.
         active.retain(|&w| self.in_flight.get(w.index()).copied().flatten().is_none());
-        if !active.contains(&worker) {
-            return None;
-        }
-
-        if self.capped() {
-            return self.adaptive_assign_capped(worker, &active);
-        }
-
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        candidates.extend(self.candidate_tasks());
-        let pick = if candidates.is_empty() {
+        let pick = if active.binary_search(&worker).is_err() {
             None
         } else {
-            for &w in &active {
-                self.estimator.accuracies(w);
-            }
-            // Step 1: top worker sets over the refreshed dense caches.
-            // Eligibility is read once per task from its voters and
-            // holders.
-            let mut sets = std::mem::take(&mut self.sets);
-            sets.clear();
-            for &t in &candidates {
-                let voters = self.consensus.votes(t).votes();
-                let holders = &self.inflight_workers[t.index()];
-                sets.begin_set(t, self.remaining_capacity(t));
-                for &w in &active {
-                    if !voters.iter().any(|v| v.worker == w) && !holders.contains(&w) {
-                        sets.offer(w, self.estimator.accuracy_cached(w, t));
-                    }
-                }
-                sets.end_set();
-            }
-            self.sets = sets;
-
-            #[cfg(debug_assertions)]
-            self.debug_assert_sets_match_oracle(worker, &active, &candidates);
-
-            self.finish_assign(worker, &candidates, MAX_TEST_CANDIDATES)
+            // One numbering, ascending id, for Steps 1–2 of either
+            // pipeline.
+            self.sets.number(&active);
+            let mut candidates = std::mem::take(&mut self.candidates);
+            let pick = if self.capped() {
+                self.adaptive_assign_capped(worker, &active, &mut candidates)
+            } else {
+                self.adaptive_assign_uncapped(worker, &active, &mut candidates)
+            };
+            self.candidates = candidates;
+            pick
         };
-        self.candidates = candidates;
+        self.active = active;
         pick
+    }
+
+    /// Algorithm 2 on the uncapped pipeline: every open task with
+    /// remaining capacity is a candidate, scored from the active
+    /// workers' refreshed dense estimate caches.
+    fn adaptive_assign_uncapped(
+        &mut self,
+        worker: WorkerId,
+        active: &[WorkerId],
+        candidates: &mut CandidatePool,
+    ) -> Option<TaskId> {
+        candidates.tasks.clear();
+        candidates.tasks.extend(self.candidate_tasks());
+        if candidates.tasks.is_empty() {
+            return None;
+        }
+        for &w in active {
+            self.estimator.accuracies(w);
+        }
+        // Step 1: each numbered worker's refreshed dense cache, looked up
+        // once, then one set per candidate with its voters and holders
+        // excluded.
+        let mut columns: Vec<&[f64]> = std::mem::take(&mut self.columns);
+        columns.extend(active.iter().map(|&w| {
+            self.estimator
+                .cached_accuracies(w)
+                .expect("refreshed above")
+        }));
+        let mut sets = std::mem::take(&mut self.sets);
+        for &t in &candidates.tasks {
+            sets.begin_set(t, self.remaining_capacity(t));
+            self.exclude_assigned(&mut sets, t);
+            sets.offer_columns(&columns);
+            sets.end_set();
+        }
+        self.sets = sets;
+        self.columns = unborrowed(columns);
+
+        #[cfg(debug_assertions)]
+        self.debug_assert_sets_match_oracle(worker, active, &candidates.tasks);
+
+        self.finish_assign(worker, &candidates.tasks, MAX_TEST_CANDIDATES)
+    }
+
+    /// Excludes from the set under construction in `sets` the workers
+    /// who may not take `task`: its voters and its holders. Candidates
+    /// are open tasks, and qualification tasks are never open, so
+    /// warm-up history needs no exclusion.
+    fn exclude_assigned(&self, sets: &mut TopSetBuffer, task: TaskId) {
+        if self.remaining_capacity(task) == self.config.assignment_size {
+            // Untouched: no voters and no holders.
+            return;
+        }
+        for v in self.consensus.votes(task).votes() {
+            sets.exclude(v.worker);
+        }
+        for &h in &self.inflight_workers[task.index()] {
+            sets.exclude(h);
+        }
     }
 
     /// Steps 2–3 of Algorithm 2 over this request's top worker sets:
@@ -728,10 +837,15 @@ impl ICrowd {
     /// full active × candidates score matrix. Produces sets bitwise
     /// identical to the full construction (asserted in debug builds by
     /// [`Self::debug_assert_sets_match_oracle`]).
-    fn adaptive_assign_capped(&mut self, worker: WorkerId, active: &[WorkerId]) -> Option<TaskId> {
+    fn adaptive_assign_capped(
+        &mut self,
+        worker: WorkerId,
+        active: &[WorkerId],
+        cand: &mut CandidatePool,
+    ) -> Option<TaskId> {
         // Candidate selection: the best few open-with-capacity tasks
         // from each active worker's rank cache, plus exploration.
-        let mut cand: BTreeSet<u32> = BTreeSet::new();
+        cand.tasks.clear();
         for &w in active {
             if cand.len() >= self.candidate_limit {
                 break;
@@ -756,79 +870,79 @@ impl ICrowd {
             }
         }
         let budget = EXPLORE_SAMPLE.min(self.candidate_limit.saturating_sub(cand.len()));
-        self.sample_open_into(&mut cand, budget);
-        if cand.is_empty() {
+        self.sample_open_into(cand, budget);
+        cand.seal();
+        if cand.tasks.is_empty() {
             return None;
         }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        candidates.extend(cand.iter().copied().map(TaskId));
 
-        // Shared cold ranking: every active worker at her absent-cell
+        // Shared cold ranking: every numbered worker at her absent-cell
         // score, ordered exactly as `top_worker_set` orders (score
-        // descending, worker id ascending).
-        let mut cold_rank: Vec<(WorkerId, f64)> = active
-            .iter()
-            .map(|&w| (w, self.estimator.baseline_score(w)))
-            .collect();
-        cold_rank.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        // descending, then slot, which is worker id, ascending).
+        let mut cold_rank = std::mem::take(&mut self.cold_rank);
+        cold_rank.clear();
+        cold_rank.extend(
+            active
+                .iter()
+                .enumerate()
+                .map(|(slot, &w)| (slot, self.estimator.baseline_score(w))),
+        );
+        cold_rank.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let k = self.config.assignment_size;
-        let mut active_mask = vec![false; self.in_flight.len()];
-        for &w in active {
-            active_mask[w.index()] = true;
-        }
 
         // Step 1: top worker sets.
         let mut sets = std::mem::take(&mut self.sets);
-        sets.clear();
-        for &t in &candidates {
+        for &t in &cand.tasks {
             let remaining = self.remaining_capacity(t);
+            sets.begin_set(t, remaining);
             let warm_here = self.warm.get(&t.0);
             let any_active_warm =
-                warm_here.is_some_and(|l| l.iter().any(|&(w, _)| active_mask[w.index()]));
+                warm_here.is_some_and(|l| l.iter().any(|&(w, _)| sets.slot(w).is_some()));
             if !any_active_warm && remaining == k {
                 // Cold and untouched: no votes, no holders, and no
                 // warm-up history (qualification tasks are never open),
                 // so every active worker is eligible at her cold score —
                 // the set is a shared prefix of the cold ranking.
-                sets.push_set(t, k, cold_rank.iter().copied().take(k));
+                for &(slot, s) in cold_rank.iter().take(k) {
+                    sets.offer(slot, s);
+                }
+                sets.end_set();
                 continue;
             }
             // Warm or partially filled: the true top-`remaining` set is
             // contained in (eligible warm actives) ∪ (the first
             // `remaining` eligible cold actives) — any later cold worker
             // is dominated by `remaining` earlier entries.
-            sets.begin_set(t, remaining);
+            self.exclude_assigned(&mut sets, t);
             if let Some(list) = warm_here {
                 for &(w, s) in list {
-                    if active_mask[w.index()] && self.eligible(w, t) {
-                        sets.offer(w, s);
+                    if let Some(slot) = sets.slot(w) {
+                        sets.offer(slot, s);
                     }
                 }
             }
             let mut cold_taken = 0usize;
-            for &(w, s) in &cold_rank {
+            for &(slot, s) in &cold_rank {
                 if cold_taken >= remaining {
                     break;
                 }
+                let w = active[slot];
                 if warm_here.is_some_and(|l| l.binary_search_by_key(&w, |&(x, _)| x).is_ok()) {
                     continue;
                 }
-                if self.eligible(w, t) {
-                    sets.offer(w, s);
+                if sets.offer(slot, s) {
                     cold_taken += 1;
                 }
             }
             sets.end_set();
         }
         self.sets = sets;
+        self.cold_rank = cold_rank;
 
         #[cfg(debug_assertions)]
-        self.debug_assert_sets_match_oracle(worker, active, &candidates);
+        self.debug_assert_sets_match_oracle(worker, active, &cand.tasks);
 
-        let pick = self.finish_assign(worker, &candidates, MAX_TEST_CANDIDATES_CAPPED);
-        self.candidates = candidates;
-        pick
+        self.finish_assign(worker, &cand.tasks, MAX_TEST_CANDIDATES_CAPPED)
     }
 
     /// Debug-mode oracle for both paths: re-derives the top worker sets
@@ -1094,9 +1208,13 @@ impl ICrowd {
     /// ignored by definition.
     fn best_effort_assign(&mut self, worker: WorkerId) -> Option<TaskId> {
         self.estimator.accuracies(worker);
+        let column = self
+            .estimator
+            .cached_accuracies(worker)
+            .expect("refreshed above");
         self.candidate_tasks()
             .filter(|&t| self.eligible(worker, t))
-            .map(|t| (t, self.estimator.accuracy_cached(worker, t)))
+            .map(|t| (t, column[t.index()]))
             .max_by(|(ta, a), (tb, b)| a.total_cmp(b).then(tb.cmp(ta)))
             .map(|(t, _)| t)
     }
@@ -1643,7 +1761,10 @@ mod tests {
         // the existing pool (as rank-cache candidates do).
         let open: Vec<u32> = srv.open.iter().copied().collect();
         assert_eq!(open.len(), 5);
-        let mut cand: BTreeSet<u32> = open[..3].iter().copied().collect();
+        let mut cand = CandidatePool::new(srv.tasks.len());
+        for &t in &open[..3] {
+            cand.insert(t);
+        }
         srv.open_cursor = 0;
         srv.sample_open_into(&mut cand, 2);
         assert_eq!(
@@ -1656,7 +1777,10 @@ mod tests {
     #[test]
     fn rotating_sampler_terminates_when_everything_is_pooled() {
         let mut srv = setup(AssignStrategy::Adapt, 1);
-        let mut cand: BTreeSet<u32> = srv.open.iter().copied().collect();
+        let mut cand = CandidatePool::new(srv.tasks.len());
+        for &t in &srv.open {
+            cand.insert(t);
+        }
         let before = cand.len();
         srv.open_cursor = 2;
         srv.sample_open_into(&mut cand, 3);
@@ -1668,10 +1792,13 @@ mod tests {
         let mut srv = setup(AssignStrategy::Adapt, 1);
         let open: Vec<u32> = srv.open.iter().copied().collect();
         srv.rem_cap[open[0] as usize] = 0;
-        let mut cand = BTreeSet::new();
+        let mut cand = CandidatePool::new(srv.tasks.len());
         srv.open_cursor = 0;
         srv.sample_open_into(&mut cand, open.len());
-        assert!(!cand.contains(&open[0]), "full task must be skipped");
+        assert!(
+            !cand.tasks.contains(&TaskId(open[0])),
+            "full task must be skipped"
+        );
         assert_eq!(cand.len(), open.len() - 1);
     }
 

@@ -1,7 +1,8 @@
 //! Algorithm 2 keeps its working state between requests: a served
-//! `request_task` reuses one top-worker-set buffer instead of building
-//! a candidate set, a score matrix and one vector per candidate task.
-//! The estimator keeps its per-task state in task-keyed rows and its
+//! `request_task` reuses one numbering of the active workers and one
+//! top-worker-set buffer instead of building a candidate set, a score
+//! matrix and one vector per candidate task, on either pipeline. The
+//! estimator keeps its per-task state in task-keyed rows and its
 //! Equation-(5) inputs in reused buffers, so a submit that completes a
 //! task allocates only when a row or an observation map grows. This
 //! test holds both to ceilings on heap allocations.
@@ -9,17 +10,21 @@
 //! It drives item_compare seed 42, the campaign perfbench serves,
 //! through the in-process marketplace, with the server wrapped so every
 //! `request_task` and `submit_answer` call is counted on its own, the
-//! submits by kind. What remains per request is small and bounded: the
-//! active-worker list, a new worker's registration, a dense estimate
-//! rebuild after a qualification answer, and the amortized growth of
-//! per-task lease lists. What remains per submit is the amortized growth
-//! of a worker's rows and of her observation map.
+//! submits by kind; then it drives the same campaign on the capped
+//! pipeline (`candidate_limit(64)`). What remains per request is small
+//! and bounded: a new worker's registration, the first refresh of a
+//! worker's dense estimates, and the amortized growth of the reused
+//! buffers and of per-task lease lists. What remains per submit is the
+//! amortized growth of a worker's rows and of her observation map.
 //!
 //! Measured on this campaign:
 //!
 //! | calls | count | mean | max |
 //! |---|---|---|---|
-//! | `request_task` | 1,131 | 2.09 | 30 |
+//! | `request_task`, before the numbering | 1,131 | 2.09 | 30 |
+//! | `request_task` | 1,131 | 0.44 | 42 |
+//! | capped `request_task`, before the numbering | 1,143 | 6.10 | 16 |
+//! | capped `request_task` | 1,143 | 0.39 | 20 |
 //! | qualification submits, before the rows | 266 | 7.67 | 23 |
 //! | qualification submits | 266 | 3.27 | 21 |
 //! | completing submits, before the rows | 350 | 2.83 | 9 |
@@ -32,10 +37,15 @@
 //! calls stay in single digits. The ceiling of 64 leaves headroom for
 //! that growth and for workers that register or refresh together; any
 //! per-candidate allocation breaks it on the first request with a couple
-//! of hundred candidates. Before the rows, a completing submit copied
-//! its vote set and built two accuracy vectors, and a qualification
-//! submit grew B-tree nodes and a SipHash map; the mean ceilings (1 and
-//! 5) fail that code and leave the rows' growth room.
+//! of hundred candidates. Before the numbering, every assigning request
+//! allocated its active-worker list, and a capped one also its candidate
+//! `BTreeSet`, its cold ranking and an active mask; a baseline shift
+//! dropped a worker's dense estimates, so the next refresh reallocated
+//! them. The mean ceiling of 1 per request fails that code on both
+//! pipelines. Before the rows, a completing submit copied its vote set
+//! and built two accuracy vectors, and a qualification submit grew
+//! B-tree nodes and a SipHash map; the mean ceilings (1 and 5) fail that
+//! code and leave the rows' growth room.
 //!
 //! The test installs a counting global allocator, so it is its own
 //! integration-test process with exactly one `#[test]`; the count is
@@ -49,22 +59,29 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use icrowd::{AssignStrategy, ICrowd};
+use icrowd::{AssignStrategy, ICrowd, ICrowdBuilder};
 use icrowd_core::answer::Answer;
 use icrowd_core::config::ICrowdConfig;
 use icrowd_core::task::TaskId;
 use icrowd_core::worker::Tick;
 use icrowd_platform::market::{
-    ExternalQuestionServer, Marketplace, SubmitOutcome, WorkerBehavior, WorkerScript,
+    ExternalQuestionServer, MarketConfig, Marketplace, SubmitOutcome, WorkerBehavior, WorkerScript,
 };
 use icrowd_sim::campaign::{
-    prepare_campaign, Approach, CampaignConfig, CampaignServer, CampaignSetup, MetricChoice,
-    QualStrategy,
+    build_graph, prepare_campaign, Approach, CampaignConfig, CampaignServer, CampaignSetup,
+    MetricChoice, QualStrategy,
 };
-use icrowd_sim::datasets::item_compare;
+use icrowd_sim::datasets::{item_compare, Dataset};
 
 /// Largest allocation count any one `request_task` call may reach.
 const MAX_ALLOCATIONS_PER_REQUEST: u64 = 64;
+
+/// Largest mean allocation count over the `request_task` calls, on
+/// either pipeline.
+const MAX_MEAN_PER_REQUEST: f64 = 1.0;
+
+/// The candidate cap of the capped campaign.
+const CANDIDATE_LIMIT: usize = 64;
 
 /// Largest mean allocation count over the submits that complete a task.
 const MAX_MEAN_PER_COMPLETING_SUBMIT: f64 = 1.0;
@@ -208,28 +225,23 @@ impl ExternalQuestionServer for CountingServer {
     }
 }
 
-#[test]
-fn served_campaign_allocations_stay_under_the_ceilings() {
-    icrowd_obs::disable();
-    let config = served_config(42);
-    let dataset = item_compare(42);
-    let CampaignSetup {
-        server,
-        scripts,
-        market,
-        ..
-    } = prepare_campaign(&dataset, Approach::ICrowd(AssignStrategy::Adapt), &config);
+/// Drives `server` through the campaign's marketplace with every call
+/// counted.
+fn drive(
+    server: ICrowd,
+    dataset: &Dataset,
+    config: &CampaignConfig,
+    scripts: Vec<WorkerScript>,
+    market: MarketConfig,
+) -> CountingServer {
     let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = dataset
         .spawn_workers(config.seed)
         .into_iter()
         .zip(scripts)
         .map(|(w, script)| (script, Box::new(w) as Box<dyn WorkerBehavior>))
         .collect();
-    let CampaignServer::ICrowd(inner) = server else {
-        unreachable!("an iCrowd approach builds an iCrowd server")
-    };
     let mut counting = CountingServer {
-        inner: *inner,
+        inner: server,
         requests: Tally::default(),
         qualification: Tally::default(),
         completing: Tally::default(),
@@ -242,6 +254,24 @@ fn served_campaign_allocations_stay_under_the_ceilings() {
     );
     assert!(counting.is_complete(), "the campaign must complete");
     assert!(outcome.answers > 0);
+    counting
+}
+
+#[test]
+fn served_campaign_allocations_stay_under_the_ceilings() {
+    icrowd_obs::disable();
+    let config = served_config(42);
+    let dataset = item_compare(42);
+    let CampaignSetup {
+        server,
+        scripts,
+        market,
+        gold,
+    } = prepare_campaign(&dataset, Approach::ICrowd(AssignStrategy::Adapt), &config);
+    let CampaignServer::ICrowd(inner) = server else {
+        unreachable!("an iCrowd approach builds an iCrowd server")
+    };
+    let counting = drive(*inner, &dataset, &config, scripts.clone(), market);
     for (kind, tally) in [
         ("request_task", &counting.requests),
         ("qualification submit", &counting.qualification),
@@ -250,9 +280,26 @@ fn served_campaign_allocations_stay_under_the_ceilings() {
     ] {
         println!("{}", tally.line(kind));
     }
+
+    // The same campaign on the capped pipeline.
+    let capped = ICrowdBuilder::new(dataset.tasks.clone())
+        .config(config.icrowd.clone())
+        .estimation_mode(config.estimation_mode)
+        .graph(build_graph(&dataset, &config))
+        .qualification(gold)
+        .candidate_limit(CANDIDATE_LIMIT)
+        .build();
+    let capped = drive(capped, &dataset, &config, scripts, market);
+    println!("{}", capped.requests.line("capped request_task"));
+
     assert!(
         counting.requests.max <= MAX_ALLOCATIONS_PER_REQUEST,
         "{} (ceiling {MAX_ALLOCATIONS_PER_REQUEST} in one call)",
+        counting.requests.line("request_task")
+    );
+    assert!(
+        counting.requests.mean() <= MAX_MEAN_PER_REQUEST,
+        "{} (ceiling {MAX_MEAN_PER_REQUEST} on average)",
         counting.requests.line("request_task")
     );
     assert!(
@@ -264,5 +311,10 @@ fn served_campaign_allocations_stay_under_the_ceilings() {
         counting.qualification.mean() <= MAX_MEAN_PER_QUALIFICATION_SUBMIT,
         "{} (ceiling {MAX_MEAN_PER_QUALIFICATION_SUBMIT} on average)",
         counting.qualification.line("qualification submit")
+    );
+    assert!(
+        capped.requests.mean() <= MAX_MEAN_PER_REQUEST,
+        "{} (ceiling {MAX_MEAN_PER_REQUEST} on average)",
+        capped.requests.line("capped request_task")
     );
 }

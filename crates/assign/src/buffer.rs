@@ -14,10 +14,10 @@
 //!   its members as a bitset over the slots, `⌈n/64⌉` words for `n`
 //!   workers, so there is no worker-count limit.
 //! * **Step 1.** Sets are built one task at a time. The workers who may
-//!   not take the task (its voters and holders) go into one exclusion
-//!   bitset; offers keep the set's top `k'` by bounded insertion in
-//!   `top_worker_set`'s exact order (score descending by `total_cmp`,
-//!   worker id ascending). [`TopSetBuffer::offer_columns`] offers every
+//!   not take the task (in the framework, its voters) go into one
+//!   exclusion bitset; offers keep the set's top `k'` by bounded
+//!   insertion in `top_worker_set`'s exact order (score descending by
+//!   `total_cmp`, worker id ascending). [`TopSetBuffer::offer_columns`] offers every
 //!   numbered worker from her dense estimate vector, so a request looks
 //!   each vector up once. Finishing a set computes its average once, in
 //!   the same summation order, and records its member bitset.
@@ -29,8 +29,10 @@
 //!
 //! The references stay the specification: the walk decides exactly what
 //! `greedy_assign` decides for the requester, and the sets are bitwise
-//! the references' sets (held there by `tests/assign_oracle.rs` and by
-//! the framework's debug-build oracle).
+//! the references' sets (held there by `tests/assign_oracle.rs`). No
+//! build replays them per request; `tests/failure_injection.rs` holds
+//! the framework's two Step-1 entries to each other on random
+//! campaigns.
 
 use std::cmp::Ordering;
 

@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use icrowd::platform::StdIo;
 use icrowd::AssignStrategy;
 use icrowd_core::config::ICrowdConfig;
 use icrowd_graph::{GraphBuilder, LinearityIndex};
@@ -617,11 +618,12 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
         let engine = CampaignEngine::new(name, ds, approach, config);
         if let Some(path) = journal {
             engine
-                .start_journal_policy(
+                .start_journal_with(
                     std::path::Path::new(path),
                     fsync_every,
                     snapshot_every,
                     durability,
+                    Box::new(StdIo),
                 )
                 .map_err(|e| CliError(format!("cannot create journal `{path}`: {e}")))?;
         }

@@ -54,22 +54,23 @@
 //! requests, cleared and refilled, never reallocated. Each request
 //! numbers its free active workers once, in ascending id; a
 //! [`TopSetBuffer`] builds every top worker set on that numbering, with
-//! the task's voters and holders in one exclusion bitset and its
-//! members recorded as a bitset over it. Uncapped, every open task with
-//! capacity is a candidate and every numbered worker is offered from
-//! her dense estimate cache, looked up once per request; capped, the
-//! warm∪cold subsets above are offered. Algorithm 3 then runs in commit
-//! rounds — each commits the best set disjoint from those committed
-//! before it — and stops at the round that commits the requester's
-//! set, or once no unconflicted set contains her.
+//! the task's voters in one exclusion bitset and its members recorded
+//! as a bitset over it. Uncapped, every open task with capacity is a
+//! candidate and every numbered worker is offered from her dense
+//! estimate cache, looked up once per request; capped, the warm∪cold
+//! subsets above are offered. Algorithm 3 then runs in commit rounds —
+//! each commits the best set disjoint from those committed before it —
+//! and stops at the round that commits the requester's set, or once no
+//! unconflicted set contains her.
 //!
-//! The paper-level references, [`icrowd_assign::top_worker_set`] and
-//! [`icrowd_assign::greedy_assign`], survive as the debug-mode oracle:
-//! every request in a debug build re-derives the top worker sets from a
-//! full active × candidates score matrix, asserts bitwise equality with
-//! the buffer and that the walk decides what the greedy scheme decides,
-//! and [`ICrowd::validate_incremental_state`] re-checks every maintained
-//! structure against from-scratch recomputation.
+//! Debug and release builds run this one request path. The paper-level
+//! references, [`icrowd_assign::top_worker_set`] and
+//! [`icrowd_assign::greedy_assign`], are what the tests hold it to:
+//! `tests/assign_oracle.rs` checks the buffer and the walk against them,
+//! and `tests/failure_injection.rs` runs random campaigns under random
+//! fault plans on both pipelines (the capped pool then holds every open
+//! task) and requires identical decisions, calling
+//! [`ICrowd::validate_incremental_state`] after every call.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -589,14 +590,18 @@ impl ICrowd {
             .chain(self.inflight_workers[task.index()].iter().copied())
     }
 
-    /// Whether `worker` may be assigned the candidate `task`: she neither
-    /// voted on it nor holds it. Candidates are open tasks, and
+    /// Whether the requester `worker` may be assigned the candidate
+    /// `task`: she has not voted on it. Candidates are open tasks, and
     /// qualification tasks are never open (asserted by
     /// [`Self::validate_incremental_state`]), so warm-up history needs no
     /// check.
+    ///
+    /// Holders need no check here nor in [`Self::exclude_assigned`]:
+    /// `request_task` hands a requester her live lease before Algorithm 2
+    /// runs, and the numbering keeps only workers with no lease, so no
+    /// worker Algorithm 2 considers holds a task.
     fn eligible(&self, worker: WorkerId, task: TaskId) -> bool {
         self.consensus.votes(task).answer_of(worker).is_none()
-            && !self.inflight_workers[task.index()].contains(&worker)
     }
 
     /// Remaining capacity of `task` — the maintained counter, O(1).
@@ -737,8 +742,7 @@ impl ICrowd {
             self.estimator.accuracies(w);
         }
         // Step 1: each numbered worker's refreshed dense cache, looked up
-        // once, then one set per candidate with its voters and holders
-        // excluded.
+        // once, then one set per candidate with its voters excluded.
         let mut columns: Vec<&[f64]> = std::mem::take(&mut self.columns);
         columns.extend(active.iter().map(|&w| {
             self.estimator
@@ -754,27 +758,18 @@ impl ICrowd {
         }
         self.sets = sets;
         self.columns = unborrowed(columns);
-
-        #[cfg(debug_assertions)]
-        self.debug_assert_sets_match_oracle(worker, active, &candidates.tasks);
-
         self.finish_assign(worker, &candidates.tasks, MAX_TEST_CANDIDATES)
     }
 
     /// Excludes from the set under construction in `sets` the workers
-    /// who may not take `task`: its voters and its holders. Candidates
-    /// are open tasks, and qualification tasks are never open, so
-    /// warm-up history needs no exclusion.
+    /// who may not take `task`: its voters, as [`Self::eligible`] says.
     fn exclude_assigned(&self, sets: &mut TopSetBuffer, task: TaskId) {
         if self.remaining_capacity(task) == self.config.assignment_size {
-            // Untouched: no voters and no holders.
+            // Untouched: no voters.
             return;
         }
         for v in self.consensus.votes(task).votes() {
             sets.exclude(v.worker);
-        }
-        for &h in &self.inflight_workers[task.index()] {
-            sets.exclude(h);
         }
     }
 
@@ -835,8 +830,9 @@ impl ICrowd {
     /// exploration sample, and each top worker set is assembled from the
     /// task's warm scores merged with a shared cold ranking instead of a
     /// full active × candidates score matrix. Produces sets bitwise
-    /// identical to the full construction (asserted in debug builds by
-    /// [`Self::debug_assert_sets_match_oracle`]).
+    /// identical to the full construction: when the pool holds every
+    /// open task, a capped campaign decides exactly as an uncapped one
+    /// (the differential proptest in `tests/failure_injection.rs`).
     fn adaptive_assign_capped(
         &mut self,
         worker: WorkerId,
@@ -888,31 +884,16 @@ impl ICrowd {
                 .map(|(slot, &w)| (slot, self.estimator.baseline_score(w))),
         );
         cold_rank.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let k = self.config.assignment_size;
 
-        // Step 1: top worker sets.
+        // Step 1: top worker sets. The true top-`remaining` set is
+        // contained in (eligible warm actives) ∪ (the first `remaining`
+        // eligible cold actives) — any later cold worker is dominated by
+        // `remaining` earlier entries.
         let mut sets = std::mem::take(&mut self.sets);
         for &t in &cand.tasks {
             let remaining = self.remaining_capacity(t);
             sets.begin_set(t, remaining);
             let warm_here = self.warm.get(&t.0);
-            let any_active_warm =
-                warm_here.is_some_and(|l| l.iter().any(|&(w, _)| sets.slot(w).is_some()));
-            if !any_active_warm && remaining == k {
-                // Cold and untouched: no votes, no holders, and no
-                // warm-up history (qualification tasks are never open),
-                // so every active worker is eligible at her cold score —
-                // the set is a shared prefix of the cold ranking.
-                for &(slot, s) in cold_rank.iter().take(k) {
-                    sets.offer(slot, s);
-                }
-                sets.end_set();
-                continue;
-            }
-            // Warm or partially filled: the true top-`remaining` set is
-            // contained in (eligible warm actives) ∪ (the first
-            // `remaining` eligible cold actives) — any later cold worker
-            // is dominated by `remaining` earlier entries.
             self.exclude_assigned(&mut sets, t);
             if let Some(list) = warm_here {
                 for &(w, s) in list {
@@ -938,72 +919,7 @@ impl ICrowd {
         }
         self.sets = sets;
         self.cold_rank = cold_rank;
-
-        #[cfg(debug_assertions)]
-        self.debug_assert_sets_match_oracle(worker, active, &cand.tasks);
-
         self.finish_assign(worker, &cand.tasks, MAX_TEST_CANDIDATES_CAPPED)
-    }
-
-    /// Debug-mode oracle for both paths: re-derives the top worker sets
-    /// with the paper-level reference — a full active × candidates score
-    /// matrix through the estimator, eligibility from the capacity
-    /// holders and warm-up history, [`icrowd_assign::top_worker_set`]
-    /// per task — and asserts the buffer matched bitwise and that the
-    /// walk serves the requester exactly the task
-    /// [`icrowd_assign::greedy_assign`]'s scheme gives her.
-    #[cfg(debug_assertions)]
-    fn debug_assert_sets_match_oracle(
-        &mut self,
-        worker: WorkerId,
-        active: &[WorkerId],
-        candidates: &[TaskId],
-    ) {
-        use icrowd_assign::{greedy_assign, top_worker_set, TopWorkerSet};
-        let mut oracle: Vec<TopWorkerSet> = Vec::with_capacity(candidates.len());
-        for &t in candidates {
-            let remaining = self
-                .config
-                .assignment_size
-                .saturating_sub(self.capacity_holders(t).count());
-            if remaining == 0 {
-                continue;
-            }
-            let eligible = active
-                .iter()
-                .filter(|&&w| self.eligible(w, t) && !self.warmup.has_answered(w, t))
-                .map(|&w| (w, self.estimator.estimate(w, t)));
-            let set = top_worker_set(t, eligible, remaining);
-            if !set.workers.is_empty() {
-                oracle.push(set);
-            }
-        }
-        assert_eq!(
-            oracle.len(),
-            self.sets.len(),
-            "oracle disagrees on set count"
-        );
-        for (a, b) in oracle.iter().zip(self.sets.sets()) {
-            assert_eq!(a.task, b.task, "oracle disagrees on set task");
-            let aw: Vec<(u32, u64)> = a.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
-            let bw: Vec<(u32, u64)> = b.workers.iter().map(|&(w, s)| (w.0, s.to_bits())).collect();
-            assert_eq!(aw, bw, "oracle disagrees on workers of task {:?}", a.task);
-            assert_eq!(
-                a.average_accuracy().to_bits(),
-                b.average.to_bits(),
-                "oracle disagrees on the average of task {:?}",
-                a.task
-            );
-        }
-        let served = greedy_assign(&oracle)
-            .into_iter()
-            .find(|a| a.worker_ids().any(|w| w == worker))
-            .map(|a| a.task);
-        assert_eq!(
-            self.sets.walk(worker),
-            served,
-            "the walk disagrees with greedy_assign for worker {worker:?}"
-        );
     }
 
     /// Whether the capped pipeline and its incremental candidate caches
@@ -1127,10 +1043,11 @@ impl ICrowd {
 
     /// Asserts the incrementally maintained hot-path state against
     /// from-scratch recomputation: `rem_cap` vs counted capacity
-    /// holders, the lease queue covering every live lease, and (under a
-    /// candidate cap) the rank/warm caches against the estimator's cell
-    /// view. Debug builds run this after every request; the fault-plan
-    /// equivalence tests call it explicitly.
+    /// holders, the lease queue covering every live lease, every holder
+    /// holding a live lease, and (under a candidate cap) the rank/warm
+    /// caches against the estimator's cell view. No request runs it; the
+    /// tests call it, the fault-plan proptests after every request and
+    /// submit.
     ///
     /// # Panics
     /// Panics if any maintained structure drifted from its oracle.
@@ -1165,6 +1082,18 @@ impl ICrowd {
                 assert!(
                     queued.contains(&(l.deadline.0, w)),
                     "live lease of worker {wi} missing from the deadline queue"
+                );
+            }
+        }
+        // Every holder has a live lease on the task she holds, so a
+        // worker with no lease holds nothing: why Algorithm 2 never
+        // checks holders (see `eligible`).
+        for (ti, holders) in self.inflight_workers.iter().enumerate() {
+            for &w in holders {
+                let lease = self.in_flight.get(w.index()).copied().flatten();
+                assert!(
+                    lease.is_some_and(|l| l.task.index() == ti),
+                    "worker {w} holds task {ti} without a live lease on it"
                 );
             }
         }
@@ -1251,8 +1180,6 @@ impl ExternalQuestionServer for ICrowd {
             return None;
         }
         self.expire_leases(now);
-        #[cfg(debug_assertions)]
-        self.validate_incremental_state();
 
         // Idempotent re-request: hand back the task already in flight,
         // renewing its lease — the worker just proved she is alive. The

@@ -334,21 +334,6 @@ impl CampaignEngine {
     }
 
     /// Like [`Self::start_journal`], with an explicit durability policy
-    /// on the real filesystem.
-    ///
-    /// # Errors
-    /// Propagates journal-creation and header-write failures.
-    pub fn start_journal_policy(
-        &self,
-        path: &Path,
-        fsync_every: usize,
-        snapshot_every: usize,
-        policy: DurabilityPolicy,
-    ) -> std::io::Result<()> {
-        self.start_journal_with(path, fsync_every, snapshot_every, policy, Box::new(StdIo))
-    }
-
-    /// Like [`Self::start_journal`], with an explicit durability policy
     /// and an explicit [`JournalIo`] (the real filesystem, or a fault
     /// injector).
     ///

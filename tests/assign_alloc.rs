@@ -49,11 +49,9 @@
 //!
 //! The test installs a counting global allocator, so it is its own
 //! integration-test process with exactly one `#[test]`; the count is
-//! scoped to the test's thread. It is compiled only without debug
-//! assertions: debug builds re-validate the incremental state and
-//! replay the top-worker-set oracle inside every request, and both
-//! allocate. Run it with `cargo test --release --test assign_alloc`.
-#![cfg(not(debug_assertions))]
+//! scoped to the test's thread. Debug and release builds run the same
+//! request path and count the same allocations, so plain `cargo test`
+//! runs it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -111,7 +111,7 @@ fn gold_tasks_are_excluded_from_measurement_for_every_approach() {
 /// The capped pipeline (Figure 10's candidate cap) over a connected
 /// similarity graph, run to completion: rank and warm upkeep over real
 /// PPR supports, and the late phase with fewer open tasks than the cap,
-/// both hold. Debug builds replay the set oracle on every request.
+/// both hold. The maintained state is re-validated after every call.
 #[test]
 fn a_capped_campaign_over_a_connected_graph_runs_to_completion() {
     let (n, neighbors) = (200, 10);
@@ -146,8 +146,10 @@ fn a_capped_campaign_over_a_connected_graph_runs_to_completion() {
         for w in 0..20 {
             let name = format!("W{w}");
             if let Some(t) = server.request_task(&name, Tick(tick)) {
+                server.validate_incremental_state();
                 server.submit_answer(&name, t, Answer::YES, Tick(tick));
             }
+            server.validate_incremental_state();
             tick += 1;
         }
     }
@@ -155,5 +157,4 @@ fn a_capped_campaign_over_a_connected_graph_runs_to_completion() {
         let votes = server.consensus().votes(t).len();
         assert!(votes <= k, "task {t} holds {votes} votes");
     }
-    server.validate_incremental_state();
 }

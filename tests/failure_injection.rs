@@ -2,7 +2,7 @@
 //! marketplace faults and worker churn must not wedge the framework —
 //! and must never corrupt its vote or payment accounting.
 
-use icrowd::core::{Answer, ICrowdConfig, Microtask, TaskId, TaskSet, Tick, WarmupConfig};
+use icrowd::core::{Answer, Domain, ICrowdConfig, Microtask, TaskId, TaskSet, Tick, WarmupConfig};
 use icrowd::platform::{
     ChurnSpike, ExternalQuestionServer, FaultConfig, MarketConfig, MarketOutcome, Marketplace,
     RejectReason, SubmitOutcome, WorkerScript,
@@ -11,7 +11,9 @@ use icrowd::text::{JaccardSimilarity, Tokenizer};
 use icrowd::{AssignStrategy, ICrowd, ICrowdBuilder};
 use icrowd_platform::market::WorkerBehavior;
 use icrowd_sim::datasets::table1;
+use icrowd_sim::{SimWorker, WorkerProfile};
 use icrowd_text::metric::MatrixSimilarity;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// The telemetry registry is process-global and one test here arms it,
@@ -219,7 +221,7 @@ fn assert_books(outcome: &MarketOutcome, server: &ICrowd, tasks: u32, at: &str) 
         "spend != payments x reward at {at}"
     );
     assert_eq!(a.answers_rejected, server.answers_rejected(), "at {at}");
-    let k = ICrowdConfig::default().assignment_size;
+    let k = server.config().assignment_size;
     for t in 0..tasks {
         let votes = server.consensus().votes(TaskId(t)).len();
         assert!(votes <= k, "task {t} holds {votes} votes, past k, at {at}");
@@ -231,6 +233,34 @@ struct Truthful;
 impl WorkerBehavior for Truthful {
     fn answer(&mut self, task: &Microtask) -> Answer {
         task.ground_truth.unwrap_or(Answer::YES)
+    }
+}
+
+/// The framework with its maintained state re-checked against
+/// from-scratch recomputation after every request and every submit.
+struct Validated(ICrowd);
+
+impl ExternalQuestionServer for Validated {
+    fn request_task(&mut self, worker: &str, now: Tick) -> Option<TaskId> {
+        let task = self.0.request_task(worker, now);
+        self.0.validate_incremental_state();
+        task
+    }
+
+    fn submit_answer(
+        &mut self,
+        worker: &str,
+        task: TaskId,
+        answer: Answer,
+        now: Tick,
+    ) -> SubmitOutcome {
+        let outcome = self.0.submit_answer(worker, task, answer, now);
+        self.0.validate_incremental_state();
+        outcome
+    }
+
+    fn is_complete(&self) -> bool {
+        self.0.is_complete()
     }
 }
 
@@ -254,17 +284,22 @@ proptest! {
         let n = 8u32;
         let ts = tasks(n);
         let metric = MatrixSimilarity::from_edges(&ts, &[], "empty");
-        let mut srv = ICrowdBuilder::new(ts.clone())
-            .config(ICrowdConfig {
-                warmup: WarmupConfig {
-                    num_qualification: 1,
+        // Heap-based lease expiry and counter-based remaining capacity
+        // must match their swept/recomputed oracles after every call,
+        // whatever the fault mix.
+        let mut srv = Validated(
+            ICrowdBuilder::new(ts.clone())
+                .config(ICrowdConfig {
+                    warmup: WarmupConfig {
+                        num_qualification: 1,
+                        ..Default::default()
+                    },
                     ..Default::default()
-                },
-                ..Default::default()
-            })
-            .strategy(AssignStrategy::Adapt)
-            .metric(&metric)
-            .build();
+                })
+                .strategy(AssignStrategy::Adapt)
+                .metric(&metric)
+                .build(),
+        );
         let market = Marketplace::new(ts, MarketConfig::default());
         let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = (0..12)
             .map(|i| {
@@ -290,28 +325,27 @@ proptest! {
         let outcome = market.run_with_faults(&mut srv, behaviors, Some(faults.clone()));
 
         let at = format!("{faults:?}");
-        assert_books(&outcome, &srv, n, &at);
-        // Heap-based lease expiry and counter-based remaining capacity
-        // must match their swept/recomputed oracles after any fault mix.
-        srv.validate_incremental_state();
+        assert_books(&outcome, &srv.0, n, &at);
 
         // Same fault plan against a capped-pool server: the incremental
         // candidate caches must also survive drops, dups, expiries and
         // churn without drifting from the estimator.
         let ts2 = tasks(n);
         let metric2 = MatrixSimilarity::from_edges(&ts2, &[], "empty");
-        let mut capped = ICrowdBuilder::new(ts2.clone())
-            .config(ICrowdConfig {
-                warmup: WarmupConfig {
-                    num_qualification: 1,
+        let mut capped = Validated(
+            ICrowdBuilder::new(ts2.clone())
+                .config(ICrowdConfig {
+                    warmup: WarmupConfig {
+                        num_qualification: 1,
+                        ..Default::default()
+                    },
                     ..Default::default()
-                },
-                ..Default::default()
-            })
-            .strategy(AssignStrategy::Adapt)
-            .metric(&metric2)
-            .candidate_limit(4)
-            .build();
+                })
+                .strategy(AssignStrategy::Adapt)
+                .metric(&metric2)
+                .candidate_limit(4)
+                .build(),
+        );
         let market2 = Marketplace::new(ts2, MarketConfig::default());
         let behaviors2: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = (0..12)
             .map(|i| {
@@ -326,8 +360,134 @@ proptest! {
             })
             .collect();
         let outcome2 = market2.run_with_faults(&mut capped, behaviors2, Some(faults));
-        assert_books(&outcome2, &capped, n, &at);
-        capped.validate_incremental_state();
+        assert_books(&outcome2, &capped.0, n, &at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The capped pipeline decides exactly as the uncapped one whenever
+    /// its pool holds every open task. Each case is a small random
+    /// campaign — a random similarity graph, noisy workers with two
+    /// domain accuracies each, k ∈ {1, 3, 5}, with or without explicit
+    /// leases, Adapt or QF-Only, and a random fault plan — run twice:
+    /// uncapped, and capped with `candidate_limit` = |T| over at most 8
+    /// open tasks, where the rank pulls plus the 8-task exploration
+    /// sample pool all of them. Both runs sample Step 3 with stride 1,
+    /// so the two can differ only where a top worker set differs: the
+    /// capped warm∪cold construction against the dense one. The event
+    /// logs, labels and per-worker assignment counts must be identical,
+    /// and both runs re-validate their maintained state after every
+    /// call.
+    #[test]
+    fn capped_and_uncapped_pipelines_decide_alike(
+        open in 1u32..=8,
+        quals in 1u32..=2,
+        truths in vec((proptest::bool::ANY, 0u16..2), 10),
+        edges in vec((0u32..10, 0u32..10, 0.2f64..1.0), 0..24),
+        k_index in 0usize..3,
+        lease in 0u64..12,
+        qf_only in proptest::bool::ANY,
+        crowd in vec((0.2f64..1.0, 0.2f64..1.0), 3..10),
+        seed in 0u64..1_000,
+        drop_rate in 0.0f64..0.3,
+        dup_rate in 0.0f64..0.3,
+        late_rate in 0.0f64..0.3,
+        stall_rate in 0.0f64..0.1,
+        churn_at in 0u64..40,
+        churn_fraction in 0.0f64..0.3,
+    ) {
+        let _g = obs_guard();
+        let n = open + quals;
+        let ts: TaskSet = (0..n)
+            .map(|i| {
+                let (yes, domain) = truths[i as usize];
+                let truth = if yes { Answer::YES } else { Answer::NO };
+                Microtask::binary(TaskId(i), format!("task {i}"))
+                    .with_domain(Domain(domain))
+                    .with_ground_truth(truth)
+            })
+            .collect();
+        let edges: Vec<(TaskId, TaskId, f64)> = edges
+            .into_iter()
+            .map(|(a, b, s)| (TaskId(a % n), TaskId(b % n), s))
+            .filter(|(a, b, _)| a != b)
+            .collect();
+        let metric = MatrixSimilarity::from_edges(&ts, &edges, "random");
+        let config = ICrowdConfig {
+            assignment_size: [1, 3, 5][k_index],
+            similarity_threshold: 0.5,
+            lease_ticks: (lease > 0).then_some(lease),
+            warmup: WarmupConfig {
+                num_qualification: quals as usize,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let strategy = if qf_only { AssignStrategy::QfOnly } else { AssignStrategy::Adapt };
+        let faults = FaultConfig {
+            seed,
+            drop_rate,
+            dup_rate,
+            late_rate,
+            stall_rate,
+            churn: vec![ChurnSpike { at: churn_at, fraction: churn_fraction }],
+            ..Default::default()
+        };
+        let run = |candidate_limit: Option<usize>| {
+            let mut builder = ICrowdBuilder::new(ts.clone())
+                .config(config.clone())
+                .strategy(strategy)
+                .metric(&metric);
+            if let Some(limit) = candidate_limit {
+                builder = builder.candidate_limit(limit);
+            }
+            let mut server = Validated(builder.build());
+            let behaviors: Vec<(WorkerScript, Box<dyn WorkerBehavior>)> = crowd
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| {
+                    let profile = WorkerProfile {
+                        name: format!("W{i}"),
+                        domain_accuracy: vec![a, b],
+                    };
+                    (
+                        WorkerScript {
+                            arrival: Tick(i as u64),
+                            max_answers: 40,
+                            ticks_per_answer: 1,
+                        },
+                        Box::new(SimWorker::new(profile, seed ^ i as u64))
+                            as Box<dyn WorkerBehavior>,
+                    )
+                })
+                .collect();
+            let outcome = Marketplace::new(ts.clone(), MarketConfig::default()).run_with_faults(
+                &mut server,
+                behaviors,
+                Some(faults.clone()),
+            );
+            assert_books(&outcome, &server.0, n, &format!("{config:?} {faults:?}"));
+            (outcome, server.0)
+        };
+        let (uncapped_outcome, uncapped) = run(None);
+        let (capped_outcome, capped) = run(Some(n as usize));
+
+        let at = format!("{strategy:?} {config:?} {edges:?} {crowd:?} {faults:?}");
+        prop_assert_eq!(
+            uncapped_outcome.events.to_json_lines(),
+            capped_outcome.events.to_json_lines(),
+            "event logs differ at {}",
+            at
+        );
+        prop_assert_eq!(uncapped.results(), capped.results(), "labels differ at {}", at);
+        prop_assert_eq!(
+            uncapped.assignment_distribution(),
+            capped.assignment_distribution(),
+            "assignment counts differ at {}",
+            at
+        );
     }
 }
 

@@ -128,7 +128,7 @@ fn run_one(n: usize, cap: usize) {
     let telemetry = std::env::var("FIG10_TELEMETRY").ok();
     // Telemetry is always armed: the per-request latency distribution
     // (p50/p99 of the assign.loop span) comes from the obs histograms,
-    // and the CI fig10 job asserts the p99 against a baseline.
+    // and the CI fig10 job gates the median p99 of three runs' rows.
     icrowd_obs::reset();
     icrowd_obs::enable();
     let debug_mem = std::env::var("FIG10_MEM").is_ok();
@@ -215,20 +215,6 @@ fn run_one(n: usize, cap: usize) {
                 p99_us,
                 peak_rss_mb
             );
-            // Latency gate: FIG10_MAX_P99_US fails the child when the
-            // assignment p99 regressed past the budget.
-            if let Some(max_p99) = std::env::var("FIG10_MAX_P99_US")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-            {
-                if p99_us > max_p99 {
-                    eprintln!(
-                        "assign-gate: p99 {p99_us:.1} us exceeds budget {max_p99:.1} us \
-                         (n={n}, cap={cap})"
-                    );
-                    std::process::exit(1);
-                }
-            }
             if let Ok(path) = std::env::var("FIG10_JSON") {
                 let row = serde_json::json!({
                     "tasks": n,

@@ -24,7 +24,7 @@
 use icrowd_core::config::PprConfig;
 
 use crate::csr::SimilarityGraph;
-use crate::sparsevec::SparseTaskVector;
+use crate::sparsevec::{sort_by_index, SparseTaskVector};
 
 /// Dense PPR by power iteration.
 ///
@@ -68,6 +68,14 @@ pub fn power_iteration(
 /// dropped, bounding the working set by the (damped) neighborhood of
 /// `q`'s support. With `truncate_eps = 0` this is exact up to
 /// `config.tolerance` and matches [`power_iteration`].
+///
+/// A sweep makes one `(task, contribution)` pair per neighbor of each
+/// support entry, then one per entry of `q`, and sums each task's pairs
+/// in the order `sort_by_index` leaves them. That order depends only on
+/// the sequence of task ids, which depends only on the iterate's support
+/// (`q` and the graph are fixed), so the solver sorts once per support
+/// and every sweep on that support sums in the recorded order: the same
+/// bits as sorting every sweep's pairs.
 pub fn sparse_ppr(
     graph: &SimilarityGraph,
     q: &SparseTaskVector,
@@ -84,27 +92,36 @@ pub fn sparse_ppr(
     let tolerance = config.tolerance.max(truncate_eps * 0.1);
 
     let mut p = q.clone();
-    // Scratch buffers reused across sweeps: the index build calls this
-    // once per task, and per-sweep allocation of the pair list dominated
-    // the solver's allocator traffic.
-    let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(p.nnz().saturating_mul(4).max(q.nnz()));
+    // Buffers reused across sweeps: the index build calls this once per
+    // task.
+    let mut order: Vec<(u32, f64)> = Vec::new();
+    let mut order_fits = false;
+    let mut contributions: Vec<f64> = Vec::new();
     let mut next = SparseTaskVector::new();
-    let mut iterations = 0u64;
+    let (mut iterations, mut sorts) = (0u64, 0u64);
     for _ in 0..config.max_iterations {
         iterations += 1;
-        // next = damping * (p S') + restart * q, built sparsely.
-        pairs.clear();
+        if !order_fits {
+            sort_sweep(graph, &p, q, &mut order);
+            sorts += 1;
+        }
+        // next = damping * (p S') + restart * q, built sparsely: the
+        // contributions in generation order, summed in sorted order.
+        contributions.clear();
         for (i, v) in p.iter() {
             let dv = damping * v;
-            for (j, w) in graph.normalized_neighbors(i) {
-                pairs.push((j.0, dv * w));
-            }
+            contributions.extend(graph.normalized_neighbors(i).map(|(_, w)| dv * w));
         }
-        for (i, v) in q.iter() {
-            pairs.push((i.0, restart * v));
-        }
-        next.assign_from_pairs(&mut pairs);
+        contributions.extend(q.iter().map(|(_, v)| restart * v));
+        next.assign_sorted(
+            order
+                .iter()
+                .map(|&(j, generation)| (j, contributions[generation.to_bits() as usize])),
+        );
         next.truncate(truncate_eps);
+        // The next sweep starts from `next`: the order fits it only if
+        // the support held.
+        order_fits = next.support().eq(p.support());
 
         // L1 distance between iterates (merge walk).
         let delta = l1_distance(&p, &next);
@@ -115,7 +132,31 @@ pub fn sparse_ppr(
     }
     icrowd_obs::counter_add("ppr.solves", 1);
     icrowd_obs::counter_add("ppr.iterations", iterations);
+    icrowd_obs::counter_add("ppr.sorts", sorts);
     p
+}
+
+/// Sorts into `order` the task ids a sweep from `p` generates, each
+/// tagged with its generation index. The index rides in the `f64` slot
+/// as raw bits, so the sort runs on the element type `from_pairs` sorts
+/// and leaves equal ids in the order the contributions would take: a
+/// `(u32, u32)` sort orders them differently.
+fn sort_sweep(
+    graph: &SimilarityGraph,
+    p: &SparseTaskVector,
+    q: &SparseTaskVector,
+    order: &mut Vec<(u32, f64)>,
+) {
+    let ids = p
+        .iter()
+        .flat_map(|(i, _)| graph.normalized_neighbors(i).map(|(j, _)| j.0))
+        .chain(q.support());
+    order.clear();
+    order.extend(
+        ids.enumerate()
+            .map(|(generation, j)| (j, f64::from_bits(generation as u64))),
+    );
+    sort_by_index(order);
 }
 
 /// L1 distance between two sparse vectors.

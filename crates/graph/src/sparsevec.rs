@@ -28,20 +28,18 @@ impl SparseTaskVector {
     /// Builds from unsorted `(index, value)` pairs, merging duplicates by
     /// addition and dropping exact zeros.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
+        sort_by_index(&mut pairs);
         let mut out = Self::new();
-        out.assign_from_pairs(&mut pairs);
+        out.assign_sorted(pairs);
         out
     }
 
-    /// Rebuilds `self` from unsorted `(index, value)` pairs — the
-    /// allocation-free counterpart of [`Self::from_pairs`]. Sorts `pairs`
-    /// in place (it remains usable as a scratch buffer afterwards) and
-    /// reuses `self`'s existing capacity; identical merge/drop semantics.
-    pub fn assign_from_pairs(&mut self, pairs: &mut [(u32, f64)]) {
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+    /// Rebuilds `self` from pairs in [`sort_by_index`] order, reusing its
+    /// capacity: each index's run sums from its first pair on, and exact
+    /// zeros drop.
+    pub(crate) fn assign_sorted(&mut self, sorted: impl IntoIterator<Item = (u32, f64)>) {
         self.entries.clear();
-        self.entries.reserve(pairs.len());
-        for &(i, v) in pairs.iter() {
+        for (i, v) in sorted {
             match self.entries.last_mut() {
                 Some((li, lv)) if *li == i => *lv += v,
                 _ => self.entries.push((i, v)),
@@ -142,6 +140,18 @@ impl FromIterator<(u32, f64)> for SparseTaskVector {
     }
 }
 
+/// Sorts `(index, value)` pairs by index: the one sort behind
+/// [`SparseTaskVector::from_pairs`] and the PPR solver's sweep order.
+///
+/// `sort_unstable` leaves equal indices in an order fixed by the sequence
+/// of indices and the element type alone, never by the values. So pairs
+/// whose `f64` slot carries something else (the solver's generation
+/// indices) sort into the same permutation as the contributions would,
+/// and the solver sorts once per support instead of once per sweep.
+pub(crate) fn sort_by_index(pairs: &mut [(u32, f64)]) {
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,16 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn assign_from_pairs_reuses_buffers() {
-        let mut v = SparseTaskVector::from_pairs(vec![(9, 1.0), (1, 1.0)]);
+    fn assign_sorted_reuses_capacity() {
+        let mut v = SparseTaskVector::from_pairs(vec![(9, 1.0), (1, 1.0), (4, 1.0)]);
         let cap_before = v.capacity();
-        let mut scratch = vec![(5u32, 1.0), (2, 0.5), (5, 1.5), (7, 0.0)];
-        v.assign_from_pairs(&mut scratch);
+        v.assign_sorted([(2, 0.5), (5, 1.0), (5, 1.5), (7, 0.0)]);
         assert_eq!(v.entries(), &[(2, 0.5), (5, 2.5)]);
-        assert!(v.capacity() >= cap_before, "capacity is retained");
-        // The scratch buffer survives (sorted) for the caller to clear
-        // and refill on the next sweep.
-        assert_eq!(scratch.len(), 4);
+        assert_eq!(v.capacity(), cap_before, "capacity is retained");
     }
 
     #[test]

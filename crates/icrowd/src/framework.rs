@@ -174,6 +174,56 @@ impl CandidatePool {
     }
 }
 
+/// The open (not globally completed) task ids as a word bitset: a scan
+/// reads them a word at a time, in ascending id. Ids are only ever
+/// removed.
+struct OpenTasks {
+    words: Vec<u64>,
+}
+
+impl OpenTasks {
+    /// Every id in `0..num_tasks` open.
+    fn all(num_tasks: usize) -> Self {
+        let words = (0..num_tasks.div_ceil(64))
+            .map(|wi| match num_tasks - wi * 64 {
+                live if live >= 64 => !0,
+                live => (1u64 << live) - 1,
+            })
+            .collect();
+        Self { words }
+    }
+
+    fn contains(&self, task: u32) -> bool {
+        self.words
+            .get(task as usize / 64)
+            .is_some_and(|&word| word >> (task % 64) & 1 == 1)
+    }
+
+    fn remove(&mut self, task: u32) {
+        self.words[task as usize / 64] &= !(1u64 << (task % 64));
+    }
+
+    /// The open ids at or after `from`, ascending.
+    fn iter_from(&self, from: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = from as usize / 64;
+        let head = !0u64 << (from % 64);
+        self.words
+            .iter()
+            .enumerate()
+            .skip(first)
+            .flat_map(move |(wi, &word)| {
+                let mut bits = if wi == first { word & head } else { word };
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        (wi * 64) as u32 + bit
+                    })
+                })
+            })
+    }
+}
+
 /// Empties `columns` and returns its allocation free of the borrow, for
 /// the next request to refill: collecting a `Vec`'s own iterator into
 /// elements of the same layout reuses its buffer, so nothing is
@@ -325,7 +375,7 @@ impl ICrowdBuilder {
             )
         });
         let mut consensus = ConsensusState::new(&self.tasks, self.config.assignment_size);
-        let mut open: BTreeSet<u32> = self.tasks.ids().map(|t| t.0).collect();
+        let mut open = OpenTasks::all(self.tasks.len());
         for &q in &qualification {
             // The requester labelled the qualification tasks herself
             // (Section 2.2): their results are known up front and no crowd
@@ -335,7 +385,7 @@ impl ICrowdBuilder {
                 .ground_truth
                 .unwrap_or_else(|| panic!("qualification task {q} lacks ground truth"));
             consensus.preset(q, truth);
-            open.remove(&q.0);
+            open.remove(q.0);
         }
         let cap16 =
             u16::try_from(self.config.assignment_size).expect("assignment_size fits in u16");
@@ -411,7 +461,7 @@ pub struct ICrowd {
     /// exact scores, sorted by worker id. Only maintained under a cap.
     warm: BTreeMap<u32, Vec<(WorkerId, f64)>>,
     /// Open (not globally completed) task ids.
-    open: BTreeSet<u32>,
+    open: OpenTasks,
     /// Round-robin cursor into `open` for candidate sampling.
     open_cursor: u32,
     candidate_limit: usize,
@@ -649,50 +699,34 @@ impl ICrowd {
     }
 
     /// Rotating exploration sampler: inserts open tasks with remaining
-    /// capacity into `cand` starting at the persisted cursor, counting
-    /// only *fresh* insertions toward `budget` — a task already pooled
-    /// (e.g. from a rank cache overlapping the cursor window) must not
-    /// silently shrink the exploration sample. A full-wrap guard
-    /// terminates once every open task has been visited.
+    /// capacity into `cand`, ascending from the persisted cursor and
+    /// wrapping past the last id at most once, and counts only *fresh*
+    /// insertions toward `budget` — a task already pooled (e.g. from a
+    /// rank cache overlapping the cursor window) must not silently shrink
+    /// the exploration sample. The cursor moves one past the last task
+    /// visited; past the highest open id it scans as 0 does, since no id
+    /// ever reopens.
     fn sample_open_into(&mut self, cand: &mut CandidatePool, budget: usize) {
+        let start = self.open_cursor;
+        let wrapped = self.open.iter_from(0).take_while(|&t| t < start);
         let mut taken = 0usize;
-        let mut wrapped = false;
-        let mut cursor = self.open_cursor;
-        let start = cursor;
-        while taken < budget {
-            match self.open.range(cursor..).next().copied() {
-                Some(t) => {
-                    if wrapped && t >= start {
-                        break;
-                    }
-                    if self.rem_cap[t as usize] > 0 && cand.insert(t) {
-                        taken += 1;
-                    }
-                    match t.checked_add(1) {
-                        Some(c) => cursor = c,
-                        None if !wrapped => {
-                            wrapped = true;
-                            cursor = 0;
-                        }
-                        None => break,
-                    }
-                }
-                None if !wrapped => {
-                    wrapped = true;
-                    cursor = 0;
-                }
-                None => break,
+        for t in self.open.iter_from(start).chain(wrapped) {
+            if taken == budget {
+                break;
             }
+            if self.rem_cap[t as usize] > 0 && cand.insert(t) {
+                taken += 1;
+            }
+            self.open_cursor = t.wrapping_add(1);
         }
-        self.open_cursor = cursor;
     }
 
     /// The uncapped candidate pool: every open task with remaining
     /// capacity, ascending.
     fn candidate_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.open
-            .iter()
-            .map(|&t| TaskId(t))
+            .iter_from(0)
+            .map(TaskId)
             .filter(|&t| self.remaining_capacity(t) > 0)
     }
 
@@ -965,7 +999,7 @@ impl ICrowd {
             ..
         } = self;
         for (t, s) in estimator.cell_scores(worker) {
-            if !open.contains(&t.0) {
+            if !open.contains(t.0) {
                 continue;
             }
             fresh.insert(Self::rank_key(s, t.0));
@@ -1013,7 +1047,7 @@ impl ICrowd {
         for v in votes {
             let w = v.worker;
             for j in estimator.index().vector(task).support() {
-                if !open.contains(&j) {
+                if !open.contains(j) {
                     continue;
                 }
                 if let Some(s) = estimator.cell_score(w, TaskId(j)) {
@@ -1054,7 +1088,7 @@ impl ICrowd {
     pub fn validate_incremental_state(&self) {
         // rem_cap mirrors assignment_size − holders wherever it can
         // matter: open tasks and tasks with live leases.
-        let mut check: BTreeSet<u32> = self.open.iter().copied().collect();
+        let mut check: BTreeSet<u32> = self.open.iter_from(0).collect();
         check.extend(self.in_flight.iter().flatten().map(|l| l.task.0));
         for &tid in &check {
             let t = TaskId(tid);
@@ -1070,7 +1104,7 @@ impl ICrowd {
         }
         // Candidates are open tasks, so eligibility skips warm-up history.
         for q in self.warmup.qualification_tasks() {
-            assert!(!self.open.contains(&q.0), "qualification task {q} is open");
+            assert!(!self.open.contains(q.0), "qualification task {q} is open");
         }
         // Every live lease is covered by a queue entry at its exact
         // deadline (lazy invalidation only ever leaves *extra* entries).
@@ -1106,7 +1140,7 @@ impl ICrowd {
             let expect: BTreeSet<(u64, u32)> = self
                 .estimator
                 .cell_scores(w)
-                .filter(|(t, _)| self.open.contains(&t.0))
+                .filter(|(t, _)| self.open.contains(t.0))
                 .map(|(t, s)| Self::rank_key(s, t.0))
                 .collect();
             assert_eq!(
@@ -1314,7 +1348,7 @@ impl ExternalQuestionServer for ICrowd {
                         }
                         if self.consensus.is_completed(task) {
                             icrowd_obs::counter_add("consensus.completed", 1);
-                            self.open.remove(&task.0);
+                            self.open.remove(task.0);
                             self.purge_closed_candidate(task);
                             if self.strategy != AssignStrategy::QfOnly {
                                 let consensus_ans = self
@@ -1686,7 +1720,7 @@ mod tests {
         // One qualification task is preset, so 5 open tasks remain.
         // Pre-pool the first three open ids so the cursor window overlaps
         // the existing pool (as rank-cache candidates do).
-        let open: Vec<u32> = srv.open.iter().copied().collect();
+        let open: Vec<u32> = srv.open.iter_from(0).collect();
         assert_eq!(open.len(), 5);
         let mut cand = CandidatePool::new(srv.tasks.len());
         for &t in &open[..3] {
@@ -1705,7 +1739,7 @@ mod tests {
     fn rotating_sampler_terminates_when_everything_is_pooled() {
         let mut srv = setup(AssignStrategy::Adapt, 1);
         let mut cand = CandidatePool::new(srv.tasks.len());
-        for &t in &srv.open {
+        for t in srv.open.iter_from(0) {
             cand.insert(t);
         }
         let before = cand.len();
@@ -1717,7 +1751,7 @@ mod tests {
     #[test]
     fn rotating_sampler_skips_full_tasks() {
         let mut srv = setup(AssignStrategy::Adapt, 1);
-        let open: Vec<u32> = srv.open.iter().copied().collect();
+        let open: Vec<u32> = srv.open.iter_from(0).collect();
         srv.rem_cap[open[0] as usize] = 0;
         let mut cand = CandidatePool::new(srv.tasks.len());
         srv.open_cursor = 0;
@@ -1727,6 +1761,29 @@ mod tests {
             "full task must be skipped"
         );
         assert_eq!(cand.len(), open.len() - 1);
+    }
+
+    #[test]
+    fn open_tasks_scan_ascending_across_words() {
+        let mut open = OpenTasks::all(130);
+        assert_eq!(
+            open.iter_from(0).collect::<Vec<_>>(),
+            (0..130).collect::<Vec<_>>()
+        );
+        for t in [0, 63, 64, 100, 129] {
+            open.remove(t);
+        }
+        assert!(!open.contains(64) && open.contains(65) && !open.contains(130));
+        let from = |t| open.iter_from(t).collect::<Vec<u32>>();
+        assert_eq!(
+            from(62),
+            [62].into_iter()
+                .chain(65..100)
+                .chain(101..129)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(from(128), [128]);
+        assert!(from(129).is_empty() && from(130).is_empty() && from(500).is_empty());
     }
 
     use icrowd_core::worker::WorkerId;

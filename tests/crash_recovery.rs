@@ -344,6 +344,11 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
             break (report, word_after(&summary, "answers: ").to_owned());
         }
         child.kill();
+        // Stay down for a few think times, so the workers' next
+        // exchanges meet the outage: a restart quicker than every
+        // worker's pause went unseen by the client, and the retry check
+        // below failed about once in twenty runs.
+        std::thread::sleep(Duration::from_millis(150));
         kills += 1;
         appended = tear(&journal, kills, &mut rng);
     };

@@ -110,14 +110,14 @@ fn build_threads_label() -> String {
     }
 }
 
-/// A `/proc/self/status` memory field (`VmRSS`, `VmHWM`, ...) in MiB;
-/// 0 where the file is unavailable.
-fn status_mb(field: &str) -> f64 {
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// MiB; 0 where the file is unavailable.
+fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with(field))
+                .find(|l| l.starts_with("VmHWM"))
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|kb| kb.parse::<u64>().ok())
         })
@@ -131,125 +131,111 @@ fn run_one(n: usize, cap: usize) {
     // and the CI fig10 job gates the median p99 of three runs' rows.
     icrowd_obs::reset();
     icrowd_obs::enable();
-    let debug_mem = std::env::var("FIG10_MEM").is_ok();
-    {
+    let tasks = scalability_tasks(n);
+    let edges = scalability_edges(n, cap, 42);
+    let graph = GraphBuilder::new(0.5)
+        .with_max_neighbors(cap)
+        .build_from_edges(n, edges);
+
+    let threads = build_threads();
+    let config = ICrowdConfig {
+        warmup: WarmupConfig {
+            num_qualification: 10,
+            ..Default::default()
+        },
+        ppr: PprConfig {
+            index_epsilon: 1e-3,
+            max_iterations: 20,
+            tolerance: 1e-6,
+            threads,
+        },
+        ..Default::default()
+    };
+    let t0 = Instant::now();
+    let mut server = ICrowdBuilder::new(tasks)
+        .config(config)
+        .strategy(AssignStrategy::Adapt)
+        .graph(graph)
+        .candidate_limit(2_048)
+        .build();
+    let build_s = t0.elapsed().as_secs_f64();
+
+    // 20 workers churn; measure request_task time only.
+    let mut assign_time = 0.0f64;
+    let mut requests = 0usize;
+    let mut tick = 0u64;
+    'outer: loop {
+        for w in 0..20 {
+            let name = format!("W{w}");
+            let t1 = Instant::now();
+            let task = server.request_task(&name, Tick(tick));
+            assign_time += t1.elapsed().as_secs_f64();
+            requests += 1;
+            if let Some(t) = task {
+                server.submit_answer(&name, t, Answer::YES, Tick(tick));
+            }
+            tick += 1;
+            if requests >= 1_000 {
+                break 'outer;
+            }
+        }
+    }
+    // The process's peak resident set over build and assignment.
+    let peak_rss_mb = peak_rss_mb();
+    // Per-request latency distribution from the assign.loop span
+    // (nanosecond histogram recorded inside request_task).
+    let (p50_us, p99_us) = icrowd_obs::span_histogram("assign.loop")
+        .filter(|h| h.count() > 0)
+        .map_or((0.0, 0.0), |h| {
+            (
+                h.percentile(0.50) as f64 / 1e3,
+                h.percentile(0.99) as f64 / 1e3,
+            )
+        });
+    println!(
+        "{:>12} {:>6} {:>18.2} {:>22.1} {:>16.1} (p50 {:.1} us, p99 {:.1} us, peak RSS {:.0} MiB)",
+        n,
+        cap,
+        build_s,
+        assign_time * 1e3,
+        assign_time * 1e6 / requests as f64,
+        p50_us,
+        p99_us,
+        peak_rss_mb
+    );
+    if let Ok(path) = std::env::var("FIG10_JSON") {
+        let row = serde_json::json!({
+            "tasks": n,
+            "cap": cap,
+            "threads": threads,
+            "effective_threads": icrowd_graph::resolve_threads(threads),
+            "index_build_s": build_s,
+            "assign_1000_ms": assign_time * 1e3,
+            "per_request_us": assign_time * 1e6 / requests as f64,
+            "request_p50_us": p50_us,
+            "request_p99_us": p99_us,
+            "peak_rss_mb": peak_rss_mb,
+        });
+        if let Ok(mut f) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
         {
-            let tasks = scalability_tasks(n);
-            let edges = scalability_edges(n, cap, 42);
-            if debug_mem {
-                eprintln!("after edges: {:.0} MB", status_mb("VmRSS"));
-            }
-            let graph = GraphBuilder::new(0.5)
-                .with_max_neighbors(cap)
-                .build_from_edges(n, edges);
-            if debug_mem {
-                eprintln!("after graph: {:.0} MB", status_mb("VmRSS"));
-            }
-
-            let threads = build_threads();
-            let config = ICrowdConfig {
-                warmup: WarmupConfig {
-                    num_qualification: 10,
-                    ..Default::default()
-                },
-                ppr: PprConfig {
-                    index_epsilon: 1e-3,
-                    max_iterations: 20,
-                    tolerance: 1e-6,
-                    threads,
-                },
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let mut server = ICrowdBuilder::new(tasks)
-                .config(config)
-                .strategy(AssignStrategy::Adapt)
-                .graph(graph)
-                .candidate_limit(2_048)
-                .build();
-            let build_s = t0.elapsed().as_secs_f64();
-            if debug_mem {
-                eprintln!("after server build: {:.0} MB", status_mb("VmRSS"));
-            }
-
-            // 20 workers churn; measure request_task time only.
-            let mut assign_time = 0.0f64;
-            let mut requests = 0usize;
-            let mut tick = 0u64;
-            'outer: loop {
-                for w in 0..20 {
-                    let name = format!("W{w}");
-                    let t1 = Instant::now();
-                    let task = server.request_task(&name, Tick(tick));
-                    assign_time += t1.elapsed().as_secs_f64();
-                    requests += 1;
-                    if let Some(t) = task {
-                        server.submit_answer(&name, t, Answer::YES, Tick(tick));
-                    }
-                    tick += 1;
-                    if requests >= 1_000 {
-                        break 'outer;
-                    }
-                }
-            }
-            // The process's peak resident set over build and assignment.
-            let peak_rss_mb = status_mb("VmHWM");
-            // Per-request latency distribution from the assign.loop span
-            // (nanosecond histogram recorded inside request_task).
-            let (p50_us, p99_us) = icrowd_obs::span_histogram("assign.loop")
-                .filter(|h| h.count() > 0)
-                .map_or((0.0, 0.0), |h| {
-                    (
-                        h.percentile(0.50) as f64 / 1e3,
-                        h.percentile(0.99) as f64 / 1e3,
-                    )
-                });
-            println!(
-                "{:>12} {:>6} {:>18.2} {:>22.1} {:>16.1} (p50 {:.1} us, p99 {:.1} us, peak RSS {:.0} MiB)",
-                n,
-                cap,
-                build_s,
-                assign_time * 1e3,
-                assign_time * 1e6 / requests as f64,
-                p50_us,
-                p99_us,
-                peak_rss_mb
-            );
-            if let Ok(path) = std::env::var("FIG10_JSON") {
-                let row = serde_json::json!({
-                    "tasks": n,
-                    "cap": cap,
-                    "threads": threads,
-                    "effective_threads": icrowd_graph::resolve_threads(threads),
-                    "index_build_s": build_s,
-                    "assign_1000_ms": assign_time * 1e3,
-                    "per_request_us": assign_time * 1e6 / requests as f64,
-                    "request_p50_us": p50_us,
-                    "request_p99_us": p99_us,
-                    "peak_rss_mb": peak_rss_mb,
-                });
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                {
-                    let _ = writeln!(f, "{}", serde_json::to_string(&row).expect("row json"));
-                }
-            }
-            if let Some(path) = telemetry {
-                icrowd_obs::gauge_set("fig10.tasks", n as f64);
-                icrowd_obs::gauge_set("fig10.cap", cap as f64);
-                icrowd_obs::disable();
-                let checked = icrowd_obs::write_jsonl(&path)
-                    .map_err(|e| format!("cannot write telemetry to {path}: {e}"))
-                    .and_then(|()| check_telemetry(&path));
-                match checked {
-                    Ok(()) => eprintln!("telemetry written to {path}, spans OK"),
-                    Err(e) => {
-                        eprintln!("telemetry check: {e}");
-                        std::process::exit(1);
-                    }
-                }
+            let _ = writeln!(f, "{}", serde_json::to_string(&row).expect("row json"));
+        }
+    }
+    if let Some(path) = telemetry {
+        icrowd_obs::gauge_set("fig10.tasks", n as f64);
+        icrowd_obs::gauge_set("fig10.cap", cap as f64);
+        icrowd_obs::disable();
+        let checked = icrowd_obs::write_jsonl(&path)
+            .map_err(|e| format!("cannot write telemetry to {path}: {e}"))
+            .and_then(|()| check_telemetry(&path));
+        match checked {
+            Ok(()) => eprintln!("telemetry written to {path}, spans OK"),
+            Err(e) => {
+                eprintln!("telemetry check: {e}");
+                std::process::exit(1);
             }
         }
     }

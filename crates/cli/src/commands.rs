@@ -115,10 +115,12 @@ SERVING:     `icrowd serve` hosts one campaign behind a line-delimited JSON
              SHUTDOWN) and drains gracefully on SHUTDOWN. Each connection
              gets its own thread, up to --max-conns (default 64) at once;
              one more is answered BUSY and closed. `icrowd loadgen`
-             drives it with N concurrent simulated workers and reports
-             throughput + p50/p99 latency. At the same seed, the served
-             campaign's consensus labels are byte-identical to the
-             in-process `icrowd campaign` run (compare via --labels-out).
+             drives it with N concurrent simulated workers, reports
+             throughput + p50/p99 latency, and exits nonzero when the
+             final STATUS reports unbalanced books. At the same seed,
+             the served campaign's consensus labels are byte-identical
+             to the in-process `icrowd campaign` run (compare via
+             --labels-out).
 
 DURABILITY:  --journal <path> appends every accepted state transition to a
              crash-consistent write-ahead journal (CRC32-framed records;
@@ -717,6 +719,12 @@ fn loadgen_cmd(args: &Args) -> Result<String, CliError> {
     )
     .unwrap();
     telemetry_end(telemetry, Some(&mut out))?;
+    if !report.balanced {
+        return Err(CliError(format!(
+            "{out}the final STATUS reports unbalanced books (accepted + rejected != submitted \
+             or paid + abandoned != accepted)"
+        )));
+    }
     Ok(out)
 }
 

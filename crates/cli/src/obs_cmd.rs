@@ -1,19 +1,17 @@
 //! `icrowd obs report|diff` — the telemetry JSONL analyzer and the CI
 //! latency-regression gate.
 //!
-//! Both subcommands read files written by `--telemetry <path>` (or the
-//! `--metrics-out` window stream). Quantiles are **recomputed from the
-//! exported histogram buckets** (`{"type":"hist",...}` lines) via
+//! Both subcommands read files written by `--telemetry <path>`; they
+//! skip `window` records, so the `--metrics-out` stream is not an
+//! input. Quantiles are **recomputed from the exported histogram
+//! buckets** (`{"type":"hist",...}` lines, one per span) via
 //! [`LogHistogram::from_parts`], not read off the pre-rendered span
 //! summaries — so a diff compares the actual mergeable series two runs
 //! recorded, at the same ≤1% error bound the live registry reports.
-//! Files without `hist` lines (older exports) fall back to the span
-//! lines' p50/p99.
 //!
 //! `report` summarizes one file: spans (count/p50/p99), the BUSY rate
 //! (`loadgen.busy` over client-side request attempts), counters and
-//! gauges. `--json` emits the same numbers machine-readable — the
-//! BENCH_serve.json rows come from there.
+//! gauges. `--json` emits the same numbers machine-readable.
 //!
 //! `diff` compares two files span-by-span and emits a machine-readable
 //! verdict: any span (≥ `--min-count` samples in both files, optionally
@@ -34,9 +32,7 @@ use crate::args::{Args, CliError};
 /// One file's parsed telemetry.
 #[derive(Default)]
 struct Telemetry {
-    /// Span summaries as exported: `(count, total_ns, p50_ns, p99_ns)`.
-    spans: BTreeMap<String, (u64, u64, u64, u64)>,
-    /// Reconstructed histograms (the preferred quantile source).
+    /// Span histograms reconstructed from the `hist` lines, by name.
     hists: BTreeMap<String, LogHistogram>,
     counters: BTreeMap<String, u64>,
     /// Gauges as `(last, min, max)`.
@@ -46,9 +42,9 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    /// Loads a telemetry JSONL file, ignoring record types it does not
-    /// know (events, windows) so the analyzer keeps working as the
-    /// export grows.
+    /// Loads a telemetry JSONL file, ignoring the record types it does
+    /// not read (span summaries, events, windows) so the analyzer keeps
+    /// working as the export grows.
     fn load(path: &str) -> Result<Telemetry, CliError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError(format!("cannot read telemetry `{path}`: {e}")))?;
@@ -68,12 +64,6 @@ impl Telemetry {
             let num = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
             let f = |k: &str| v.get(k).and_then(Value::as_f64).unwrap_or(0.0);
             match v.get("type").and_then(Value::as_str) {
-                Some("span") => {
-                    t.spans.insert(
-                        name(),
-                        (num("count"), num("total_ns"), num("p50_ns"), num("p99_ns")),
-                    );
-                }
                 Some("hist") => {
                     let buckets = v
                         .get("buckets")
@@ -105,29 +95,15 @@ impl Telemetry {
         Ok(t)
     }
 
-    /// The quantile source for `name`: the reconstructed histogram when
-    /// present, else the exported span summary.
+    /// `(count, p50_ns, p99_ns)` of span `name`, from its histogram.
     fn quantiles(&self, name: &str) -> Option<(u64, u64, u64)> {
-        if let Some(h) = self.hists.get(name) {
-            if !h.is_empty() {
-                return Some((h.count(), h.percentile(0.50), h.percentile(0.99)));
-            }
-        }
-        self.spans
-            .get(name)
-            .map(|&(count, _, p50, p99)| (count, p50, p99))
+        let h = self.hists.get(name).filter(|h| !h.is_empty())?;
+        Some((h.count(), h.percentile(0.50), h.percentile(0.99)))
     }
 
-    /// Every span name with a quantile source, in name order.
-    fn span_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.spans.keys().cloned().collect();
-        for k in self.hists.keys() {
-            if !self.spans.contains_key(k) {
-                names.push(k.clone());
-            }
-        }
-        names.sort();
-        names
+    /// Every span name with a histogram, in name order.
+    fn span_names(&self) -> impl Iterator<Item = &String> {
+        self.hists.keys()
     }
 
     /// BUSY back-pressure rate: `loadgen.busy` responses over all
@@ -185,7 +161,6 @@ fn report(args: &Args, path: &str) -> Result<String, CliError> {
     if args.has_flag("json") {
         let spans: Vec<Value> = t
             .span_names()
-            .iter()
             .filter_map(|n| {
                 let (count, p50, p99) = t.quantiles(n)?;
                 Some(serde_json::json!({
@@ -224,7 +199,7 @@ fn report(args: &Args, path: &str) -> Result<String, CliError> {
     )
     .unwrap();
     for n in t.span_names() {
-        let Some((count, p50, p99)) = t.quantiles(&n) else {
+        let Some((count, p50, p99)) = t.quantiles(n) else {
             continue;
         };
         writeln!(
@@ -278,7 +253,7 @@ fn diff(args: &Args, base_path: &str, new_path: &str) -> Result<String, CliError
             }
         }
         let (Some((bc, bp50, bp99)), Some((nc, np50, np99))) =
-            (base.quantiles(&name), new.quantiles(&name))
+            (base.quantiles(name), new.quantiles(name))
         else {
             continue;
         };

@@ -9,7 +9,9 @@
 //! baseline, so a scraper (the `METRICS` protocol verb, or the
 //! `icrowd serve --metrics-every` emitter) always reads
 //! "what happened since you last looked" without ever losing data to
-//! a reset race.
+//! a reset race. Scrapers share one sequence: a `METRICS` scrape
+//! closes the window the emitter would have written next, so the
+//! emitted stream's `seq` strictly increases but can skip.
 
 use crate::{write_json_escaped, write_json_f64, SpanSummary};
 

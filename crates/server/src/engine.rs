@@ -565,9 +565,9 @@ impl CampaignEngine {
             Request::Results => Response::Results {
                 labels: self.labels(),
             },
-            // Normally answered at the transport layer without taking
-            // the engine lock; kept here so in-process callers can
-            // scrape through the same interface.
+            // Scrapes the telemetry plane, not the campaign: it takes
+            // no engine lock, so scraping a busy server cannot perturb
+            // assignment.
             Request::Metrics => Response::Metrics {
                 window: icrowd_obs::window_advance().to_json(),
             },

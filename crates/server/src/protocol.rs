@@ -55,6 +55,9 @@ pub enum Request {
     Results,
     /// Live metrics scrape: close the current telemetry window and
     /// return it (counter deltas, windowed histograms, gauge extremes).
+    /// The `--metrics-every` stream shares the window sequence, so a
+    /// scrape takes the window the stream would have emitted next and
+    /// the stream's `seq` skips it.
     Metrics,
     /// Graceful drain: stop accepting, flush in-flight, finalize.
     Shutdown,

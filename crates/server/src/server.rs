@@ -393,12 +393,6 @@ fn serve_connection(
                 drain.trigger();
                 return;
             }
-            // METRICS is transport-level: it scrapes the telemetry
-            // plane, not the campaign, so it never takes the engine
-            // lock (scraping a busy server cannot perturb assignment).
-            Ok((Request::Metrics, _)) => Response::Metrics {
-                window: icrowd_obs::window_advance().to_json(),
-            },
             Ok((req, trace)) => {
                 // The root span of this request's trace; engine /
                 // driver / journal spans attach underneath via the

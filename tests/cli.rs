@@ -1,10 +1,67 @@
 //! Library-level integration of the CLI command surface (the same code
 //! path `icrowd <cmd>` runs; the binary itself is a three-line shim).
 
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::TcpListener;
+use std::thread::JoinHandle;
+
 use icrowd_cli::{run, Args};
+use icrowd_serve::protocol::Request;
 
 fn run_line(line: &str) -> Result<String, icrowd_cli::CliError> {
     run(&Args::parse(line.split_whitespace().map(str::to_owned)).unwrap())
+}
+
+/// A stub server for one loadgen run: HELLO announces table1, every
+/// REQUEST_TASK is answered `left`, and STATUS reports the campaign
+/// complete with books `balanced` or not. It returns after SHUTDOWN.
+fn stub_server(balanced: bool) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let stream = stream.unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            for line in BufReader::new(stream).lines() {
+                let (req, _) = Request::parse_with_trace(&line.unwrap()).unwrap();
+                let reply = match req {
+                    Request::Hello => r#"{"ok":true,"type":"hello","dataset":"table1","seed":1}"#,
+                    Request::RequestTask { .. } => r#"{"ok":true,"type":"left"}"#,
+                    Request::Status if balanced => {
+                        r#"{"ok":true,"type":"status","complete":true,"balanced":true}"#
+                    }
+                    Request::Status => {
+                        r#"{"ok":true,"type":"status","complete":true,"balanced":false}"#
+                    }
+                    Request::Results => r#"{"ok":true,"type":"results","labels":""}"#,
+                    Request::Shutdown => {
+                        writeln!(writer, r#"{{"ok":true,"type":"bye"}}"#).unwrap();
+                        return;
+                    }
+                    other => panic!("the loadgen sent {other:?}"),
+                };
+                writeln!(writer, "{reply}").unwrap();
+            }
+        }
+    });
+    (addr, server)
+}
+
+/// `icrowd loadgen` exits nonzero (the CLI returns an error) when the
+/// final STATUS reports unbalanced books, and zero when it does not.
+#[test]
+fn loadgen_fails_when_the_final_status_is_unbalanced() {
+    for balanced in [true, false] {
+        let (addr, server) = stub_server(balanced);
+        let out = run_line(&format!("loadgen --addr {addr} --workers 1"));
+        match &out {
+            Ok(text) => assert!(balanced && text.contains("balanced: true"), "{text}"),
+            Err(e) => assert!(!balanced && e.0.contains("unbalanced books"), "{}", e.0),
+        }
+        server
+            .join()
+            .expect("the stub server saw the loadgen through");
+    }
 }
 
 #[test]

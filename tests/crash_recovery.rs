@@ -33,8 +33,28 @@ fn quick_config() -> CampaignConfig {
     config
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("icrowd_crash_{name}_{}", std::process::id()))
+/// A directory of one test's own for its scratch files, removed with
+/// everything in it when the guard drops, so a failing test leaves
+/// nothing behind either.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("icrowd_crash_{test}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create the scratch directory");
+        ScratchDir(dir)
+    }
+
+    fn file(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// Publishes the server address for `--addr-file` clients: write to a
@@ -278,11 +298,9 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
     const KILLS: usize = 3;
     let expected = run_campaign(&table1(), Approach::RandomMV, &quick_config());
     let baseline = labels_lines(&expected.labels);
+    let dir = ScratchDir::new("kill");
     let [journal, addr_file, labels_out, telemetry_out] =
-        ["kill.journal", "kill.addr", "kill.labels", "kill.telemetry"].map(tmp);
-    for p in [&journal, &addr_file, &labels_out, &telemetry_out] {
-        std::fs::remove_file(p).ok();
-    }
+        ["journal", "addr", "labels", "telemetry"].map(|name| dir.file(name));
 
     let (tx, rx) = mpsc::channel();
     let loadgen = {
@@ -384,9 +402,6 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
         !telemetry.contains("serve.invariant_violation"),
         "telemetry recorded serve.invariant_violation"
     );
-    for p in [&journal, &addr_file, &labels_out, &telemetry_out] {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 /// A torn tail (garbage appended by a crash mid-write) is truncated on
@@ -394,8 +409,8 @@ fn journaled_serve_restart_preserves_exactly_once_and_labels() {
 #[test]
 fn recovery_truncates_torn_tail_and_preserves_state() {
     let approach = Approach::RandomMV;
-    let journal = tmp("torn.journal");
-    std::fs::remove_file(&journal).ok();
+    let dir = ScratchDir::new("torn");
+    let journal = dir.file("journal");
 
     let config = quick_config();
     let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
@@ -424,15 +439,14 @@ fn recovery_truncates_torn_tail_and_preserves_state() {
     );
     let result = recovered.finalize();
     assert!(result.accounting.balanced());
-    std::fs::remove_file(&journal).ok();
 }
 
 /// Recovery refuses to resume a journal under a different campaign
 /// identity (here: a different approach at the same seed).
 #[test]
 fn recovery_refuses_a_journal_for_a_different_campaign() {
-    let journal = tmp("identity.journal");
-    std::fs::remove_file(&journal).ok();
+    let dir = ScratchDir::new("identity");
+    let journal = dir.file("journal");
     let engine = CampaignEngine::new("table1", table1(), Approach::RandomMV, quick_config());
     engine.start_journal(&journal, 1, 0).expect("journal");
     engine.handle(
@@ -455,7 +469,6 @@ fn recovery_refuses_a_journal_for_a_different_campaign() {
         Err(e) => assert!(e.contains("header mismatch"), "{e}"),
         Ok(_) => panic!("a RandomMV journal must not recover as RandomEM"),
     }
-    std::fs::remove_file(&journal).ok();
 }
 
 /// The journal is append-only: every checkpoint written during the
@@ -467,8 +480,8 @@ fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
     let approach = Approach::RandomMV;
     let config = quick_config();
     let expected = run_campaign(&table1(), approach, &config);
-    let journal = tmp("append_only.journal");
-    std::fs::remove_file(&journal).ok();
+    let dir = ScratchDir::new("append_only");
+    let journal = dir.file("journal");
 
     let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
     engine.start_journal(&journal, 1, 2).expect("journal");
@@ -505,7 +518,6 @@ fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
         .and_then(Value::as_u64);
     assert_eq!(recorded, Some(written), "{status:?}");
     assert_eq!(std::fs::read(&journal).expect("read journal"), bytes);
-    std::fs::remove_file(&journal).ok();
 }
 
 /// A format-1 journal (which may hold a compaction `batch` frame the
@@ -513,7 +525,8 @@ fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
 /// naming both versions, and left byte for byte as it was.
 #[test]
 fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
-    let journal = tmp("v1.journal");
+    let dir = ScratchDir::new("v1");
+    let journal = dir.file("journal");
     let mut header = CampaignEngine::expected_header("table1", Approach::RandomMV, &quick_config());
     header.version = 1;
     let mut bytes = encode_record(&JournalRecord::Header(header)).expect("encode header");
@@ -541,7 +554,6 @@ fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
         bytes,
         "a refused journal was modified"
     );
-    std::fs::remove_file(&journal).ok();
 }
 
 /// A SUBMIT_ANSWER naming a task outside the campaign, or an answer
@@ -554,8 +566,8 @@ fn out_of_range_submissions_are_refused_before_the_driver() {
     let approach = Approach::ICrowd(AssignStrategy::Adapt);
     let config = quick_config();
     let expected = labels_lines(&run_campaign(&table1(), approach, &config).labels);
-    let journal = tmp("out_of_range.journal");
-    std::fs::remove_file(&journal).ok();
+    let dir = ScratchDir::new("out_of_range");
+    let journal = dir.file("journal");
     let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
     engine.start_journal(&journal, 1, 2).expect("journal");
     let health = || engine.journal_health().expect("journal attached");
@@ -618,5 +630,4 @@ fn out_of_range_submissions_are_refused_before_the_driver() {
     let (recovered, _) =
         recover(&journal, "table1", table1(), approach, config, 1, 2).expect("recovery succeeds");
     assert_eq!(recovered.labels(), expected);
-    std::fs::remove_file(&journal).ok();
 }

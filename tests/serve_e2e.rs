@@ -56,13 +56,36 @@ fn shutdown_and_join_within(handle: ServerHandle, limit: Duration) -> CampaignRe
 
 /// The tentpole acceptance path: ≥8 concurrent loadgen workers drive a
 /// served campaign to completion, the accounting balances, and the
-/// final consensus is byte-identical to the in-process run.
+/// final consensus is byte-identical to the in-process run. The same
+/// run checks the telemetry plane: a `METRICS` scrape over TCP, the
+/// serve spans with no invariant violation, and the `--metrics-every`
+/// window stream.
 #[test]
 fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
     let approach = Approach::ICrowd(AssignStrategy::Adapt);
     let expected = run_campaign(&table1(), approach, &quick_config());
 
-    let handle = start(approach, 36);
+    // As `icrowd serve --metrics-every` does, arm the registry the
+    // window emitter reads.
+    icrowd_obs::enable();
+    let windows = std::env::temp_dir().join(format!(
+        "icrowd_serve_e2e_windows_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&windows).ok();
+    let engine = CampaignEngine::new("table1", table1(), approach, quick_config());
+    let handle = serve(
+        engine,
+        &ServeConfig {
+            max_conns: 36,
+            metrics_every_ms: 10,
+            metrics_out: Some(windows.to_string_lossy().into_owned()),
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+
+    let scrape = client::call_once(handle.addr(), &Request::Metrics);
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
         workers: 8,
@@ -70,10 +93,24 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
         faults: None,
         shutdown: true,
         ..Default::default()
-    })
-    .expect("loadgen completes");
+    });
     let served = handle.join();
+    // Nothing above panics once the stream file exists, so removing it
+    // here leaves nothing behind when an assertion below fails.
+    let stream = std::fs::read_to_string(&windows);
+    std::fs::remove_file(&windows).ok();
+    let stream = stream.expect("the window stream was written");
+    let report = report.expect("loadgen completes");
 
+    let scrape = scrape.expect("METRICS");
+    assert_eq!(scrape["ok"].as_bool(), Some(true), "{scrape:?}");
+    assert_eq!(scrape["type"].as_str(), Some("metrics"), "{scrape:?}");
+    assert_eq!(
+        scrape["window"]["type"].as_str(),
+        Some("window"),
+        "{scrape:?}"
+    );
+    assert!(scrape["window"]["seq"].as_u64() >= Some(1), "{scrape:?}");
     assert!(report.complete, "campaign did not complete: {report:?}");
     assert!(report.balanced, "conservation law violated: {report:?}");
     assert_eq!(
@@ -87,6 +124,39 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
     assert!(served.accounting.balanced());
     assert!(served.completed);
     assert!(report.requests > 0 && report.accepted > 0);
+
+    let spans = icrowd_obs::snapshot().spans;
+    for name in ["serve.accept", "serve.request", "serve.submit"] {
+        assert!(
+            spans.iter().any(|s| s.name == name && s.count > 0),
+            "span {name} was not recorded"
+        );
+    }
+    assert_eq!(
+        icrowd_obs::counter_value("serve.invariant_violation"),
+        0,
+        "a submission broke the conservation law"
+    );
+
+    // Every line is a window and `seq` strictly increases; the METRICS
+    // scrape took a number of its own, so it may skip.
+    let mut last_seq = 0;
+    let mut saw_conns = false;
+    for line in stream.lines() {
+        let w: Value = serde_json::from_str(line).expect("a window line is JSON");
+        assert_eq!(w["type"].as_str(), Some("window"), "{line}");
+        let seq = w["seq"].as_u64().expect("a window has a seq");
+        assert!(seq > last_seq, "window seq {seq} after {last_seq}");
+        last_seq = seq;
+        for g in w["gauges"].as_array().expect("a window lists its gauges") {
+            let bound = |k: &str| g[k].as_f64().unwrap_or_else(|| panic!("gauge {k}: {g:?}"));
+            let (min, last, max) = (bound("min"), bound("last"), bound("max"));
+            assert!(min <= last && last <= max, "gauge out of its bounds: {g:?}");
+            saw_conns |= g["name"] == "serve.conns";
+        }
+    }
+    assert!(last_seq > 0, "the window stream is empty");
+    assert!(saw_conns, "no serve.conns gauge in the window stream");
 }
 
 /// Two threads racing the same submission: exactly one acceptance, one

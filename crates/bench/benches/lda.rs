@@ -31,6 +31,22 @@ fn bench_lda(c: &mut Criterion) {
                 )
             })
         });
+        // The fit a served campaign pays: `MetricChoice::CosTopic`'s 150
+        // sweeps over 8 topics at the campaign seed.
+        group.bench_with_input(BenchmarkId::new("fit_served", name), &docs, |b, d| {
+            b.iter(|| {
+                LdaModel::fit(
+                    d,
+                    v,
+                    &LdaConfig {
+                        num_topics: 8,
+                        iterations: 150,
+                        seed: 42,
+                        ..Default::default()
+                    },
+                )
+            })
+        });
     }
     group.finish();
 }

@@ -7,10 +7,12 @@
 //! * the linearity-index lookup (Algorithm 1's online path) — the paper's
 //!   design, orders of magnitude cheaper per request.
 //!
-//! Two further groups cover this round of optimizations:
+//! Three further groups cover the optimizations since:
 //! * `index_build_threads` — the offline build at 1/2/4/8 worker
 //!   threads (bit-identical output; wall-clock only scales with the
-//!   hardware threads actually present), and
+//!   hardware threads actually present),
+//! * `index_build` — the build a served campaign pays: item_compare's
+//!   `Cos(topic)` graph at the campaign defaults, on one thread, and
 //! * `estimator_refresh` — absorbing one new observation incrementally
 //!   (accumulator delta + cache patch) vs re-deriving the estimate from
 //!   the raw observation set, the pre-accumulator cost.
@@ -21,6 +23,8 @@ use icrowd::estimate::{AccuracyEstimator, EstimationMode};
 use icrowd::graph::{
     power_iteration, sparse_ppr, LinearityIndex, SimilarityGraph, SparseTaskVector,
 };
+use icrowd_sim::campaign::{build_graph, CampaignConfig};
+use icrowd_sim::datasets::item_compare;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,6 +87,23 @@ fn bench_index_build_threads(c: &mut Criterion) {
             b.iter(|| LinearityIndex::build(&graph, 1.0, &config))
         });
     }
+    group.finish();
+}
+
+/// The served offline build: the campaign defaults (seed 42) with the
+/// build on one thread, so the figure does not depend on the core count.
+fn bench_served_index_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("index_build");
+    group.sample_size(10);
+    let config = CampaignConfig::default();
+    let graph = build_graph(&item_compare(config.seed), &config);
+    let ppr = PprConfig {
+        threads: 1,
+        ..config.icrowd.ppr
+    };
+    group.bench_function("item_compare_360", |b| {
+        b.iter(|| LinearityIndex::build(&graph, config.icrowd.alpha, &ppr))
+    });
     group.finish();
 }
 
@@ -157,6 +178,7 @@ criterion_group!(
     benches,
     bench_ppr,
     bench_index_build_threads,
+    bench_served_index_build,
     bench_estimator_refresh
 );
 criterion_main!(benches);

@@ -161,12 +161,16 @@ impl SimilarityGraph {
 
     /// Neighbors of `task` with normalized weights (`S'` row).
     pub fn normalized_neighbors(&self, task: TaskId) -> impl Iterator<Item = (TaskId, f64)> + '_ {
+        let (cols, weights) = self.normalized_row(task);
+        cols.iter().zip(weights).map(|(&j, &s)| (TaskId(j), s))
+    }
+
+    /// The `S'` row of `task` as the CSR slices themselves: neighbor ids
+    /// and their normalized weights, in the same order.
+    pub(crate) fn normalized_row(&self, task: TaskId) -> (&[u32], &[f64]) {
         let i = task.index();
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        self.col[lo..hi]
-            .iter()
-            .zip(&self.norm_weight[lo..hi])
-            .map(|(&j, &s)| (TaskId(j), s))
+        (&self.col[lo..hi], &self.norm_weight[lo..hi])
     }
 
     /// The raw similarity of `(a, b)` (zero if not adjacent).

@@ -19,7 +19,7 @@ use icrowd_core::task::TaskId;
 
 use crate::csr::SimilarityGraph;
 use crate::parallel::par_map_indexed;
-use crate::ppr::sparse_ppr;
+use crate::ppr::{release_scratch, sparse_ppr};
 use crate::sparsevec::SparseTaskVector;
 
 /// Precomputed per-task PPR vectors enabling O(|q|)-vector online
@@ -53,6 +53,9 @@ impl LinearityIndex {
             p.shrink_to_fit();
             p
         });
+        // A serial build solved on this thread; worker threads freed
+        // their solver scratch as they exited.
+        release_scratch();
         let built = Self { alpha, vectors };
         if icrowd_obs::is_enabled() {
             icrowd_obs::gauge_set("index.tasks", built.num_tasks() as f64);

@@ -21,7 +21,10 @@
 //!   uses on large graphs (each `p_{t_i}` only touches a small
 //!   neighborhood when the graph is neighbor-capped).
 
+use std::cell::RefCell;
+
 use icrowd_core::config::PprConfig;
+use icrowd_core::task::TaskId;
 
 use crate::csr::SimilarityGraph;
 use crate::sparsevec::{sort_by_index, SparseTaskVector};
@@ -69,13 +72,17 @@ pub fn power_iteration(
 /// `q`'s support. With `truncate_eps = 0` this is exact up to
 /// `config.tolerance` and matches [`power_iteration`].
 ///
-/// A sweep makes one `(task, contribution)` pair per neighbor of each
-/// support entry, then one per entry of `q`, and sums each task's pairs
-/// in the order `sort_by_index` leaves them. That order depends only on
-/// the sequence of task ids, which depends only on the iterate's support
-/// (`q` and the graph are fixed), so the solver sorts once per support
-/// and every sweep on that support sums in the recorded order: the same
-/// bits as sorting every sweep's pairs.
+/// A sweep makes one contribution `(damping·p_i)·s'_ij` per neighbor `j`
+/// of each support entry `i`, then one `restart·q_j` per entry of `q`,
+/// and sums each task's contributions in the order `sort_by_index`
+/// leaves them, each run from its first element. That order depends only
+/// on the sequence of task ids, which depends only on the iterate's
+/// support (`q` and the graph are fixed). So the solver sorts once per
+/// support, and the first sweep after a sort turns the sorted pairs into
+/// a plan, each contribution's source and weight in summation order,
+/// that every later sweep on the support replays: the same operands in
+/// the same order, so the same bits as sorting every sweep's
+/// contributions.
 pub fn sparse_ppr(
     graph: &SimilarityGraph,
     q: &SparseTaskVector,
@@ -92,71 +99,167 @@ pub fn sparse_ppr(
     let tolerance = config.tolerance.max(truncate_eps * 0.1);
 
     let mut p = q.clone();
-    // Buffers reused across sweeps: the index build calls this once per
-    // task.
-    let mut order: Vec<(u32, f64)> = Vec::new();
-    let mut order_fits = false;
-    let mut contributions: Vec<f64> = Vec::new();
     let mut next = SparseTaskVector::new();
     let (mut iterations, mut sorts) = (0u64, 0u64);
-    for _ in 0..config.max_iterations {
-        iterations += 1;
-        if !order_fits {
-            sort_sweep(graph, &p, q, &mut order);
-            sorts += 1;
-        }
-        // next = damping * (p S') + restart * q, built sparsely: the
-        // contributions in generation order, summed in sorted order.
-        contributions.clear();
-        for (i, v) in p.iter() {
-            let dv = damping * v;
-            contributions.extend(graph.normalized_neighbors(i).map(|(_, w)| dv * w));
-        }
-        contributions.extend(q.iter().map(|(_, v)| restart * v));
-        next.assign_sorted(
-            order
-                .iter()
-                .map(|&(j, generation)| (j, contributions[generation.to_bits() as usize])),
-        );
-        next.truncate(truncate_eps);
-        // The next sweep starts from `next`: the order fits it only if
-        // the support held.
-        order_fits = next.support().eq(p.support());
+    SCRATCH.with_borrow_mut(|(plan, sources)| {
+        let mut plan_fits = false;
+        for _ in 0..config.max_iterations {
+            iterations += 1;
+            // The sweep's sources in slot order: `damping·p_i` per support
+            // entry of `p`, then `restart·q_j` per entry of `q`.
+            sources.clear();
+            sources.extend(p.iter().map(|(_, v)| damping * v));
+            sources.extend(q.iter().map(|(_, v)| restart * v));
+            // next = damping * (p S') + restart * q, truncated as it fills.
+            if plan_fits {
+                plan.sweep(sources, truncate_eps, &mut next);
+            } else {
+                plan.sort(graph, &p, q);
+                plan.build_and_sweep(sources, truncate_eps, &mut next);
+                sorts += 1;
+            }
+            // The next sweep starts from `next`: the plan fits it only if
+            // the support held.
+            plan_fits = next.support().eq(p.support());
 
-        // L1 distance between iterates (merge walk).
-        let delta = l1_distance(&p, &next);
-        std::mem::swap(&mut p, &mut next);
-        if delta < tolerance {
-            break;
+            // L1 distance between iterates (merge walk).
+            let delta = l1_distance(&p, &next);
+            std::mem::swap(&mut p, &mut next);
+            if delta < tolerance {
+                break;
+            }
         }
-    }
+    });
     icrowd_obs::counter_add("ppr.solves", 1);
     icrowd_obs::counter_add("ppr.iterations", iterations);
     icrowd_obs::counter_add("ppr.sorts", sorts);
     p
 }
 
-/// Sorts into `order` the task ids a sweep from `p` generates, each
-/// tagged with its generation index. The index rides in the `f64` slot
-/// as raw bits, so the sort runs on the element type `from_pairs` sorts
-/// and leaves equal ids in the order the contributions would take: a
-/// `(u32, u32)` sort orders them differently.
-fn sort_sweep(
-    graph: &SimilarityGraph,
-    p: &SparseTaskVector,
-    q: &SparseTaskVector,
-    order: &mut Vec<(u32, f64)>,
-) {
-    let ids = p
-        .iter()
-        .flat_map(|(i, _)| graph.normalized_neighbors(i).map(|(j, _)| j.0))
-        .chain(q.support());
-    order.clear();
-    order.extend(
-        ids.enumerate()
-            .map(|(generation, j)| (j, f64::from_bits(generation as u64))),
-    );
-    sort_by_index(order);
+thread_local! {
+    /// The solver's plan and sources, kept across solves: the index build
+    /// solves once per task, and fresh buffers for each solve cost page
+    /// faults whenever the allocator hands freed memory back to the
+    /// system. The build frees them when its solves are done.
+    static SCRATCH: RefCell<(SweepPlan, Vec<f64>)> = RefCell::default();
+}
+
+/// Frees the calling thread's solver scratch, so a thread that built an
+/// index keeps no solver buffers.
+pub(crate) fn release_scratch() {
+    SCRATCH.take();
+}
+
+/// One support's sweep, in summation order.
+///
+/// [`Self::sort`] fills `pairs` with the task ids a sweep generates,
+/// each tagged with its generation index, and sorts them.
+/// [`Self::build_and_sweep`] then rewrites every pair in place into its
+/// plan entry (source slot, weight) and records in `runs` where each
+/// task's run ends; after it, [`Self::sweep`] is one pass over the plan.
+#[derive(Default)]
+struct SweepPlan {
+    /// `(task, generation)` pairs in sorted order, until the first sweep
+    /// rewrites them to `(source slot, weight)`.
+    pairs: Vec<(u32, f64)>,
+    /// The source slot and weight of each generation.
+    generations: Vec<(u32, f64)>,
+    /// Each run's task and the end of its span in `pairs`.
+    runs: Vec<(u32, usize)>,
+}
+
+impl SweepPlan {
+    /// Sorts the task ids a sweep from `p` generates: each neighbor of
+    /// each support entry, then each entry of `q` (weight 1: its source
+    /// already is `restart·q_j`). The generation index rides in the `f64`
+    /// slot as raw bits, so the sort runs on the element type `from_pairs`
+    /// sorts and leaves equal ids in the order the contributions would
+    /// take: a `(u32, u32)` sort orders them differently.
+    fn sort(&mut self, graph: &SimilarityGraph, p: &SparseTaskVector, q: &SparseTaskVector) {
+        self.pairs.clear();
+        self.generations.clear();
+        for (slot, i) in p.support().enumerate() {
+            let (tasks, weights) = graph.normalized_row(TaskId(i));
+            self.generate(slot, tasks, weights);
+        }
+        for (k, j) in q.support().enumerate() {
+            self.generate(p.nnz() + k, &[j], &[1.0]);
+        }
+        sort_by_index(&mut self.pairs);
+    }
+
+    /// Appends one generation per task in `tasks`, all from source
+    /// `slot`, with the matching weights.
+    fn generate(&mut self, slot: usize, tasks: &[u32], weights: &[f64]) {
+        let slot = u32::try_from(slot).expect("a sweep has fewer than 2^32 sources");
+        let first = self.generations.len();
+        self.pairs.extend(
+            tasks
+                .iter()
+                .enumerate()
+                .map(|(k, &j)| (j, f64::from_bits((first + k) as u64))),
+        );
+        self.generations
+            .extend(weights.iter().map(|&weight| (slot, weight)));
+    }
+
+    /// The first sweep after [`Self::sort`], fused with building the
+    /// plan: one pass that rewrites each pair into its plan entry, records
+    /// each run's end, and sums into `next`.
+    // Out of line for the reason `sweep` gives.
+    #[inline(never)]
+    fn build_and_sweep(&mut self, sources: &[f64], truncate_eps: f64, next: &mut SparseTaskVector) {
+        self.runs.clear();
+        next.clear();
+        let mut k = 0;
+        while k < self.pairs.len() {
+            let task = self.pairs[k].0;
+            let mut sum = self.rewrite(k, sources);
+            k += 1;
+            while k < self.pairs.len() && self.pairs[k].0 == task {
+                sum += self.rewrite(k, sources);
+                k += 1;
+            }
+            self.runs.push((task, k));
+            next.push_above(task, sum, truncate_eps);
+        }
+    }
+
+    /// Rewrites pair `k` into its plan entry and returns its
+    /// contribution.
+    fn rewrite(&mut self, k: usize, sources: &[f64]) -> f64 {
+        let entry = self.generations[self.pairs[k].1.to_bits() as usize];
+        self.pairs[k] = entry;
+        contribution(sources, entry)
+    }
+
+    /// A later sweep on the same support: each run summed from its first
+    /// element, in plan order.
+    // Out of line: inlined into `sparse_ppr`, the compiler kept each
+    // run's sum on the stack and a sweep took three times as long.
+    #[inline(never)]
+    fn sweep(&self, sources: &[f64], truncate_eps: f64, next: &mut SparseTaskVector) {
+        next.clear();
+        let mut start = 0;
+        for &(task, end) in &self.runs {
+            let (&first, rest) = self.pairs[start..end]
+                .split_first()
+                .expect("a run holds at least one contribution");
+            let sum = rest
+                .iter()
+                .fold(contribution(sources, first), |sum, &entry| {
+                    sum + contribution(sources, entry)
+                });
+            next.push_above(task, sum, truncate_eps);
+            start = end;
+        }
+    }
+}
+
+/// A plan entry's contribution: its source's value times its weight.
+#[inline]
+fn contribution(sources: &[f64], (slot, weight): (u32, f64)) -> f64 {
+    sources[slot as usize] * weight
 }
 
 /// L1 distance between two sparse vectors.
@@ -199,7 +302,7 @@ pub fn closed_form_oracle(graph: &SimilarityGraph, q: &[f64], alpha: f64) -> Vec
     let mut a = vec![0.0f64; n * n];
     for i in 0..n {
         a[i * n + i] = 1.0;
-        for (j, w) in graph.normalized_neighbors(icrowd_core::task::TaskId(i as u32)) {
+        for (j, w) in graph.normalized_neighbors(TaskId(i as u32)) {
             a[i * n + j.index()] -= damping * w;
         }
     }
@@ -244,7 +347,6 @@ pub fn closed_form_oracle(graph: &SimilarityGraph, q: &[f64], alpha: f64) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icrowd_core::task::TaskId;
 
     fn t(i: u32) -> TaskId {
         TaskId(i)

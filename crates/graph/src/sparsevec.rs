@@ -27,25 +27,36 @@ impl SparseTaskVector {
 
     /// Builds from unsorted `(index, value)` pairs, merging duplicates by
     /// addition and dropping exact zeros.
+    ///
+    /// Each index's run sums from its first pair on, in the order an
+    /// unstable sort by index leaves the pairs.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
         sort_by_index(&mut pairs);
-        let mut out = Self::new();
-        out.assign_sorted(pairs);
-        out
-    }
-
-    /// Rebuilds `self` from pairs in [`sort_by_index`] order, reusing its
-    /// capacity: each index's run sums from its first pair on, and exact
-    /// zeros drop.
-    pub(crate) fn assign_sorted(&mut self, sorted: impl IntoIterator<Item = (u32, f64)>) {
-        self.entries.clear();
-        for (i, v) in sorted {
-            match self.entries.last_mut() {
+        let mut entries: Vec<(u32, f64)> = Vec::new();
+        for (i, v) in pairs {
+            match entries.last_mut() {
                 Some((li, lv)) if *li == i => *lv += v,
-                _ => self.entries.push((i, v)),
+                _ => entries.push((i, v)),
             }
         }
-        self.entries.retain(|&(_, v)| v != 0.0);
+        entries.retain(|&(_, v)| v != 0.0);
+        Self { entries }
+    }
+
+    /// Empties `self`, keeping its capacity (the PPR solver refills one
+    /// vector every sweep).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Appends `value` at `index` unless it is an exact zero or
+    /// `|value| <= epsilon`: [`Self::truncate`] applied as entries
+    /// arrive. Indices must arrive in increasing order.
+    pub(crate) fn push_above(&mut self, index: u32, value: f64, epsilon: f64) {
+        debug_assert!(self.entries.last().is_none_or(|&(last, _)| last < index));
+        if value != 0.0 && value.abs() > epsilon {
+            self.entries.push((index, value));
+        }
     }
 
     /// Builds from a dense slice, keeping entries with `|v| > epsilon`.
@@ -164,12 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn assign_sorted_reuses_capacity() {
+    fn refilling_truncates_and_reuses_capacity() {
         let mut v = SparseTaskVector::from_pairs(vec![(9, 1.0), (1, 1.0), (4, 1.0)]);
         let cap_before = v.capacity();
-        v.assign_sorted([(2, 0.5), (5, 1.0), (5, 1.5), (7, 0.0)]);
-        assert_eq!(v.entries(), &[(2, 0.5), (5, 2.5)]);
+        v.clear();
+        for (i, x) in [(2, 0.5), (5, 2.5), (6, -1e-4), (7, 0.0), (8, -0.25)] {
+            v.push_above(i, x, 1e-3);
+        }
+        assert_eq!(v.entries(), &[(2, 0.5), (5, 2.5), (8, -0.25)]);
         assert_eq!(v.capacity(), cap_before, "capacity is retained");
+        v.clear();
+        v.push_above(3, -0.0, 0.0);
+        assert!(v.is_empty(), "exact zeros drop even at epsilon 0");
     }
 
     #[test]

@@ -54,6 +54,86 @@ pub struct LdaModel {
     phi: Vec<Vec<f64>>,
 }
 
+/// The sampler's counts `n_dk`, `n_wk` and `n_k`, row-major with stride
+/// `k`, each beside the term the full conditional reads from it:
+/// `n_dk + alpha`, `n_wk + beta` and `n_k + V * beta`. A term is
+/// recomputed from its count whenever the count moves, so it holds the
+/// bits the conditional would compute from the count itself.
+struct Counts {
+    k: usize,
+    alpha: f64,
+    beta: f64,
+    v_beta: f64,
+    n_dk: Vec<u32>,
+    n_wk: Vec<u32>,
+    n_k: Vec<u32>,
+    doc: Vec<f64>,
+    word: Vec<f64>,
+    topic: Vec<f64>,
+}
+
+impl Counts {
+    fn new(num_docs: usize, vocab_size: usize, config: &LdaConfig) -> Self {
+        let k = config.num_topics;
+        let v_beta = vocab_size as f64 * config.beta;
+        Self {
+            k,
+            alpha: config.alpha,
+            beta: config.beta,
+            v_beta,
+            n_dk: vec![0; num_docs * k],
+            n_wk: vec![0; vocab_size * k],
+            n_k: vec![0; k],
+            // A zero count's terms, summed as `shift` sums them (a prior
+            // of -0.0 gives 0.0).
+            doc: vec![0.0 + config.alpha; num_docs * k],
+            word: vec![0.0 + config.beta; vocab_size * k],
+            topic: vec![0.0 + v_beta; k],
+        }
+    }
+
+    /// Fills `weights` with the full conditional of a token of word `w`
+    /// in document `d`, the token itself uncounted, and returns their sum
+    /// taken in topic order.
+    fn conditional(&self, d: usize, w: usize, weights: &mut [f64]) -> f64 {
+        let k = self.k;
+        let doc = &self.doc[d * k..(d + 1) * k];
+        let word = &self.word[w * k..(w + 1) * k];
+        for (wt, (a, (num, den))) in weights
+            .iter_mut()
+            .zip(doc.iter().zip(word.iter().zip(&self.topic)))
+        {
+            *wt = a * (num / den);
+        }
+        weights.iter().fold(0.0, |total, wt| total + wt)
+    }
+
+    /// Counts a token of word `w` in document `d` under topic `t`.
+    fn add(&mut self, d: usize, w: usize, t: usize) {
+        self.shift(d, w, t, |n| n + 1);
+    }
+
+    /// Uncounts a token of word `w` in document `d` under topic `t`.
+    fn remove(&mut self, d: usize, w: usize, t: usize) {
+        self.shift(d, w, t, |n| n - 1);
+    }
+
+    /// Applies `step` to the token's three counts and recomputes their
+    /// terms from the new counts.
+    fn shift(&mut self, d: usize, w: usize, t: usize, step: impl Fn(u32) -> u32) {
+        let (dt, wt) = (d * self.k + t, w * self.k + t);
+        let n = step(self.n_dk[dt]);
+        self.n_dk[dt] = n;
+        self.doc[dt] = n as f64 + self.alpha;
+        let n = step(self.n_wk[wt]);
+        self.n_wk[wt] = n;
+        self.word[wt] = n as f64 + self.beta;
+        let n = step(self.n_k[t]);
+        self.n_k[t] = n;
+        self.topic[t] = n as f64 + self.v_beta;
+    }
+}
+
 impl LdaModel {
     /// Fits LDA on `docs` (token-id documents over a vocabulary of
     /// `vocab_size` words) by collapsed Gibbs sampling.
@@ -76,21 +156,15 @@ impl LdaModel {
         }
 
         let mut rng = StdRng::seed_from_u64(config.seed);
-        // Counts: n_dk (doc-topic), n_kw (topic-word), n_k (topic totals).
-        let mut n_dk = vec![vec![0u32; k]; docs.len()];
-        let mut n_kw = vec![vec![0u32; v]; k];
-        let mut n_k = vec![0u32; k];
         // Current topic assignment of every token position.
         let mut z: Vec<Vec<usize>> = docs
             .iter()
             .map(|doc| doc.iter().map(|_| rng.gen_range(0..k)).collect())
             .collect();
+        let mut counts = Counts::new(docs.len(), v, config);
         for (d, doc) in docs.iter().enumerate() {
             for (i, &w) in doc.iter().enumerate() {
-                let t = z[d][i];
-                n_dk[d][t] += 1;
-                n_kw[t][w as usize] += 1;
-                n_k[t] += 1;
+                counts.add(d, w as usize, z[d][i]);
             }
         }
 
@@ -100,19 +174,8 @@ impl LdaModel {
                 for (i, &w) in doc.iter().enumerate() {
                     let w = w as usize;
                     let old = z[d][i];
-                    // Remove the token from the counts.
-                    n_dk[d][old] -= 1;
-                    n_kw[old][w] -= 1;
-                    n_k[old] -= 1;
-                    // Full conditional for each topic.
-                    let mut total = 0.0;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        let a = n_dk[d][t] as f64 + config.alpha;
-                        let b = (n_kw[t][w] as f64 + config.beta)
-                            / (n_k[t] as f64 + v as f64 * config.beta);
-                        *wt = a * b;
-                        total += *wt;
-                    }
+                    counts.remove(d, w, old);
+                    let total = counts.conditional(d, w, &mut weights);
                     // Inverse-CDF sample.
                     let mut u = rng.gen::<f64>() * total;
                     let mut new = k - 1;
@@ -124,30 +187,25 @@ impl LdaModel {
                         u -= wt;
                     }
                     z[d][i] = new;
-                    n_dk[d][new] += 1;
-                    n_kw[new][w] += 1;
-                    n_k[new] += 1;
+                    counts.add(d, w, new);
                 }
             }
         }
 
-        // Read distributions off the final counts (single-sample estimate).
+        // Read distributions off the final counts' terms (single-sample
+        // estimate).
         let theta = docs
             .iter()
-            .enumerate()
-            .map(|(d, doc)| {
+            .zip(counts.doc.chunks_exact(k))
+            .map(|(doc, terms)| {
                 let denom = doc.len() as f64 + k as f64 * config.alpha;
-                (0..k)
-                    .map(|t| (n_dk[d][t] as f64 + config.alpha) / denom)
-                    .collect()
+                terms.iter().map(|a| a / denom).collect()
             })
             .collect();
         let phi = (0..k)
             .map(|t| {
-                let denom = n_k[t] as f64 + v as f64 * config.beta;
-                (0..v)
-                    .map(|w| (n_kw[t][w] as f64 + config.beta) / denom)
-                    .collect()
+                let denom = counts.topic[t];
+                (0..v).map(|w| counts.word[w * k + t] / denom).collect()
             })
             .collect();
 
@@ -315,6 +373,62 @@ mod tests {
         let b = m.top_words(1, 5);
         let overlap = a.iter().filter(|w| b.contains(w)).count();
         assert!(overlap <= 1, "topics share {overlap} of top-5 words");
+    }
+
+    /// The mirrored terms give the bits of the conditional computed
+    /// from the counts themselves: every weight and the total.
+    #[test]
+    fn conditional_matches_the_formula_on_the_counts() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // (topics, vocabulary, alpha, beta, tokens). The last case leaves
+        // most counts at zero, whose terms must carry the sign the
+        // counts give a -0.0 prior.
+        let cases = [
+            (1, 1, 0.5, 0.01, 400),
+            (8, 87, 0.5, 0.01, 400),
+            (12, 200, 0.1, 0.3, 400),
+            (12, 200, -0.0, -0.0, 30),
+        ];
+        for (k, v, alpha, beta, num_tokens) in cases {
+            let config = LdaConfig {
+                num_topics: k,
+                alpha,
+                beta,
+                ..Default::default()
+            };
+            let num_docs = 7;
+            let mut counts = Counts::new(num_docs, v, &config);
+            let tokens: Vec<(usize, usize, usize)> = (0..num_tokens)
+                .map(|_| {
+                    let token = (
+                        rng.gen_range(0..num_docs),
+                        rng.gen_range(0..v),
+                        rng.gen_range(0..k),
+                    );
+                    counts.add(token.0, token.1, token.2);
+                    token
+                })
+                .collect();
+            for &(d, w, t) in tokens.iter().step_by(3) {
+                counts.remove(d, w, t);
+            }
+            let mut weights = vec![0.0; k];
+            for d in 0..num_docs {
+                for w in 0..v {
+                    let total = counts.conditional(d, w, &mut weights);
+                    let mut want_total = 0.0;
+                    for (t, got) in weights.iter().enumerate() {
+                        let a = counts.n_dk[d * k + t] as f64 + alpha;
+                        let b = (counts.n_wk[w * k + t] as f64 + beta)
+                            / (counts.n_k[t] as f64 + v as f64 * beta);
+                        let want = a * b;
+                        assert_eq!(got.to_bits(), want.to_bits(), "k={k} d={d} w={w} t={t}");
+                        want_total += want;
+                    }
+                    assert_eq!(total.to_bits(), want_total.to_bits(), "k={k} d={d} w={w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! The graphs are dense enough (degree ≥ 10) that a sweep's pair list
 //! runs past `sort_unstable`'s small-slice cutoff, where equal task ids
 //! stop keeping their generation order; and the truncation thresholds
-//! change the support mid-solve.
+//! change the support mid-solve. On the fig10-shaped graph the support
+//! changes on most sweeps, so most sweeps are the one that builds the
+//! solver's plan for their support.
 
-use icrowd::core::{PprConfig, TaskId};
-use icrowd::graph::{sparse_ppr, LinearityIndex, SimilarityGraph, SparseTaskVector};
+use icrowd::core::{ICrowdConfig, PprConfig, TaskId};
+use icrowd::graph::{sparse_ppr, GraphBuilder, LinearityIndex, SimilarityGraph, SparseTaskVector};
 use icrowd_sim::campaign::{build_graph, CampaignConfig};
-use icrowd_sim::datasets::by_name;
+use icrowd_sim::datasets::{by_name, scalability_edges};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,4 +186,26 @@ fn served_dataset_indexes_match_the_per_sweep_sort() {
             );
         }
     }
+}
+
+/// fig10's graph and build configuration at 2,000 tasks: random neighbor
+/// lists capped at 20, stored entries cut at 1e-3, 20 sweeps at most.
+#[test]
+fn fig10_shaped_index_matches_the_per_sweep_sort() {
+    let n = 2_000;
+    let graph = GraphBuilder::new(0.5)
+        .with_max_neighbors(20)
+        .build_from_edges(n, scalability_edges(n, 20, 42));
+    let config = PprConfig {
+        index_epsilon: 1e-3,
+        max_iterations: 20,
+        tolerance: 1e-6,
+        threads: 1,
+    };
+    assert_index_matches(
+        &graph,
+        ICrowdConfig::default().alpha,
+        &config,
+        "fig10 2000 tasks, cap 20",
+    );
 }

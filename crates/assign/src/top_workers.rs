@@ -39,12 +39,6 @@ impl TopWorkerSet {
         self.workers.iter().map(|&(_, p)| p).sum()
     }
 
-    /// Whether the set holds enough workers to globally complete the
-    /// task in one round (`|workers| == remaining`).
-    pub fn is_full(&self) -> bool {
-        !self.workers.is_empty() && self.workers.len() == self.remaining
-    }
-
     /// The worker ids, highest accuracy first.
     pub fn worker_ids(&self) -> impl Iterator<Item = WorkerId> + '_ {
         self.workers.iter().map(|&(w, _)| w)
@@ -100,7 +94,7 @@ mod tests {
         );
         assert!((set.average_accuracy() - (0.9 + 0.7 + 0.7) / 3.0).abs() < 1e-12);
         assert!((set.total_accuracy() - 2.3).abs() < 1e-12);
-        assert!(set.is_full());
+        assert_eq!(set.workers.len(), set.remaining);
     }
 
     #[test]
@@ -116,10 +110,10 @@ mod tests {
     #[test]
     fn underfull_set_is_not_full() {
         let set = top_worker_set(t(0), vec![(w(0), 0.9)], 3);
-        assert!(!set.is_full());
+        assert!(set.workers.len() < set.remaining);
         assert_eq!(set.average_accuracy(), 0.9);
         let empty = top_worker_set(t(0), vec![], 3);
         assert_eq!(empty.average_accuracy(), 0.0);
-        assert!(!empty.is_full());
+        assert!(empty.workers.is_empty());
     }
 }

@@ -82,14 +82,6 @@ impl DawidSkeneFit {
         self.confusion[worker.index() * k * k + truth as usize * k + answered as usize]
     }
 
-    /// The worker's estimated accuracy: prior-weighted diagonal of her
-    /// confusion matrix.
-    pub fn worker_accuracy(&self, worker: WorkerId) -> f64 {
-        (0..self.num_choices)
-            .map(|c| self.priors[c] * self.confusion(worker, c as u8, c as u8))
-            .sum()
-    }
-
     /// Number of workers the model saw.
     pub fn num_workers(&self) -> usize {
         self.num_workers
@@ -292,19 +284,21 @@ mod tests {
             .filter(|&(i, &t)| fit.map_answer(i) == Some(t))
             .count();
         assert!(correct >= 54, "EM should recover >= 90%: got {correct}/60");
-        // Honest workers get high accuracy, the adversary low.
+        // Honest workers get high accuracy, the adversary low; accuracy
+        // is the prior-weighted diagonal of a worker's confusion matrix.
+        let accuracy = |w: u32| -> f64 {
+            (0..2u8)
+                .map(|c| fit.priors()[c as usize] * fit.confusion(WorkerId(w), c, c))
+                .sum()
+        };
         for w in 0..3u32 {
             assert!(
-                fit.worker_accuracy(WorkerId(w)) > 0.75,
+                accuracy(w) > 0.75,
                 "honest worker {w} scored {}",
-                fit.worker_accuracy(WorkerId(w))
+                accuracy(w)
             );
         }
-        assert!(
-            fit.worker_accuracy(WorkerId(3)) < 0.4,
-            "adversary scored {}",
-            fit.worker_accuracy(WorkerId(3))
-        );
+        assert!(accuracy(3) < 0.4, "adversary scored {}", accuracy(3));
     }
 
     #[test]

@@ -165,20 +165,6 @@ impl VoteSet {
         self.consensus().is_some()
     }
 
-    /// Whether a consensus is still reachable given remaining capacity.
-    ///
-    /// Returns `false` when even if all outstanding votes agreed, no answer
-    /// could reach the majority threshold (only possible for `num_choices >
-    /// 2`).
-    pub fn consensus_reachable(&self) -> bool {
-        if self.is_globally_completed() {
-            return true;
-        }
-        let remaining = (self.assignment_size - self.votes.len()) as u32;
-        let threshold = (self.assignment_size / 2 + 1) as u32;
-        self.counts.iter().any(|&c| c + remaining >= threshold)
-    }
-
     /// Workers who have voted, in arrival order.
     pub fn voters(&self) -> impl Iterator<Item = WorkerId> + '_ {
         self.votes.iter().map(|v| v.worker)
@@ -258,16 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn consensus_reachability_three_choices() {
-        // k = 3, three choices, all three votes disagree: no consensus and
-        // none reachable.
+    fn three_way_disagreement_has_no_consensus() {
+        // k = 3, three choices, all three votes disagree: no consensus.
         let mut vs = VoteSet::new(TaskId(0), 3, 3);
         vs.record(vote(1, Answer(0))).unwrap();
         vs.record(vote(2, Answer(1))).unwrap();
-        assert!(vs.consensus_reachable());
         vs.record(vote(3, Answer(2))).unwrap();
         assert_eq!(vs.consensus(), None);
-        assert!(!vs.consensus_reachable());
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub mod worker;
 pub use answer::{Answer, Vote, VoteSet};
 pub use config::{ICrowdConfig, PprConfig, WarmupConfig};
 pub use error::CoreError;
-pub use probability::{
-    beta_mean, beta_variance, marginal_gain, worker_set_accuracy, worker_set_accuracy_enumerate,
-};
+pub use probability::{beta_variance, worker_set_accuracy, worker_set_accuracy_enumerate};
 pub use task::{Domain, DomainRegistry, Microtask, TaskId, TaskSet};
 pub use voting::{majority_vote, weighted_majority_vote, ConsensusState, VoteOutcome};
 pub use worker::{ActivityTracker, Tick, WorkerId, WorkerRecord};

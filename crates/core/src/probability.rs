@@ -11,7 +11,8 @@
 //!   program; this is the one production code uses.
 //! * [`worker_set_accuracy_enumerate`] — literal Equation (1): sum over all
 //!   `x`-size subsets for `x = (k+1)/2 .. k`. Exponential; kept as a test
-//!   oracle and exercised by the `voting` criterion bench as an ablation.
+//!   oracle and timed against the DP by the `kernels` binary, which fails
+//!   unless the DP is at least 100× cheaper at `k = 15`.
 
 /// Probability that a strict majority of independent workers with
 /// accuracies `probs` answer correctly, via the Poisson-binomial DP.
@@ -81,18 +82,6 @@ pub fn worker_set_accuracy_enumerate(probs: &[f64]) -> f64 {
     total
 }
 
-/// Expected marginal gain in `Pr(W_t)` from adding a worker with accuracy
-/// `p_new` to a set with accuracies `probs`.
-///
-/// Used when reasoning about whether an extra assignment is worth paying
-/// for (Appendix D.3's observation that gains shrink with `k`).
-pub fn marginal_gain(probs: &[f64], p_new: f64) -> f64 {
-    let mut extended = Vec::with_capacity(probs.len() + 1);
-    extended.extend_from_slice(probs);
-    extended.push(p_new);
-    worker_set_accuracy(&extended) - worker_set_accuracy(probs)
-}
-
 /// Posterior over answers given votes and per-voter accuracies — the
 /// naive-Bayes model shared by the CDAS probabilistic-verification
 /// aggregation and the budget-saving early-stop extension:
@@ -143,13 +132,6 @@ pub fn beta_variance(n1: f64, n0: f64) -> f64 {
     let b = n0 + 1.0;
     let s = a + b;
     (a * b) / (s * s * (s + 1.0))
-}
-
-/// Mean of the same `Beta(n1 + 1, n0 + 1)` posterior (Laplace-smoothed
-/// accuracy estimate).
-pub fn beta_mean(n1: f64, n0: f64) -> f64 {
-    debug_assert!(n1 >= 0.0 && n0 >= 0.0, "counts must be non-negative");
-    (n1 + 1.0) / (n1 + n0 + 2.0)
 }
 
 #[cfg(test)]
@@ -211,17 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn adding_good_worker_to_even_set_helps() {
-        let base = [0.7, 0.7];
-        let gain = marginal_gain(&base, 0.9);
-        assert!(gain > 0.0);
-        // Adding a coin-flipper to an odd set cannot raise accuracy above
-        // the DP's value for the extended set; check consistency.
-        let direct = worker_set_accuracy(&[0.7, 0.7, 0.9]);
-        assert!(close(worker_set_accuracy(&base) + gain, direct));
-    }
-
-    #[test]
     fn vote_posterior_matches_hand_computation() {
         use crate::answer::{Answer, Vote};
         use crate::worker::WorkerId;
@@ -262,12 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn beta_moments_match_known_values() {
-        // Uniform prior: Beta(1,1) has mean 1/2, variance 1/12.
-        assert!(close(beta_mean(0.0, 0.0), 0.5));
+    fn beta_variance_matches_known_values() {
+        // Uniform prior: Beta(1,1) has variance 1/12.
         assert!(close(beta_variance(0.0, 0.0), 1.0 / 12.0));
-        // Beta(4, 2): mean 2/3, variance (4*2)/(36*7).
-        assert!(close(beta_mean(3.0, 1.0), 4.0 / 6.0));
+        // Beta(4, 2): variance (4*2)/(36*7).
         assert!(close(beta_variance(3.0, 1.0), 8.0 / (36.0 * 7.0)));
     }
 

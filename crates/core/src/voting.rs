@@ -30,17 +30,6 @@ pub struct VoteOutcome {
     pub tied: bool,
 }
 
-impl VoteOutcome {
-    /// Fraction of the vote mass behind the winner, in `[0, 1]`.
-    pub fn margin(&self) -> f64 {
-        if self.total == 0.0 {
-            0.0
-        } else {
-            self.support / self.total
-        }
-    }
-}
-
 /// Plain majority voting over `votes` with `num_choices` possible answers.
 ///
 /// Ties are broken toward the lowest answer index so results are
@@ -213,15 +202,6 @@ impl ConsensusState {
             .map(|(i, _)| TaskId(i as u32))
     }
 
-    /// Ids of tasks not yet globally completed (the paper's `T − T^d`).
-    pub fn uncompleted_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.completed
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| TaskId(i as u32))
-    }
-
     /// Workers already assigned to `task` (have voted), the paper's `W^d(t)`.
     pub fn assigned_workers(&self, task: TaskId) -> impl Iterator<Item = WorkerId> + '_ {
         self.vote_sets[task.index()].voters()
@@ -277,7 +257,6 @@ mod tests {
         assert_eq!(out.support, 2.0);
         assert_eq!(out.total, 3.0);
         assert!(!out.tied);
-        assert!((out.margin() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -325,10 +304,6 @@ mod tests {
         assert!(cs.is_completed(TaskId(0)));
         assert_eq!(cs.num_completed(), 1);
         assert_eq!(cs.completed_tasks().collect::<Vec<_>>(), vec![TaskId(0)]);
-        assert_eq!(
-            cs.uncompleted_tasks().collect::<Vec<_>>(),
-            vec![TaskId(1), TaskId(2)]
-        );
         // The third vote does not re-report completion.
         assert!(cs.record(TaskId(0), vote(3, Answer::NO)).unwrap().is_none());
         assert_eq!(cs.consensus(TaskId(0)), Some(Answer::YES));

@@ -65,8 +65,6 @@ pub struct WorkerRecord {
     pub external_id: String,
     /// Tick of the worker's most recent task request.
     pub last_request: Tick,
-    /// Whether the worker currently holds a HIT (Appendix A activity signal).
-    pub holds_hit: bool,
     /// Whether warm-up rejected this worker as unqualified (Section 2.2).
     pub rejected: bool,
     /// Number of answers this worker has submitted.
@@ -80,7 +78,6 @@ impl WorkerRecord {
             id,
             external_id: external_id.into(),
             last_request: now,
-            holds_hit: false,
             rejected: false,
             completed: 0,
         }
@@ -90,8 +87,8 @@ impl WorkerRecord {
 /// Tracks which workers are currently *active*.
 ///
 /// A worker is active if she requested a task within the last
-/// `window` ticks **or** currently holds a HIT — the two signals Section
-/// 4.1 Step 1 proposes. Rejected workers are never active.
+/// `window` ticks — the request signal of Section 4.1 Step 1. Rejected
+/// workers are never active.
 #[derive(Debug, Clone)]
 pub struct ActivityTracker {
     window: u64,
@@ -135,13 +132,6 @@ impl ActivityTracker {
         }
     }
 
-    /// Sets whether `worker` currently holds a HIT.
-    pub fn set_holds_hit(&mut self, worker: WorkerId, holds: bool) {
-        if let Some(w) = self.workers.get_mut(worker.index()) {
-            w.holds_hit = holds;
-        }
-    }
-
     /// Marks `worker` as rejected by warm-up.
     pub fn reject(&mut self, worker: WorkerId) {
         if let Some(w) = self.workers.get_mut(worker.index()) {
@@ -156,13 +146,6 @@ impl ActivityTracker {
         }
     }
 
-    /// Whether `worker` is active at `now`.
-    pub fn is_active(&self, worker: WorkerId, now: Tick) -> bool {
-        self.workers.get(worker.index()).is_some_and(|w| {
-            !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window)
-        })
-    }
-
     /// Replaces the contents of `out` with all workers active at `now`,
     /// in id order, so a caller can keep one buffer across calls.
     pub fn active_workers(&self, now: Tick, out: &mut Vec<WorkerId>) {
@@ -170,7 +153,7 @@ impl ActivityTracker {
         out.extend(
             self.workers
                 .iter()
-                .filter(|w| !w.rejected && (w.holds_hit || now.since(w.last_request) < self.window))
+                .filter(|w| !w.rejected && now.since(w.last_request) < self.window)
                 .map(|w| w.id),
         );
     }
@@ -225,30 +208,23 @@ mod tests {
     fn activity_window_expires() {
         let mut tr = ActivityTracker::new(30);
         let w = tr.register("A", Tick(0));
-        assert!(tr.is_active(w, Tick(29)));
-        assert!(!tr.is_active(w, Tick(30)));
+        let mut active = Vec::new();
+        let mut active_at = |tr: &ActivityTracker, now| {
+            tr.active_workers(Tick(now), &mut active);
+            active == [w]
+        };
+        assert!(active_at(&tr, 29));
+        assert!(!active_at(&tr, 30));
         tr.touch(w, Tick(40));
-        assert!(tr.is_active(w, Tick(69)));
-        assert!(!tr.is_active(w, Tick(70)));
-    }
-
-    #[test]
-    fn holding_a_hit_keeps_worker_active() {
-        let mut tr = ActivityTracker::new(30);
-        let w = tr.register("A", Tick(0));
-        tr.set_holds_hit(w, true);
-        assert!(tr.is_active(w, Tick(1_000_000)));
-        tr.set_holds_hit(w, false);
-        assert!(!tr.is_active(w, Tick(1_000_000)));
+        assert!(active_at(&tr, 69));
+        assert!(!active_at(&tr, 70));
     }
 
     #[test]
     fn rejected_worker_is_never_active() {
         let mut tr = ActivityTracker::new(30);
         let w = tr.register("A", Tick(0));
-        tr.set_holds_hit(w, true);
         tr.reject(w);
-        assert!(!tr.is_active(w, Tick(0)));
         let mut active = vec![w];
         tr.active_workers(Tick(0), &mut active);
         assert!(active.is_empty());

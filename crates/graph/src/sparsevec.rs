@@ -59,17 +59,6 @@ impl SparseTaskVector {
         }
     }
 
-    /// Builds from a dense slice, keeping entries with `|v| > epsilon`.
-    pub fn from_dense(dense: &[f64], epsilon: f64) -> Self {
-        let entries = dense
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v.abs() > epsilon)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        Self { entries }
-    }
-
     /// Expands to a dense vector of length `n`.
     pub fn to_dense(&self, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; n];
@@ -111,11 +100,6 @@ impl SparseTaskVector {
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.entries.iter().map(|&(_, v)| v).sum()
-    }
-
-    /// L1 norm.
-    pub fn l1(&self) -> f64 {
-        self.entries.iter().map(|&(_, v)| v.abs()).sum()
     }
 
     /// Drops entries with `|v| <= epsilon`.
@@ -190,12 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_round_trip() {
-        let dense = vec![0.0, 0.3, 0.0, 0.0001, 0.9];
-        let v = SparseTaskVector::from_dense(&dense, 0.001);
-        assert_eq!(v.entries(), &[(1, 0.3), (4, 0.9)]);
-        let back = v.to_dense(5);
-        assert_eq!(back, vec![0.0, 0.3, 0.0, 0.0, 0.9]);
+    fn to_dense_fills_the_gaps_with_zeros() {
+        let v = SparseTaskVector::from_pairs(vec![(4, 0.9), (1, 0.3)]);
+        assert_eq!(v.to_dense(5), vec![0.0, 0.3, 0.0, 0.0, 0.9]);
     }
 
     #[test]
@@ -214,6 +195,37 @@ mod tests {
         v.truncate(1e-6);
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.sum(), 1.0);
-        assert_eq!(v.l1(), 1.0);
+    }
+
+    /// Every stored index bit depends on the order in which std's
+    /// unstable sort leaves equal task ids, and std leaves that order
+    /// unspecified. This pins it on a fixed input, so a toolchain that
+    /// moves it fails here by name, not only as moved golden labels.
+    #[test]
+    fn sort_by_index_keeps_the_unstable_order_of_equal_ids() {
+        // 1,000 pairs over 37 ids, far past std's small-slice cutoff and
+        // about 27 copies of each id; each pair's f64 slot carries its
+        // original position as a tag.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pairs: Vec<(u32, f64)> = (0..1_000u32)
+            .map(|pos| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) as u32 % 37, f64::from(pos))
+            })
+            .collect();
+        sort_by_index(&mut pairs);
+        assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
+        // FNV-1a over the tag permutation.
+        let hash = pairs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &(_, tag)| {
+            (h ^ tag as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            hash, 0xa2b5_3560_9647_bc39,
+            "sort_by_index left equal ids in another order: std's unstable sort \
+             order moved with the toolchain, and with it every PPR index bit and \
+             the golden labels (ROADMAP item 4)"
+        );
     }
 }

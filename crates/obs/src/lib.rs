@@ -7,11 +7,12 @@
 //! instrumentation sink so those numbers come from one audited registry
 //! instead of ad-hoc `println!` lines:
 //!
-//! - **Spans** — RAII timers created with [`span!`]; each named span
-//!   accumulates count / total / min / max plus a deterministic
-//!   log-bucketed [`LogHistogram`] from which every exported quantile
-//!   (p50/p99) is computed with ≤1% relative error. Histograms merge
-//!   associatively, so per-thread or per-shard series fold exactly.
+//! - **Spans** — RAII timers created with [`span!`], the crate's one
+//!   timer; each named span accumulates count / total / min / max plus
+//!   a deterministic log-bucketed [`LogHistogram`] from which every
+//!   exported quantile (p50/p99) is computed with ≤1% relative error.
+//!   Histograms merge associatively, so per-thread or per-shard series
+//!   fold exactly.
 //! - **Counters** — monotonic `u64` totals ([`counter_add`]): assignments
 //!   issued, estimator cache hits, PPR iterations, HIT lifecycle
 //!   transitions.
@@ -19,10 +20,12 @@
 //!   last/window-min/window-max, so burst peaks survive scrapes.
 //! - **Events** — pre-serialized JSON payloads ([`event_json`]) bridging
 //!   structured logs (the platform's `EventLog`) into the same sink.
-//! - **Traces** — request-scoped span trees ([`trace_begin`],
-//!   [`TraceSpan`]): the serving layer opens a root span per traced
-//!   protocol request and engine/driver/journal attach causally linked
-//!   children, exported as JSONL `trace` records.
+//! - **Traces** — request-scoped span trees ([`trace_begin`]): the
+//!   serving layer opens a root span per traced protocol request, and
+//!   every [`span!`] started under it on that thread (engine, driver,
+//!   Algorithm 2, estimator, journal) is also a causally linked child,
+//!   exported as JSONL `trace` records. One guard feeds both views, so a
+//!   tree node and its histogram share a name and a duration.
 //! - **Windows** — [`window_advance`] snapshots everything that
 //!   happened since the previous advance (counter deltas, windowed
 //!   histograms, gauge extremes) for live scraping (`METRICS` verb,
@@ -52,7 +55,7 @@ mod trace;
 mod window;
 
 pub use hist::{LogHistogram, SUB_BITS};
-pub use trace::{trace_begin, TraceEvent, TraceGuard, TraceSpan};
+pub use trace::{trace_begin, TraceEvent, TraceGuard};
 pub use window::{GaugeSummary, WindowReport};
 
 /// Global on/off switch. Relaxed ordering is sufficient: the flag only
@@ -90,6 +93,30 @@ struct Inner {
     win_counters: BTreeMap<String, u64>,
     win_seq: u64,
     win_mark: Option<Instant>,
+}
+
+impl Inner {
+    /// Records one execution of span `name`. The name is copied only
+    /// the first time it is recorded.
+    fn record_span(&mut self, name: &str, ns: u64) {
+        match self.spans.get_mut(name) {
+            Some(stat) => stat.record(ns),
+            None => {
+                let mut stat = SpanStat::new();
+                stat.record(ns);
+                self.spans.insert(name.to_owned(), stat);
+            }
+        }
+    }
+
+    /// Appends a completed trace node, bounded like events.
+    fn push_trace(&mut self, ev: TraceEvent) {
+        if self.traces.len() >= MAX_TRACE_EVENTS {
+            self.traces_dropped += 1;
+        } else {
+            self.traces.push(ev);
+        }
+    }
 }
 
 struct SpanStat {
@@ -192,8 +219,9 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns telemetry collection off. In-flight [`Span`] guards created
-/// while enabled still record on drop.
+/// Turns telemetry collection off. From then on nothing records: a
+/// [`Span`] guard started while enabled records nothing when it drops
+/// after this call.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -216,26 +244,42 @@ pub fn reset() {
 // Spans
 // ---------------------------------------------------------------------
 
-/// RAII timer: records the elapsed time under its span name on drop.
-/// When telemetry is disabled at creation the guard holds nothing —
-/// no clock read, no allocation, and `Drop` is a no-op.
+/// RAII timer: records the elapsed time under its span name on drop
+/// and, when a trace is active on the thread, emits the span as a node
+/// of that trace's tree. When telemetry is disabled at creation the
+/// guard holds nothing — no clock read, no thread-local access, no
+/// allocation, and `Drop` is a no-op.
 #[must_use = "a span guard times until it is dropped; binding it to _ drops it immediately"]
 pub struct Span {
-    armed: Option<(&'static str, Instant)>,
+    armed: Option<(&'static str, Instant, Option<trace::Node>)>,
 }
 
 impl Span {
     /// Starts a span timer named `name` (no-op when disabled).
     pub fn start(name: &'static str) -> Self {
-        let armed = is_enabled().then(|| (name, Instant::now()));
-        Span { armed }
+        if !is_enabled() {
+            return Span { armed: None };
+        }
+        let node = trace::Node::open();
+        Span {
+            armed: Some((name, Instant::now(), node)),
+        }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((name, started)) = self.armed.take() {
-            record_span_ns(name, started.elapsed().as_nanos() as u64);
+        if let Some((name, started, node)) = self.armed.take() {
+            let ns = started.elapsed().as_nanos() as u64;
+            let event = node.map(|n| n.close(name, started, ns));
+            if !is_enabled() {
+                return;
+            }
+            let mut reg = registry();
+            reg.record_span(name, ns);
+            if let Some(ev) = event {
+                reg.push_trace(ev);
+            }
         }
     }
 }
@@ -248,17 +292,13 @@ macro_rules! span {
     };
 }
 
-/// Records one execution of `name` taking `ns` nanoseconds. [`Span`]
-/// calls this on drop; exposed for pre-measured durations.
+/// Records one execution of `name` taking `ns` nanoseconds, as a
+/// [`Span`] does on drop: for pre-measured durations.
 pub fn record_span_ns(name: &str, ns: u64) {
     if !is_enabled() {
         return;
     }
-    registry()
-        .spans
-        .entry(name.to_owned())
-        .or_insert_with(SpanStat::new)
-        .record(ns);
+    registry().record_span(name, ns);
 }
 
 /// A copy of one span's full histogram (`None` if never recorded) —
@@ -276,7 +316,13 @@ pub fn counter_add(name: &str, delta: u64) {
     if !is_enabled() || delta == 0 {
         return;
     }
-    *registry().counters.entry(name.to_owned()).or_insert(0) += delta;
+    let mut reg = registry();
+    match reg.counters.get_mut(name) {
+        Some(value) => *value += delta,
+        None => {
+            reg.counters.insert(name.to_owned(), delta);
+        }
+    }
 }
 
 /// Sets the gauge `name` to `value` (no-op when disabled). The last
@@ -323,18 +369,13 @@ pub fn event_json(kind: &str, payload: &str) {
     }
 }
 
-/// Appends a completed trace span (called by the trace guards' `Drop`).
+/// Appends a completed trace root (called by [`TraceGuard`]'s `Drop`).
 /// Bounded like events; overflow is tallied.
 pub(crate) fn push_trace_event(ev: TraceEvent) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry();
-    if reg.traces.len() >= MAX_TRACE_EVENTS {
-        reg.traces_dropped += 1;
-    } else {
-        reg.traces.push(ev);
-    }
+    registry().push_trace(ev);
 }
 
 // ---------------------------------------------------------------------
@@ -653,7 +694,7 @@ mod tests {
         event_json("never", "{}");
         {
             let _t = trace_begin(7, "never");
-            let _c = TraceSpan::start("never.child");
+            let _c = Span::start("never.child");
         }
         let snap = snapshot();
         assert!(snap.spans.is_empty());
@@ -823,12 +864,12 @@ mod tests {
         reset();
         {
             let _root = trace_begin(0xABCD, "rpc.request_task");
-            let _child = TraceSpan::start("engine.request");
+            let _child = Span::start("serve.request");
             {
-                let _grandchild = TraceSpan::start("driver.poll");
+                let _grandchild = Span::start("driver.poll");
             }
             {
-                let _grandchild2 = TraceSpan::start("journal.append");
+                let _grandchild2 = Span::start("journal.append");
             }
         }
         disable();
@@ -836,7 +877,7 @@ mod tests {
         assert_eq!(snap.traces.len(), 4);
         let by_name = |n: &str| snap.traces.iter().find(|t| t.name == n).unwrap();
         let root = by_name("rpc.request_task");
-        let child = by_name("engine.request");
+        let child = by_name("serve.request");
         let gc1 = by_name("driver.poll");
         let gc2 = by_name("journal.append");
         assert_eq!((root.span_id, root.parent_id), (1, 0));
@@ -848,18 +889,26 @@ mod tests {
         let text = export_jsonl();
         assert!(text.contains("\"type\":\"trace\""), "{text}");
         assert!(text.contains("\"name\":\"driver.poll\""), "{text}");
+        // The same guards fed the histograms, under the same names.
+        for name in ["serve.request", "driver.poll", "journal.append"] {
+            let s = snap.spans.iter().find(|s| s.name == name).unwrap();
+            assert_eq!(s.count, 1, "{name}");
+        }
+        assert!(!snap.spans.iter().any(|s| s.name == "rpc.request_task"));
     }
 
     #[test]
-    fn child_span_without_active_trace_is_inert() {
+    fn span_without_active_trace_records_no_tree() {
         let _g = guard();
         enable();
         reset();
         {
-            let _orphan = TraceSpan::start("driver.poll");
+            let _orphan = Span::start("driver.poll");
         }
         disable();
-        assert!(snapshot().traces.is_empty());
+        let snap = snapshot();
+        assert!(snap.traces.is_empty());
+        assert_eq!(snap.spans.len(), 1);
     }
 
     #[test]

@@ -3,30 +3,31 @@
 //!
 //! `icrowd loadgen` stamps a nonzero `u64` trace id on each protocol
 //! line; the serving layer opens a **root** trace span for the request
-//! ([`trace_begin`]) and every layer underneath — engine, market
-//! driver, journal — adds **child** spans ([`TraceSpan::start`])
-//! without any signature plumbing: the active trace rides a
-//! thread-local, which is correct because one request is handled
+//! ([`trace_begin`]) and every [`Span`](crate::Span) started underneath
+//! it — engine, market driver, Algorithm 2, estimator, journal — becomes
+//! a **child** node without any signature plumbing: the active trace
+//! rides a thread-local, which is correct because one request is handled
 //! start-to-finish on one handler thread.
 //!
-//! Each completed span becomes a [`TraceEvent`] in the global registry
+//! Each completed node becomes a [`TraceEvent`] in the global registry
 //! and is exported as one JSONL line
-//! (`{"type":"trace","trace":...,"span":...,"parent":...,...}`), so a
-//! `REQUEST_TASK` yields e.g.
+//! (`{"type":"trace","trace":...,"span":...,"parent":...,...}`), so an
+//! assigning `REQUEST_TASK` yields e.g.
 //!
 //! ```text
 //! serve.rpc.request (span 1, parent 0)
-//! └─ engine.request (span 2, parent 1)
-//!    ├─ driver.poll  (span 3, parent 2)
-//!    └─ journal.append (span 4, parent 2)
+//! └─ serve.request (span 2, parent 1)
+//!    ├─ driver.poll (span 3, parent 2)
+//!    │  └─ assign.loop (span 4, parent 3)
+//!    └─ journal.append (span 5, parent 2)
 //! ```
 //!
 //! Cost discipline matches the span path: with telemetry disabled,
-//! [`trace_begin`] and [`TraceSpan::start`] are a single relaxed
-//! atomic load — no clock read, no allocation, no thread-local write
-//! (asserted by the `noop_alloc` integration test). With telemetry
-//! enabled but no active trace on the thread (e.g. the in-process
-//! harness), a child span start is one thread-local read.
+//! [`trace_begin`] and a span start are a single relaxed atomic load —
+//! no clock read, no allocation, no thread-local access (asserted by the
+//! `noop_alloc` integration test). With telemetry enabled but no active
+//! trace on the thread (e.g. the in-process harness), a span start pays
+//! one thread-local read for its tree.
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -70,11 +71,16 @@ thread_local! {
     static CTX: Cell<Ctx> = const { Cell::new(IDLE) };
 }
 
-/// Nanoseconds since the process-wide trace epoch (first use).
-fn epoch_ns() -> u64 {
+/// The process-wide trace epoch (first use).
+fn epoch() -> Instant {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds from the trace epoch to `at`.
+fn since_epoch_ns(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch()).as_nanos() as u64
 }
 
 /// Opens the root span of a trace on this thread. No-op (and
@@ -93,8 +99,9 @@ pub fn trace_begin(trace_id: u64, name: &'static str) -> TraceGuard {
             parent: 1,
         });
     });
+    let started = Instant::now();
     TraceGuard {
-        armed: Some((trace_id, name, epoch_ns(), Instant::now())),
+        armed: Some((trace_id, name, since_epoch_ns(started), started)),
     }
 }
 
@@ -120,67 +127,55 @@ impl Drop for TraceGuard {
     }
 }
 
-/// RAII child span: records a [`TraceEvent`] under the thread's active
-/// trace on drop, parented to the innermost enclosing span. Inactive
-/// (no clock read, no allocation) when telemetry is disabled or no
-/// trace is active on this thread.
-#[must_use = "a trace span times until it is dropped"]
-pub struct TraceSpan {
-    armed: Option<(u64, u32, u32, &'static str, u64, Instant)>,
+/// A [`Span`](crate::Span)'s place in the thread's active trace.
+#[derive(Clone, Copy)]
+pub(crate) struct Node {
+    trace_id: u64,
+    span_id: u32,
+    parent_id: u32,
 }
 
-impl TraceSpan {
-    /// Starts a child span named `name` under the active trace.
-    pub fn start(name: &'static str) -> Self {
-        if !is_enabled() {
-            return TraceSpan { armed: None };
-        }
-        let ctx = CTX.with(Cell::get);
-        if ctx.trace_id == 0 {
-            return TraceSpan { armed: None };
-        }
-        let span_id = ctx.next_span;
-        let parent = ctx.parent;
+impl Node {
+    /// Opens a child of the innermost open span of the thread's active
+    /// trace and makes it the parent of spans started after it. `None`
+    /// when no trace is active on this thread.
+    pub(crate) fn open() -> Option<Node> {
         CTX.with(|c| {
+            let ctx = c.get();
+            if ctx.trace_id == 0 {
+                return None;
+            }
             c.set(Ctx {
                 trace_id: ctx.trace_id,
-                next_span: span_id + 1,
-                parent: span_id,
+                next_span: ctx.next_span + 1,
+                parent: ctx.next_span,
             });
-        });
-        TraceSpan {
-            armed: Some((
-                ctx.trace_id,
-                span_id,
-                parent,
-                name,
-                epoch_ns(),
-                Instant::now(),
-            )),
-        }
+            Some(Node {
+                trace_id: ctx.trace_id,
+                span_id: ctx.next_span,
+                parent_id: ctx.parent,
+            })
+        })
     }
-}
 
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let Some((trace_id, span_id, parent_id, name, start_ns, started)) = self.armed.take() {
-            // Restore the parent scope (later siblings parent correctly
-            // even if the trace ended early — the push is a no-op then).
-            CTX.with(|c| {
-                let mut ctx = c.get();
-                if ctx.trace_id == trace_id {
-                    ctx.parent = parent_id;
-                    c.set(ctx);
-                }
-            });
-            push_trace_event(TraceEvent {
-                trace_id,
-                span_id,
-                parent_id,
-                name,
-                start_ns,
-                dur_ns: started.elapsed().as_nanos() as u64,
-            });
+    /// Closes the node: restores its parent as the innermost open span
+    /// (later siblings parent correctly even if the trace ended early)
+    /// and returns the completed event.
+    pub(crate) fn close(self, name: &'static str, started: Instant, dur_ns: u64) -> TraceEvent {
+        CTX.with(|c| {
+            let mut ctx = c.get();
+            if ctx.trace_id == self.trace_id {
+                ctx.parent = self.parent_id;
+                c.set(ctx);
+            }
+        });
+        TraceEvent {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_id: self.parent_id,
+            name,
+            start_ns: since_epoch_ns(started),
+            dur_ns,
         }
     }
 }

@@ -1,7 +1,9 @@
 //! The disabled telemetry path must be allocation-free: the assignment
 //! hot loop runs `span!` + `counter_add` per request, a request handler
 //! opens a trace root + child spans, and a campaign issues hundreds of
-//! thousands of requests with telemetry off.
+//! thousands of requests with telemetry off. With telemetry on, a span
+//! or counter whose name the registry already holds must record
+//! without allocating too: the loadgen records every client operation.
 //!
 //! This file installs a counting global allocator and must therefore be
 //! an integration test (its own process) with exactly one `#[test]`.
@@ -51,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn disabled_telemetry_allocates_nothing_per_span() {
+fn disabled_telemetry_and_known_names_allocate_nothing() {
     icrowd_obs::disable();
 
     // Warm up any lazy statics outside the measured window.
@@ -60,7 +62,7 @@ fn disabled_telemetry_allocates_nothing_per_span() {
         icrowd_obs::counter_add("warmup", 1);
         icrowd_obs::gauge_set("warmup", 0.0);
         let _t = icrowd_obs::trace_begin(1, "warmup");
-        let _c = icrowd_obs::TraceSpan::start("warmup.child");
+        let _c = icrowd_obs::Span::start("warmup.child");
     }
 
     MEASURING.with(|m| m.set(true));
@@ -73,7 +75,7 @@ fn disabled_telemetry_allocates_nothing_per_span() {
         // The trace path must also be inert: a disabled root guard and
         // a child span drop without touching the registry or the heap.
         let _t = icrowd_obs::trace_begin(i + 1, "serve.rpc.request");
-        let _c = icrowd_obs::TraceSpan::start("engine.request");
+        let _c = icrowd_obs::Span::start("serve.request");
         // The rejection path counts through static names — no format!
         // allocation even with every reason exercised.
         for reason in [
@@ -95,4 +97,28 @@ fn disabled_telemetry_allocates_nothing_per_span() {
         after - before
     );
     assert!(!icrowd_obs::is_enabled());
+
+    // Enabled: each name's first record copies it into the registry;
+    // every later record of the same value finds it and allocates
+    // nothing (its histogram bucket exists too).
+    icrowd_obs::reset();
+    icrowd_obs::enable();
+    icrowd_obs::record_span_ns("assign.loop", 1_000);
+    icrowd_obs::counter_add("assign.issued", 1);
+    MEASURING.with(|m| m.set(true));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..100_000 {
+        icrowd_obs::record_span_ns("assign.loop", 1_000);
+        icrowd_obs::counter_add("assign.issued", 1);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(false));
+    icrowd_obs::disable();
+    assert_eq!(
+        after - before,
+        0,
+        "recording known span and counter names allocated {} times over 100k iterations",
+        after - before
+    );
+    assert_eq!(icrowd_obs::counter_value("assign.issued"), 100_001);
 }

@@ -294,7 +294,7 @@ impl MarketDriver {
     /// worker's turn if it is next — otherwise [`PollOutcome::Wait`].
     /// Unknown external ids get [`PollOutcome::Left`].
     pub fn poll(&mut self, server: &mut dyn ExternalQuestionServer, external: &str) -> PollOutcome {
-        let _tspan = icrowd_obs::TraceSpan::start("driver.poll");
+        let _span = icrowd_obs::span!("driver.poll");
         if let Some(p) = self.pending {
             // Re-requesting while her own assignment is in flight
             // idempotently re-issues it; everyone else waits.
@@ -336,7 +336,7 @@ impl MarketDriver {
     /// `STATUS` and at drain so late answers still land after every
     /// worker has left.
     pub fn pump(&mut self, server: &mut dyn ExternalQuestionServer) {
-        let _tspan = icrowd_obs::TraceSpan::start("driver.pump");
+        let _span = icrowd_obs::span!("driver.pump");
         while let Some(&Reverse((tick, _, pending @ Pending::Deliver(_)))) = self.heap.peek() {
             self.heap.pop();
             self.run_entry(server, tick, pending);
@@ -358,7 +358,7 @@ impl MarketDriver {
         answer: Answer,
         server: &mut dyn ExternalQuestionServer,
     ) -> SubmitReport {
-        let _tspan = icrowd_obs::TraceSpan::start("driver.submit");
+        let _span = icrowd_obs::span!("driver.submit");
         let p = self.pending.take().expect("no pending assignment");
         assert_eq!(p.worker, worker, "submission from the wrong worker");
         self.epoch += 1;
@@ -431,7 +431,7 @@ impl MarketDriver {
         task: TaskId,
         answer: Answer,
     ) -> SubmitOutcome {
-        let _tspan = icrowd_obs::TraceSpan::start("driver.submit_stray");
+        let _span = icrowd_obs::span!("driver.submit_stray");
         let now = self.end;
         self.epoch += 1;
         self.accounting.answers_submitted += 1;

@@ -402,7 +402,6 @@ impl CampaignEngine {
             return;
         };
         let _span = icrowd_obs::span!("journal.append");
-        let _tspan = icrowd_obs::TraceSpan::start("journal.append");
         match j.state {
             // Terminal states: the op is accepted but will never be
             // journaled — count it so the loss is visible, not silent.
@@ -591,7 +590,6 @@ impl CampaignEngine {
 
     fn request_task(&self, worker: &str) -> Response {
         let _span = icrowd_obs::span!("serve.request");
-        let _tspan = icrowd_obs::TraceSpan::start("engine.request");
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
@@ -635,7 +633,6 @@ impl CampaignEngine {
 
     fn submit_answer(&self, worker: &str, task: TaskId, answer: Answer) -> Response {
         let _span = icrowd_obs::span!("serve.submit");
-        let _tspan = icrowd_obs::TraceSpan::start("engine.submit");
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }

@@ -26,14 +26,12 @@
 
 pub mod campaign;
 pub mod datasets;
-pub mod diagnostics;
 pub mod metrics;
 pub mod profiles;
 pub mod worker_model;
 
 pub use campaign::{run_campaign, Approach, CampaignConfig, CampaignResult, QualStrategy};
 pub use datasets::Dataset;
-pub use diagnostics::{estimation_quality, voter_quality, EstimationQuality};
 pub use metrics::DomainAccuracy;
 pub use profiles::WorkerProfile;
 pub use worker_model::SimWorker;

@@ -24,16 +24,6 @@ impl WorkerProfile {
     pub fn average_accuracy(&self) -> f64 {
         self.domain_accuracy.iter().sum::<f64>() / self.domain_accuracy.len() as f64
     }
-
-    /// The domain index this worker is best at.
-    pub fn best_domain(&self) -> usize {
-        self.domain_accuracy
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 /// Anchor workers for YahooQA (Figure 6a): domains are ordered
@@ -179,7 +169,6 @@ mod tests {
         assert_eq!(a.domain_accuracy[1], 0.875, "Books&Authors");
         assert_eq!(a.domain_accuracy[5], 0.70, "Philosophy");
         assert_eq!(a.domain_accuracy[0], 0.176, "FIFA");
-        assert_eq!(a.best_domain(), 1);
 
         let ic = item_compare_anchors();
         assert_eq!(ic[0].domain_accuracy[3], 0.95, "Country expert");

@@ -33,11 +33,6 @@ impl JaccardSimilarity {
         Self { sets }
     }
 
-    /// The token-set size of `task`.
-    pub fn set_size(&self, task: TaskId) -> usize {
-        self.sets[task.index()].len()
-    }
-
     /// Intersection size of two sorted, deduplicated id slices.
     fn intersection_size(a: &[u32], b: &[u32]) -> usize {
         let (mut i, mut j, mut n) = (0, 0, 0);
@@ -121,7 +116,6 @@ mod tests {
         let ts = task_set(&["", ""]);
         let j = JaccardSimilarity::new(&ts, &Tokenizer::new());
         assert_eq!(j.similarity(TaskId(0), TaskId(1)), 1.0);
-        assert_eq!(j.set_size(TaskId(0)), 0);
     }
 
     mod properties {

@@ -255,18 +255,6 @@ impl LdaModel {
             (dot / (na * nb)).clamp(0.0, 1.0)
         }
     }
-
-    /// The `n` most probable words of topic `t` (ids, most probable first).
-    pub fn top_words(&self, t: usize, n: usize) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.vocab_size as u32).collect();
-        idx.sort_by(|&a, &b| {
-            self.phi[t][b as usize]
-                .total_cmp(&self.phi[t][a as usize])
-                .then(a.cmp(&b))
-        });
-        idx.truncate(n);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -369,8 +357,14 @@ mod tests {
     fn top_words_reflect_topic_mass() {
         let m = fit_two_topics();
         // The top words of the two topics should be (mostly) disjoint.
-        let a = m.top_words(0, 5);
-        let b = m.top_words(1, 5);
+        let top5 = |t: usize| {
+            let phi = m.phi(t);
+            let mut idx: Vec<usize> = (0..phi.len()).collect();
+            idx.sort_by(|&a, &b| phi[b].total_cmp(&phi[a]).then(a.cmp(&b)));
+            idx.truncate(5);
+            idx
+        };
+        let (a, b) = (top5(0), top5(1));
         let overlap = a.iter().filter(|w| b.contains(w)).count();
         assert!(overlap <= 1, "topics share {overlap} of top-5 words");
     }

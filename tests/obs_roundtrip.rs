@@ -6,13 +6,18 @@
 //! the offline work: every path that prepares a campaign builds its
 //! linearity index at most once.
 
+use std::collections::BTreeMap;
+
 use icrowd::AssignStrategy;
-use icrowd_serve::CampaignEngine;
+use icrowd_obs::TraceEvent;
+use icrowd_platform::market::WorkerBehavior;
+use icrowd_serve::protocol::Request;
+use icrowd_serve::{CampaignEngine, Response};
 use icrowd_sim::campaign::{
     labels_lines, prepare_campaign, run_campaign, Approach, CampaignConfig, MetricChoice,
     QualStrategy,
 };
-use icrowd_sim::datasets::table1;
+use icrowd_sim::datasets::{table1, yahooqa};
 use serde_json::Value;
 
 /// The telemetry registry is process-global; every test here arms or
@@ -32,11 +37,11 @@ fn trace_events_round_trip_through_jsonl() {
     // One request's causal tree: root → engine → {driver, journal}.
     {
         let _root = icrowd_obs::trace_begin(42, "serve.rpc.request");
-        let _engine = icrowd_obs::TraceSpan::start("engine.request");
+        let _engine = icrowd_obs::Span::start("serve.request");
         {
-            let _driver = icrowd_obs::TraceSpan::start("driver.poll");
+            let _driver = icrowd_obs::Span::start("driver.poll");
         }
-        let _journal = icrowd_obs::TraceSpan::start("journal.append");
+        let _journal = icrowd_obs::Span::start("journal.append");
     }
 
     let recorded = icrowd_obs::snapshot().traces;
@@ -89,6 +94,168 @@ fn trace_events_round_trip_through_jsonl() {
 
     icrowd_obs::disable();
     icrowd_obs::reset();
+}
+
+/// Renders the subtree under span `id` as `name(child,child)`, children
+/// in start order; `estimator.*` nodes are left out unless `estimator`.
+fn render(nodes: &[TraceEvent], id: u32, estimator: bool) -> String {
+    let node = nodes.iter().find(|n| n.span_id == id).expect("node");
+    let children: Vec<String> = nodes
+        .iter()
+        .filter(|n| n.parent_id == id && (estimator || !n.name.starts_with("estimator.")))
+        .map(|c| render(nodes, c.span_id, estimator))
+        .collect();
+    if children.is_empty() {
+        node.name.to_owned()
+    } else {
+        format!("{}({})", node.name, children.join(","))
+    }
+}
+
+/// One guard feeds both views: driving a journaled yahooqa campaign
+/// through `CampaignEngine::handle` with every request traced, as the
+/// transport does, yields one tree per request that carries the engine,
+/// driver, Algorithm-2, estimator and journal spans under the names the
+/// histograms use.
+#[test]
+fn served_requests_trace_the_full_split() {
+    let _g = guard();
+    let dataset = yahooqa(42);
+    let config = CampaignConfig::default();
+    let engine = CampaignEngine::new(
+        "yahooqa",
+        dataset.clone(),
+        Approach::ICrowd(AssignStrategy::Adapt),
+        config.clone(),
+    );
+    let journal =
+        std::env::temp_dir().join(format!("icrowd_trace_tree_{}.bin", std::process::id()));
+    std::fs::remove_file(&journal).ok();
+    engine.start_journal(&journal, 1, 64).expect("journal");
+    icrowd_obs::reset();
+    icrowd_obs::enable();
+
+    // Each request is handled under its own trace root, as the server
+    // opens one per traced protocol line.
+    let mut next_trace = 0u64;
+    let mut traced = |name: &'static str, req: &Request| {
+        next_trace += 1;
+        let _root = icrowd_obs::trace_begin(next_trace, name);
+        (next_trace, engine.handle(req, 0))
+    };
+    let workers: Vec<String> = (1..=dataset.workers.len())
+        .map(|i| format!("W{i}"))
+        .collect();
+    let mut sims: Vec<_> = dataset
+        .spawn_workers(config.seed)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let mut kinds: BTreeMap<u64, &str> = BTreeMap::new();
+    let mut live = workers.len();
+    while live > 0 {
+        assert!(kinds.len() < 100_000, "campaign livelocked");
+        for (i, w) in workers.iter().enumerate() {
+            let Some(sim) = sims[i].as_mut() else {
+                continue;
+            };
+            let poll = Request::RequestTask { worker: w.clone() };
+            match traced("serve.rpc.request", &poll) {
+                (id, Response::Task(task)) => {
+                    kinds.insert(id, "assigned");
+                    let answer = WorkerBehavior::answer(sim, &dataset.tasks[task]);
+                    let submit = Request::SubmitAnswer {
+                        worker: w.clone(),
+                        task,
+                        answer,
+                    };
+                    let (id, resp) = traced("serve.rpc.submit", &submit);
+                    kinds.insert(id, "submit");
+                    assert!(matches!(resp, Response::Submit { .. }), "{resp:?}");
+                }
+                (id, Response::Wait) => {
+                    kinds.insert(id, "wait");
+                }
+                (id, Response::Declined { retry: true }) => {
+                    kinds.insert(id, "declined");
+                }
+                (id, Response::Left | Response::Declined { retry: false }) => {
+                    kinds.insert(id, "left");
+                    sims[i] = None;
+                    live -= 1;
+                }
+                (_, other) => panic!("unexpected poll response {other:?}"),
+            }
+        }
+    }
+    icrowd_obs::disable();
+    let snap = icrowd_obs::snapshot();
+    icrowd_obs::reset();
+    std::fs::remove_file(&journal).ok();
+    assert_eq!(snap.traces_dropped, 0);
+    // The same guards fed the histograms: one driver.poll per poll and
+    // one driver.submit per submit.
+    let count = |name: &str| {
+        let span = snap.spans.iter().find(|s| s.name == name);
+        span.map_or(0, |s| s.count as usize)
+    };
+    let submits = kinds.values().filter(|&&k| k == "submit").count();
+    assert_eq!(count("driver.poll"), kinds.len() - submits);
+    assert_eq!(count("driver.submit"), submits);
+
+    let mut by_trace: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+    for ev in snap.traces {
+        by_trace.entry(ev.trace_id).or_default().push(ev);
+    }
+    assert_eq!(by_trace.len(), kinds.len(), "one tree per request");
+    // Shapes with the estimator's nodes left out: how many refreshes
+    // or lazy rebuilds a request pays depends on the evidence.
+    let mut shapes: BTreeMap<(&str, String), usize> = BTreeMap::new();
+    let mut refreshed = 0;
+    for (id, nodes) in &by_trace {
+        assert_eq!(
+            nodes.iter().filter(|n| n.parent_id == 0).count(),
+            1,
+            "trace {id}: one root"
+        );
+        for n in nodes {
+            assert!(
+                n.parent_id == 0 || nodes.iter().any(|p| p.span_id == n.parent_id),
+                "trace {id}: {} has a dangling parent {}",
+                n.name,
+                n.parent_id
+            );
+        }
+        *shapes
+            .entry((kinds[id], render(nodes, 1, false)))
+            .or_default() += 1;
+        if render(nodes, 1, true).contains("answer.submit(estimator.refresh") {
+            refreshed += 1;
+        }
+    }
+    for (kind, shape) in [
+        (
+            "assigned",
+            "serve.rpc.request(serve.request(driver.poll(assign.loop),journal.append))",
+        ),
+        ("wait", "serve.rpc.request(serve.request(driver.poll))"),
+        (
+            "submit",
+            "serve.rpc.submit(serve.submit(driver.submit(answer.submit),journal.append))",
+        ),
+    ] {
+        let total = kinds.values().filter(|&&k| k == kind).count();
+        assert!(total > 0, "the campaign sent no {kind} request");
+        assert_eq!(
+            shapes.get(&(kind, shape.to_owned())),
+            Some(&total),
+            "every {kind} tree is {shape}: {shapes:#?}"
+        );
+    }
+    assert!(
+        refreshed > 0,
+        "no submit refreshed the estimator under answer.submit"
+    );
 }
 
 #[test]

@@ -112,7 +112,8 @@ LIVE METRICS: `icrowd serve --metrics-every MS [--metrics-out <path>]` emits
 
 SERVING:     `icrowd serve` hosts one campaign behind a line-delimited JSON
              TCP protocol (HELLO/REQUEST_TASK/SUBMIT_ANSWER/STATUS/RESULTS/
-             SHUTDOWN) and drains gracefully on SHUTDOWN. Each connection
+             SHUTDOWN), drains gracefully on SHUTDOWN, and exits nonzero
+             when the drained books are unbalanced. Each connection
              gets its own thread, up to --max-conns (default 64) at once;
              one more is answered BUSY and closed. `icrowd loadgen`
              drives it with N concurrent simulated workers, reports
@@ -604,6 +605,7 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
             fsync_every,
             snapshot_every,
             durability,
+            Box::new(StdIo),
         )
         .map_err(|e| CliError(format!("cannot recover from `{path}`: {e}")))?;
         notify(&format!(
@@ -647,6 +649,12 @@ fn serve_cmd(args: &Args, notify: &mut dyn FnMut(&str)) -> Result<String, CliErr
         return Err(CliError(format!(
             "{out}durability lost: journal I/O failed under the fail-stop policy; \
              server drained and is exiting nonzero"
+        )));
+    }
+    if !result.accounting.balanced() {
+        return Err(CliError(format!(
+            "{out}the drained campaign's books are unbalanced (accepted + rejected != \
+             submitted or paid + abandoned != accepted)"
         )));
     }
     Ok(out)

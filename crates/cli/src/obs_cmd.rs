@@ -19,7 +19,7 @@
 //! `--max-p99-regress` (default 0.25 = +25%) or whose p50 grew more
 //! than `--max-p50-regress` (default 0.5) is a regression. With
 //! `--assert` a failed verdict becomes a CLI error (nonzero exit) —
-//! that is the CI gate.
+//! that is the CI gate — and so does a diff that compared no span.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -282,6 +282,17 @@ fn diff(args: &Args, base_path: &str, new_path: &str) -> Result<String, CliError
         rows.push((name.clone(), bc, nc, bp50, np50, g50, bp99, np99, g99));
     }
 
+    // A gate that compared nothing cannot fail, so it must not pass.
+    if rows.is_empty() && args.has_flag("assert") {
+        let filter = prefix.map_or_else(
+            || "no --span filter".to_owned(),
+            |p| format!("--span `{p}`"),
+        );
+        return Err(CliError(format!(
+            "obs diff --assert compared no span ({filter}, --min-count {min_count}): no span \
+             the filter keeps has --min-count samples in both {base_path} and {new_path}"
+        )));
+    }
     let verdict = if regressions.is_empty() {
         "pass"
     } else {
@@ -426,6 +437,32 @@ mod tests {
         assert!(out.contains("0 spans compared"), "{out}");
 
         for p in [base, same, slow] {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    /// Under `--assert`, a filter or count threshold that leaves no span
+    /// to compare fails the gate, naming both.
+    #[test]
+    fn diff_assert_fails_when_nothing_was_compared() {
+        let _g = crate::obs_test_guard();
+        let base = write_telemetry("empty_base", 100_000, 11);
+        let new = write_telemetry("empty_new", 100_000, 11);
+        for (flags, named) in [
+            ("--span kernel.index_build", "`kernel.index_build`"),
+            ("", "--min-count 50"),
+        ] {
+            let err =
+                obs_cmd(&args(&format!("obs diff {base} {new} {flags} --assert"))).unwrap_err();
+            assert!(err.0.contains("compared no span"), "{}", err.0);
+            assert!(err.0.contains(named), "{}", err.0);
+        }
+        let out = obs_cmd(&args(&format!(
+            "obs diff {base} {new} --min-count 11 --assert"
+        )))
+        .unwrap();
+        assert!(out.contains("2 spans compared"), "{out}");
+        for p in [base, new] {
             std::fs::remove_file(&p).ok();
         }
     }

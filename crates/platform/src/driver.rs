@@ -20,13 +20,13 @@
 //! whichever worker polls next.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 use icrowd_core::answer::Answer;
 use icrowd_core::task::{TaskId, TaskSet};
 use icrowd_core::worker::Tick;
 
-use crate::events::{EventLog, MarketEvent};
+use crate::events::{EventLog, MarketEvent, RejectReason};
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::hit::HitPool;
 use crate::market::{
@@ -147,6 +147,11 @@ pub struct MarketDriver {
     deliveries: Vec<Delivery>,
     seq: u64,
     pending: Option<PendingAssignment>,
+    /// Scheduled submissions the fault plan consumed (stalled, dropped
+    /// or deferred), by external id and task. The backend still holds
+    /// such an assignment, so a client's copy of the answer must not
+    /// reach it as a stray. Replaying the journal rebuilds the set.
+    consumed: HashSet<(String, TaskId)>,
     finished: bool,
     /// Mutation epoch: bumped whenever schedule, accounting or server
     /// state changes. A journaling layer compares epochs around a call
@@ -210,6 +215,7 @@ impl MarketDriver {
             deliveries: Vec::new(),
             seq,
             pending: None,
+            consumed: HashSet::new(),
             finished: false,
             epoch: 0,
         }
@@ -370,6 +376,7 @@ impl MarketDriver {
             // further events for her; her lease expires server-side and
             // her HIT is abandoned at cleanup.
             if self.plan.as_mut().expect("checked").stall() {
+                self.consume(wi, task);
                 self.accounting.stalled += 1;
                 fault_counter("fault.stall");
                 self.events.push(MarketEvent::WorkerStalled {
@@ -382,6 +389,7 @@ impl MarketDriver {
             // Drop: the submission is lost in transit. The worker
             // notices nothing and re-requests next turn.
             if self.plan.as_mut().expect("checked").drop_answer() {
+                self.consume(wi, task);
                 self.accounting.answers_dropped += 1;
                 fault_counter("fault.drop");
                 let st = &mut self.states[wi];
@@ -398,6 +406,7 @@ impl MarketDriver {
             // Late: the answer arrives `delay` ticks from now; the
             // worker's next turn follows the delivery.
             if let Some(delay) = self.plan.as_mut().expect("checked").late_delay() {
+                self.consume(wi, task);
                 fault_counter("fault.late");
                 self.deliveries.push(Delivery { wi, task, answer });
                 self.heap.push(Reverse((
@@ -421,9 +430,12 @@ impl MarketDriver {
     /// a duplicate or unsolicited message arriving over the wire. The
     /// server validates it through the regular `submit_answer` path (a
     /// compliant server rejects it), and the accounting counts it so
-    /// the conservation laws keep holding. Sessions, payments and the
-    /// schedule are untouched, so the in-process parity is preserved:
-    /// this path exists only for network clients misbehaving.
+    /// the conservation laws keep holding. A copy of a submission the
+    /// fault plan consumed is rejected as a duplicate without reaching
+    /// the server, which still holds that assignment and would accept
+    /// it. Sessions, payments and the schedule are untouched, so the
+    /// in-process parity is preserved: this path exists only for
+    /// network clients misbehaving.
     pub fn submit_stray(
         &mut self,
         server: &mut dyn ExternalQuestionServer,
@@ -441,7 +453,14 @@ impl MarketDriver {
             task,
             answer,
         });
-        match server.submit_answer(external, task, answer, now) {
+        let copy =
+            !self.consumed.is_empty() && self.consumed.contains(&(external.to_owned(), task));
+        let verdict = if copy {
+            SubmitOutcome::Rejected(RejectReason::Duplicate)
+        } else {
+            server.submit_answer(external, task, answer, now)
+        };
+        match verdict {
             SubmitOutcome::Accepted => {
                 // A compliant server never accepts a stray; if it does,
                 // the acceptance has no session credit and `balanced()`
@@ -493,6 +512,13 @@ impl MarketDriver {
     }
 
     // -- internals ----------------------------------------------------
+
+    /// Records that the fault plan consumed worker `wi`'s scheduled
+    /// submission of `task`.
+    fn consume(&mut self, wi: usize, task: TaskId) {
+        self.consumed
+            .insert((self.states[wi].external_id.clone(), task));
+    }
 
     fn push_turn(&mut self, tick: u64, wi: usize) {
         self.heap.push(Reverse((tick, self.seq, Pending::Turn(wi))));

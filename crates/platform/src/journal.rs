@@ -721,17 +721,9 @@ impl JournalWriter {
         })
     }
 
-    /// Opens an existing journal for appending — the recovery path,
-    /// after the file has been truncated to its valid prefix.
-    ///
-    /// # Errors
-    /// Propagates open failures.
-    pub fn append_to(path: &Path, fsync_every: usize) -> io::Result<JournalWriter> {
-        Self::append_to_with(path, fsync_every, Box::new(StdIo))
-    }
-
     /// Opens an existing journal for appending through an explicit
-    /// [`JournalIo`].
+    /// [`JournalIo`] — the recovery path, after the file has been
+    /// truncated to its valid prefix.
     ///
     /// # Errors
     /// Propagates open failures.
@@ -1194,7 +1186,7 @@ mod tests {
         drop(w);
 
         // A healthy writer appends cleanly after the repair.
-        let mut w = JournalWriter::append_to(&path, 1).unwrap();
+        let mut w = JournalWriter::append_to_with(&path, 1, Box::new(StdIo)).unwrap();
         w.append(&JournalRecord::Op(JournalOp::Pump)).unwrap();
         drop(w);
         let readout = read_journal(&path).unwrap();

@@ -734,12 +734,20 @@ impl CampaignEngine {
             }
         }
         let a = driver.accounting();
+        // The settlement law `paid + abandoned == accepted` holds only
+        // once the final sweep has settled every open HIT; until then
+        // only the continuous law is checked.
+        let finished = driver.is_finished();
         Response::Status {
             complete: backend.is_complete(),
-            finished: driver.is_finished(),
+            finished,
             answers: driver.answers(),
             accounting: a,
-            balanced: a.answers_accepted + a.answers_rejected == a.answers_submitted,
+            balanced: if finished {
+                a.balanced()
+            } else {
+                a.answers_accepted + a.answers_rejected == a.answers_submitted
+            },
             conns,
             workers_seen: workers_seen.len(),
             journal: journal.as_ref().map(Journal::health),
@@ -981,6 +989,41 @@ mod tests {
         assert!(!result.completed);
     }
 
+    /// Feeds a journal's ops through a fresh [`engine`], as recovery
+    /// replays them.
+    fn replay(ops: &[JournalOp]) -> CampaignEngine {
+        let fresh = engine();
+        for op in ops {
+            match op {
+                JournalOp::Poll { worker, .. } => {
+                    fresh.handle(
+                        &Request::RequestTask {
+                            worker: worker.clone(),
+                        },
+                        0,
+                    );
+                }
+                JournalOp::Submit {
+                    worker,
+                    task,
+                    answer,
+                    ..
+                } => {
+                    fresh.handle(
+                        &Request::SubmitAnswer {
+                            worker: worker.clone(),
+                            task: TaskId(*task),
+                            answer: Answer(*answer),
+                        },
+                        0,
+                    );
+                }
+                JournalOp::Pump => fresh.replay_pump(),
+            }
+        }
+        fresh
+    }
+
     /// Journaling must not perturb the campaign: a journal-attached
     /// engine produces the identical op stream the journal records, and
     /// a journal-free engine at the same seed yields identical labels.
@@ -1035,36 +1078,10 @@ mod tests {
 
         // Replaying the journal through a fresh engine reproduces the
         // exact checkpoint the live engine reached.
-        let fresh = engine();
-        for op in &readout.ops {
-            match op {
-                JournalOp::Poll { worker, .. } => {
-                    fresh.handle(
-                        &Request::RequestTask {
-                            worker: worker.clone(),
-                        },
-                        0,
-                    );
-                }
-                JournalOp::Submit {
-                    worker,
-                    task,
-                    answer,
-                    ..
-                } => {
-                    fresh.handle(
-                        &Request::SubmitAnswer {
-                            worker: worker.clone(),
-                            task: TaskId(*task),
-                            answer: Answer(*answer),
-                        },
-                        0,
-                    );
-                }
-                JournalOp::Pump => fresh.replay_pump(),
-            }
-        }
-        assert_eq!(fresh.checkpoint(), (acct, answers, end, epoch));
+        assert_eq!(
+            replay(&readout.ops).checkpoint(),
+            (acct, answers, end, epoch)
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1240,36 +1257,7 @@ mod tests {
         // journal reproduces the live engine's checkpoint.
         let readout = icrowd_platform::read_journal(&path).unwrap();
         assert_eq!(readout.ops.len() as u64, health.ops);
-        let fresh = engine();
-        for op in &readout.ops {
-            match op {
-                JournalOp::Poll { worker, .. } => {
-                    fresh.handle(
-                        &Request::RequestTask {
-                            worker: worker.clone(),
-                        },
-                        0,
-                    );
-                }
-                JournalOp::Submit {
-                    worker,
-                    task,
-                    answer,
-                    ..
-                } => {
-                    fresh.handle(
-                        &Request::SubmitAnswer {
-                            worker: worker.clone(),
-                            task: TaskId(*task),
-                            answer: Answer(*answer),
-                        },
-                        0,
-                    );
-                }
-                JournalOp::Pump => fresh.replay_pump(),
-            }
-        }
-        assert_eq!(fresh.checkpoint(), eng.checkpoint());
+        assert_eq!(replay(&readout.ops).checkpoint(), eng.checkpoint());
         std::fs::remove_file(&path).ok();
     }
 

@@ -175,7 +175,8 @@ pub struct LoadgenReport {
     pub rejected: u64,
     /// Every task reached consensus.
     pub complete: bool,
-    /// The accounting conservation law held at the end.
+    /// The final `STATUS`'s `balanced`: both conservation laws once the
+    /// driver has finished, the continuous one before.
     pub balanced: bool,
     /// Wall-clock duration of the drive phase.
     pub elapsed: Duration,

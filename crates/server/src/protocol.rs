@@ -252,7 +252,8 @@ pub enum Response {
         /// Marketplace accounting so far.
         accounting: MarketAccounting,
         /// The continuous conservation law
-        /// `accepted + rejected == submitted`.
+        /// `accepted + rejected == submitted`, and once `finished` also
+        /// the settlement law `paid + abandoned == accepted`.
         balanced: bool,
         /// Open connections, the asking one included.
         conns: usize,

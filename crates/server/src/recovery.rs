@@ -31,7 +31,9 @@ use std::path::Path;
 
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
-use icrowd_platform::journal::{read_journal, JournalOp, JournalSnapshot, JournalWriter, PollTag};
+use icrowd_platform::journal::{
+    read_journal, JournalIo, JournalOp, JournalSnapshot, JournalWriter, PollTag, StdIo,
+};
 use icrowd_sim::campaign::{Approach, CampaignConfig};
 use icrowd_sim::datasets::Dataset;
 
@@ -54,7 +56,8 @@ pub struct RecoveryReport {
 }
 
 /// Rebuilds an engine from `path` and resumes journaling to the same
-/// file under the default fail-stop durability policy.
+/// file on the real filesystem under the default fail-stop durability
+/// policy.
 ///
 /// # Errors
 /// See [`recover_with_policy`].
@@ -76,14 +79,16 @@ pub fn recover(
         fsync_every,
         snapshot_every,
         DurabilityPolicy::FailStop,
+        Box::new(StdIo),
     )
 }
 
 /// Rebuilds an engine from `path` and resumes journaling to the same
 /// file. `dataset_key`/`approach`/`config` must describe the campaign
 /// the journal was written for — they are re-derived from CLI flags,
-/// and the header check refuses a mismatch. `policy` governs how the
-/// resumed engine reacts to future journal I/O errors.
+/// and the header check refuses a mismatch. The resumed writer appends
+/// through `io` (the real filesystem, or a fault injector), and
+/// `policy` governs how the engine reacts to its I/O errors.
 ///
 /// # Errors
 /// Returns a description of the first inconsistency: unreadable file,
@@ -100,6 +105,7 @@ pub fn recover_with_policy(
     fsync_every: usize,
     snapshot_every: usize,
     policy: DurabilityPolicy,
+    io: Box<dyn JournalIo>,
 ) -> Result<(CampaignEngine, RecoveryReport), String> {
     let _span = icrowd_obs::span!("recovery.replay");
     let readout =
@@ -184,7 +190,7 @@ pub fn recover_with_policy(
         file.sync_data()
             .map_err(|e| format!("cannot sync truncated journal: {e}"))?;
     }
-    let writer = JournalWriter::append_to(path, fsync_every)
+    let writer = JournalWriter::append_to_with(path, fsync_every, io)
         .map_err(|e| format!("cannot reattach journal writer: {e}"))?;
     engine.resume_journal(
         writer,
@@ -290,6 +296,7 @@ fn apply(engine: &CampaignEngine, op: &JournalOp) -> Result<(), String> {
 mod tests {
     use super::*;
     use icrowd_core::config::ICrowdConfig;
+    use icrowd_platform::journal::{crc32, encode_record, JournalRecord, JOURNAL_VERSION};
     use icrowd_sim::campaign::MetricChoice;
     use icrowd_sim::datasets::table1;
 
@@ -415,6 +422,43 @@ mod tests {
             Err(err) => assert!(err.contains("header mismatch"), "{err}"),
             Ok(_) => panic!("mismatched seed must be refused"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A format-1 journal (which may hold a compaction `batch` frame the
+    /// current reader no longer knows) is refused at the header check,
+    /// naming both versions, and left byte for byte as it was.
+    #[test]
+    fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
+        let path = tmp("v1");
+        let mut header =
+            CampaignEngine::expected_header("table1", Approach::RandomMV, &quick_config());
+        header.version = 1;
+        let mut bytes = encode_record(&JournalRecord::Header(header)).expect("encode header");
+        let batch = br#"{"t":"batch","ops":[{"t":"poll","w":"W1","o":"wait"},{"t":"pump"}]}"#;
+        bytes.extend((batch.len() as u32).to_le_bytes());
+        bytes.extend(crc32(batch).to_le_bytes());
+        bytes.extend(batch);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = recover(
+            &path,
+            "table1",
+            table1(),
+            Approach::RandomMV,
+            quick_config(),
+            1,
+            0,
+        )
+        .err()
+        .expect("a version-1 journal must be refused");
+        let v2 = format!("format v{JOURNAL_VERSION}");
+        assert!(err.contains("format v1") && err.contains(&v2), "{err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "a refused journal was modified"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

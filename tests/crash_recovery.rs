@@ -11,8 +11,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use icrowd::AssignStrategy;
-use icrowd_platform::journal::{crc32, encode_record, JournalOp, JournalRecord, JOURNAL_VERSION};
+use icrowd_platform::journal::{encode_record, JournalOp, JournalRecord};
 use icrowd_platform::market::WorkerBehavior;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{client, recover, run_loadgen, CampaignEngine, LoadgenConfig, Response};
@@ -518,116 +517,4 @@ fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
         .and_then(Value::as_u64);
     assert_eq!(recorded, Some(written), "{status:?}");
     assert_eq!(std::fs::read(&journal).expect("read journal"), bytes);
-}
-
-/// A format-1 journal (which may hold a compaction `batch` frame the
-/// current reader no longer knows) is refused at the header check,
-/// naming both versions, and left byte for byte as it was.
-#[test]
-fn recovery_refuses_a_v1_journal_and_leaves_it_intact() {
-    let dir = ScratchDir::new("v1");
-    let journal = dir.file("journal");
-    let mut header = CampaignEngine::expected_header("table1", Approach::RandomMV, &quick_config());
-    header.version = 1;
-    let mut bytes = encode_record(&JournalRecord::Header(header)).expect("encode header");
-    let batch = br#"{"t":"batch","ops":[{"t":"poll","w":"W1","o":"wait"},{"t":"pump"}]}"#;
-    bytes.extend((batch.len() as u32).to_le_bytes());
-    bytes.extend(crc32(batch).to_le_bytes());
-    bytes.extend(batch);
-    std::fs::write(&journal, &bytes).unwrap();
-
-    let err = recover(
-        &journal,
-        "table1",
-        table1(),
-        Approach::RandomMV,
-        quick_config(),
-        1,
-        0,
-    )
-    .err()
-    .expect("a version-1 journal must be refused");
-    let v2 = format!("format v{JOURNAL_VERSION}");
-    assert!(err.contains("format v1") && err.contains(&v2), "{err}");
-    assert_eq!(
-        std::fs::read(&journal).unwrap(),
-        bytes,
-        "a refused journal was modified"
-    );
-}
-
-/// A SUBMIT_ANSWER naming a task outside the campaign, or an answer
-/// outside its task's choices, is refused before the driver sees it:
-/// nothing is counted or journaled, STATUS stays balanced, and the
-/// journal, driven past more checkpoints afterwards, still recovers to
-/// the labels of an uninterrupted run.
-#[test]
-fn out_of_range_submissions_are_refused_before_the_driver() {
-    let approach = Approach::ICrowd(AssignStrategy::Adapt);
-    let config = quick_config();
-    let expected = labels_lines(&run_campaign(&table1(), approach, &config).labels);
-    let dir = ScratchDir::new("out_of_range");
-    let journal = dir.file("journal");
-    let engine = CampaignEngine::new("table1", table1(), approach, config.clone());
-    engine.start_journal(&journal, 1, 2).expect("journal");
-    let health = || engine.journal_health().expect("journal attached");
-    let refused = |line: &str, field: &str| {
-        let ops = health().ops;
-        let req = Request::parse(line).expect("the line parses");
-        match engine.handle(&req, 0) {
-            Response::Error { message } => assert!(message.contains(field), "{message}"),
-            other => panic!("{line} was not refused: {other:?}"),
-        }
-        assert_eq!(health().ops, ops, "{line} was journaled");
-    };
-
-    refused(
-        r#"{"op":"SUBMIT_ANSWER","worker":"W1","task":4000000,"answer":0}"#,
-        "task",
-    );
-    // The worker whose turn it is gets an assignment; an answer beyond
-    // the task's two choices on that scheduled submit is refused too.
-    let (worker, task) = (1..=table1().workers.len())
-        .map(|i| format!("W{i}"))
-        .find_map(
-            |w| match engine.handle(&Request::RequestTask { worker: w.clone() }, 0) {
-                Response::Task(task) => Some((w, task)),
-                _ => None,
-            },
-        )
-        .expect("some worker holds the first assignment");
-    refused(
-        &format!(
-            r#"{{"op":"SUBMIT_ANSWER","worker":"{worker}","task":{},"answer":2}}"#,
-            task.0
-        ),
-        "answer",
-    );
-    match engine.handle(&Request::Status, 0) {
-        Response::Status {
-            accounting,
-            balanced,
-            ..
-        } => {
-            assert!(balanced, "{accounting:?}");
-            assert_eq!(
-                accounting.answers_submitted, 0,
-                "a refused line was counted"
-            );
-        }
-        other => panic!("STATUS answered {other:?}"),
-    }
-
-    // The holder re-polls, gets the same task back and answers it.
-    assert!(
-        drive(&engine, 10_000, || true),
-        "the campaign did not finish"
-    );
-    let snapshots = health().snapshots;
-    assert!(snapshots >= 2, "only {snapshots} checkpoints written");
-    assert_eq!(engine.labels(), expected);
-    drop(engine);
-    let (recovered, _) =
-        recover(&journal, "table1", table1(), approach, config, 1, 2).expect("recovery succeeds");
-    assert_eq!(recovered.labels(), expected);
 }

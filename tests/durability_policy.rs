@@ -10,7 +10,7 @@
 
 use icrowd::core::ICrowdConfig;
 use icrowd_platform::market::WorkerBehavior;
-use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo};
+use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo, StdIo};
 use icrowd_serve::protocol::{Request, Response};
 use icrowd_serve::{recover_with_policy, CampaignEngine, DurabilityPolicy};
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
@@ -211,6 +211,7 @@ fn run_cell(
         1,
         8,
         policy,
+        Box::new(StdIo),
     )
     .unwrap_or_else(|e| panic!("recovery failed at {cell}: {e}"));
     // Whenever durability was claimed, the journal is the whole truth.

@@ -7,6 +7,7 @@
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use icrowd::platform::FaultConfig;
 use icrowd::AssignStrategy;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{
@@ -30,7 +31,11 @@ fn quick_config() -> CampaignConfig {
 }
 
 fn start(approach: Approach, max_conns: usize) -> ServerHandle {
-    let engine = CampaignEngine::new("table1", table1(), approach, quick_config());
+    start_with(approach, quick_config(), max_conns)
+}
+
+fn start_with(approach: Approach, config: CampaignConfig, max_conns: usize) -> ServerHandle {
+    let engine = CampaignEngine::new("table1", table1(), approach, config);
     serve(
         engine,
         &ServeConfig {
@@ -413,42 +418,55 @@ fn malformed_requests_get_error_responses_not_resets() {
 
 /// Client-side fault injection: duplicate submissions are rejected as
 /// strays, the campaign still completes, and consensus is unchanged —
-/// duplicates must never alter labels or double-pay.
+/// duplicates must never alter labels or double-pay. That holds too when
+/// the server's own fault plan drops the submission a copy duplicates:
+/// the server still holds that assignment, and must not take the copy.
 #[test]
 fn loadgen_duplicates_do_not_perturb_consensus() {
     let approach = Approach::RandomMV;
-    let expected = run_campaign(&table1(), approach, &quick_config());
-
-    let handle = start(approach, 36);
-    let report = run_loadgen(&LoadgenConfig {
-        addr: handle.addr().to_string(),
-        workers: 8,
-        think_ms: 0,
-        faults: Some(icrowd_serve::ClientFaultConfig {
-            dup: 0.5,
-            late: 0.0,
-            late_ms: 0,
-            seed: 11,
-        }),
-        shutdown: true,
+    let drops = FaultConfig {
+        seed: 2,
+        drop_rate: 0.1,
         ..Default::default()
-    })
-    .expect("loadgen completes");
-    let served = handle.join();
+    };
+    for server_faults in [None, Some(drops)] {
+        let config = CampaignConfig {
+            faults: server_faults.clone(),
+            ..quick_config()
+        };
+        let expected = run_campaign(&table1(), approach, &config);
+        let handle = start_with(approach, config, 36);
+        let report = run_loadgen(&LoadgenConfig {
+            addr: handle.addr().to_string(),
+            workers: 8,
+            think_ms: 0,
+            faults: Some(icrowd_serve::ClientFaultConfig {
+                dup: 0.5,
+                late: 0.0,
+                late_ms: 0,
+                seed: 11,
+            }),
+            shutdown: true,
+            ..Default::default()
+        })
+        .expect("loadgen completes");
+        let served = handle.join();
 
-    assert!(report.complete);
-    assert!(report.balanced);
-    assert!(report.dups_sent > 0, "fault plan injected no duplicates");
-    assert!(
-        served.accounting.answers_rejected >= report.dups_sent,
-        "every duplicate copy must be rejected: {:?} vs {} dups",
-        served.accounting,
-        report.dups_sent
-    );
-    assert_eq!(
-        labels_lines(&served.labels),
-        labels_lines(&expected.labels),
-        "duplicates changed the consensus"
-    );
-    assert!(served.accounting.balanced());
+        assert!(report.balanced, "server faults {server_faults:?}");
+        assert!(report.dups_sent > 0, "fault plan injected no duplicates");
+        assert!(
+            served.accounting.answers_rejected >= report.dups_sent,
+            "every duplicate copy must be rejected: {:?} vs {} dups, server faults {server_faults:?}",
+            served.accounting,
+            report.dups_sent
+        );
+        assert_eq!(
+            labels_lines(&served.labels),
+            labels_lines(&expected.labels),
+            "duplicates changed the consensus, server faults {server_faults:?}"
+        );
+        assert_eq!(served.answers, expected.answers, "{server_faults:?}");
+        assert_eq!(served.completed, expected.completed, "{server_faults:?}");
+        assert!(served.accounting.balanced(), "{:?}", served.accounting);
+    }
 }

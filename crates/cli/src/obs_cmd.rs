@@ -10,7 +10,8 @@
 //! recorded, at the same ≤1% error bound the live registry reports.
 //!
 //! `report` summarizes one file: spans (count/p50/p99), the BUSY rate
-//! (`loadgen.busy` over client-side request attempts), counters and
+//! (`loadgen.busy` over client-side request attempts), requests per
+//! submit (polls per answer, from the span counts), counters and
 //! gauges. `--json` emits the same numbers machine-readable.
 //!
 //! `diff` compares two files span-by-span and emits a machine-readable
@@ -125,6 +126,24 @@ impl Telemetry {
         let busy = self.counters.get("loadgen.busy").copied().unwrap_or(0);
         Some(busy as f64 / attempts as f64)
     }
+
+    /// `REQUEST_TASK`s per `SUBMIT_ANSWER`, from the span counts: the
+    /// client's (`loadgen.request` / `loadgen.submit`) in a loadgen's
+    /// file, the server's (`serve.request` / `serve.submit`) in a
+    /// server's. Returns the ratio and the two spans it divides; `None`
+    /// when the file has neither pair.
+    fn requests_per_submit(&self) -> Option<(f64, &'static str, &'static str)> {
+        [
+            ("loadgen.request", "loadgen.submit"),
+            ("serve.request", "serve.submit"),
+        ]
+        .into_iter()
+        .find_map(|(request, submit)| {
+            let (requests, _, _) = self.quantiles(request)?;
+            let (submits, _, _) = self.quantiles(submit)?;
+            Some((requests as f64 / submits as f64, request, submit))
+        })
+    }
 }
 
 /// Dispatches `icrowd obs <report|diff> ...`.
@@ -182,8 +201,13 @@ fn report(args: &Args, path: &str) -> Result<String, CliError> {
             "counters": counters,
             "traces": t.traces,
         });
-        if let (Some(rate), Value::Object(o)) = (t.busy_rate(), &mut v) {
-            o.push(("busy_rate".into(), serde_json::json!(rate)));
+        if let Value::Object(o) = &mut v {
+            if let Some(rate) = t.busy_rate() {
+                o.push(("busy_rate".into(), serde_json::json!(rate)));
+            }
+            if let Some((ratio, _, _)) = t.requests_per_submit() {
+                o.push(("requests_per_submit".into(), serde_json::json!(ratio)));
+            }
         }
         return serde_json::to_string_pretty(&v)
             .map(|s| s + "\n")
@@ -212,6 +236,13 @@ fn report(args: &Args, path: &str) -> Result<String, CliError> {
     }
     if let Some(rate) = t.busy_rate() {
         writeln!(out, "busy rate: {:.4} of client request attempts", rate).unwrap();
+    }
+    if let Some((ratio, request, submit)) = t.requests_per_submit() {
+        writeln!(
+            out,
+            "requests per submit: {ratio:.2} ({request} / {submit})"
+        )
+        .unwrap();
     }
     if !t.counters.is_empty() {
         writeln!(out, "{:<28} {:>12}", "counter", "value").unwrap();
@@ -403,6 +434,61 @@ mod tests {
         let rate = v["busy_rate"].as_f64().unwrap();
         assert!((rate - 0.1).abs() < 1e-9, "rate {rate}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Requests per submit divides the span counts: the client's pair
+    /// when the file has it, the server's otherwise.
+    #[test]
+    fn report_derives_requests_per_submit_from_span_counts() {
+        let _g = crate::obs_test_guard();
+        let write = |tag: &str, spans: &[(&'static str, u64)]| {
+            icrowd_obs::reset();
+            icrowd_obs::enable();
+            for &(name, count) in spans {
+                for i in 0..count {
+                    icrowd_obs::record_span_ns(name, 1_000 + i);
+                }
+            }
+            icrowd_obs::disable();
+            let path = std::env::temp_dir()
+                .join(format!("icrowd_obs_cmd_{tag}_{}.jsonl", std::process::id()));
+            let path = path.to_str().unwrap().to_owned();
+            icrowd_obs::write_jsonl(&path).unwrap();
+            icrowd_obs::reset();
+            path
+        };
+        let server = write(
+            "rps_server",
+            &[("serve.request", 390), ("serve.submit", 10)],
+        );
+        let loadgen = write(
+            "rps_loadgen",
+            &[
+                ("loadgen.request", 46),
+                ("loadgen.submit", 20),
+                ("serve.request", 7),
+                ("serve.submit", 7),
+            ],
+        );
+        let neither = write("rps_neither", &[("serve.request", 5)]);
+
+        let out = obs_cmd(&args(&format!("obs report {server}"))).unwrap();
+        assert!(
+            out.contains("requests per submit: 39.00 (serve.request / serve.submit)"),
+            "{out}"
+        );
+        let json = obs_cmd(&args(&format!("obs report {loadgen} --json"))).unwrap();
+        let v: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(v["requests_per_submit"].as_f64(), Some(2.3), "{json}");
+        let out = obs_cmd(&args(&format!("obs report {loadgen}"))).unwrap();
+        assert!(out.contains("(loadgen.request / loadgen.submit)"), "{out}");
+        let out = obs_cmd(&args(&format!("obs report {neither}"))).unwrap();
+        assert!(!out.contains("requests per submit"), "{out}");
+        let json = obs_cmd(&args(&format!("obs report {neither} --json"))).unwrap();
+        assert!(!json.contains("requests_per_submit"), "{json}");
+        for p in [server, loadgen, neither] {
+            std::fs::remove_file(&p).ok();
+        }
     }
 
     #[test]

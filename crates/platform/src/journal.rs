@@ -11,10 +11,12 @@
 //! [u32 payload_len LE][u32 crc32 LE][payload bytes]
 //! ```
 //!
-//! with the CRC taken over the payload (a compact JSON object). A torn
-//! or corrupt tail — a partial frame, a CRC mismatch, unparseable
-//! payload — terminates the read at the longest valid prefix; the
-//! recovery layer truncates the file there and resumes appending.
+//! with the CRC taken over the payload (a compact JSON object, written
+//! directly into a buffer the writer keeps; the reader parses it with
+//! `serde_json`). A torn or corrupt tail — a partial frame, a CRC
+//! mismatch, unparseable payload — terminates the read at the longest
+//! valid prefix; the recovery layer truncates the file there and
+//! resumes appending.
 //!
 //! Snapshot records are *verification checkpoints*, not state dumps:
 //! they pin the accounting, accepted-answer count, logical clock and
@@ -36,10 +38,11 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use serde_json::{json, Value};
+use serde_json::Value;
 
 use crate::faults::splitmix64;
 use crate::market::MarketAccounting;
+use crate::wire::{write_accounting, write_string, write_u64};
 
 /// Journal format version (bumped on incompatible frame/payload changes).
 /// Version 1 files may hold a compaction `batch` frame, which version 2
@@ -196,58 +199,64 @@ pub enum JournalRecord {
     Snapshot(JournalSnapshot),
 }
 
-fn op_to_value(op: &JournalOp) -> Value {
-    match op {
-        JournalOp::Poll { worker, tag } => {
-            let mut v = json!({"t": "poll", "w": worker, "o": tag.name()});
-            if let (PollTag::Assigned(task), Value::Object(o)) = (tag, &mut v) {
-                o.push(("task".into(), json!(*task)));
-            }
-            v
+/// Writes `rec`'s payload into `out` (cleared first): the compact JSON
+/// object the reader parses, byte for byte as the `serde_json` tree
+/// printer would print it.
+fn write_payload(rec: &JournalRecord, out: &mut String) {
+    out.clear();
+    match rec {
+        JournalRecord::Header(h) => {
+            out.push_str(r#"{"t":"header","version":"#);
+            write_u64(out, h.version.into());
+            out.push_str(r#","dataset":"#);
+            write_string(out, &h.dataset);
+            out.push_str(r#","approach":"#);
+            write_string(out, &h.approach);
+            out.push_str(r#","seed":"#);
+            write_u64(out, h.seed);
+            out.push_str(r#","fp":"#);
+            write_u64(out, h.config_fp);
         }
-        JournalOp::Submit {
+        JournalRecord::Op(JournalOp::Poll { worker, tag }) => {
+            out.push_str(r#"{"t":"poll","w":"#);
+            write_string(out, worker);
+            out.push_str(r#","o":"#);
+            write_string(out, tag.name());
+            if let PollTag::Assigned(task) = tag {
+                out.push_str(r#","task":"#);
+                write_u64(out, (*task).into());
+            }
+        }
+        JournalRecord::Op(JournalOp::Submit {
             worker,
             task,
             answer,
             verdict,
-        } => json!({"t": "submit", "w": worker, "task": task, "a": answer, "v": verdict}),
-        JournalOp::Pump => json!({"t": "pump"}),
+        }) => {
+            out.push_str(r#"{"t":"submit","w":"#);
+            write_string(out, worker);
+            out.push_str(r#","task":"#);
+            write_u64(out, (*task).into());
+            out.push_str(r#","a":"#);
+            write_u64(out, (*answer).into());
+            out.push_str(r#","v":"#);
+            write_string(out, verdict);
+        }
+        JournalRecord::Op(JournalOp::Pump) => out.push_str(r#"{"t":"pump""#),
+        JournalRecord::Snapshot(s) => {
+            out.push_str(r#"{"t":"snapshot","ops":"#);
+            write_u64(out, s.ops);
+            out.push_str(r#","answers":"#);
+            write_u64(out, s.answers);
+            out.push_str(r#","end":"#);
+            write_u64(out, s.end_tick);
+            out.push_str(r#","epoch":"#);
+            write_u64(out, s.epoch);
+            out.push_str(r#","acct":"#);
+            write_accounting(out, &s.accounting);
+        }
     }
-}
-
-fn accounting_to_value(a: &MarketAccounting) -> Value {
-    json!({
-        "submitted": a.answers_submitted,
-        "accepted": a.answers_accepted,
-        "rejected": a.answers_rejected,
-        "dropped": a.answers_dropped,
-        "paid": a.answers_paid,
-        "abandoned": a.answers_abandoned,
-        "stalled": a.stalled,
-        "churned": a.churned,
-    })
-}
-
-fn record_to_value(rec: &JournalRecord) -> Value {
-    match rec {
-        JournalRecord::Header(h) => json!({
-            "t": "header",
-            "version": h.version,
-            "dataset": h.dataset,
-            "approach": h.approach,
-            "seed": h.seed,
-            "fp": h.config_fp,
-        }),
-        JournalRecord::Op(op) => op_to_value(op),
-        JournalRecord::Snapshot(s) => json!({
-            "t": "snapshot",
-            "ops": s.ops,
-            "answers": s.answers,
-            "end": s.end_tick,
-            "epoch": s.epoch,
-            "acct": accounting_to_value(&s.accounting),
-        }),
-    }
+    out.push('}');
 }
 
 fn u64_field(v: &Value, key: &str) -> Option<u64> {
@@ -316,20 +325,22 @@ fn record_from_value(v: &Value) -> Option<JournalRecord> {
     }
 }
 
-/// Encodes one record into its framed wire bytes.
-///
-/// # Errors
-/// A record that fails to serialize is reported instead of being framed
-/// as an empty (and silently unreplayable) payload.
-pub fn encode_record(rec: &JournalRecord) -> io::Result<Vec<u8>> {
-    let payload = serde_json::to_string(&record_to_value(rec))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode record: {e}")))?;
+/// Frames `rec` into `frame` (cleared first): payload length, CRC and
+/// payload. `payload` is scratch space for the payload text.
+fn write_frame(rec: &JournalRecord, payload: &mut String, frame: &mut Vec<u8>) {
+    write_payload(rec, payload);
     let payload = payload.as_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    frame.clear();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+}
+
+/// Encodes one record into its framed wire bytes.
+pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(rec, &mut String::new(), &mut frame);
+    frame
 }
 
 // -- pluggable file I/O ------------------------------------------------
@@ -690,6 +701,10 @@ pub struct JournalWriter {
     /// Sync after this many records (`1` = every record, `0` = never).
     fsync_every: usize,
     unsynced: usize,
+    /// The last record's payload text and frame, kept so an append
+    /// reuses their capacity.
+    payload: String,
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -718,6 +733,8 @@ impl JournalWriter {
             path: path.to_path_buf(),
             fsync_every,
             unsynced: 0,
+            payload: String::new(),
+            frame: Vec::new(),
         })
     }
 
@@ -739,6 +756,8 @@ impl JournalWriter {
             path: path.to_path_buf(),
             fsync_every,
             unsynced: 0,
+            payload: String::new(),
+            frame: Vec::new(),
         })
     }
 
@@ -753,11 +772,11 @@ impl JournalWriter {
     /// Propagates write/sync failures; the caller decides whether to
     /// stop journaling.
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        let frame = encode_record(rec)?;
-        self.file.write_all(&frame)?;
+        write_frame(rec, &mut self.payload, &mut self.frame);
+        self.file.write_all(&self.frame)?;
         if icrowd_obs::is_enabled() {
             icrowd_obs::counter_add("journal.records", 1);
-            icrowd_obs::counter_add("journal.bytes", frame.len() as u64);
+            icrowd_obs::counter_add("journal.bytes", self.frame.len() as u64);
         }
         self.unsynced += 1;
         if self.fsync_every > 0 && self.unsynced >= self.fsync_every {
@@ -1040,7 +1059,7 @@ mod tests {
             let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
             frame.extend_from_slice(&u32::to_le_bytes(crc));
             frame.extend_from_slice(payload.as_bytes());
-            assert_eq!(encode_record(&rec).unwrap(), frame, "{payload}");
+            assert_eq!(encode_record(&rec), frame, "{payload}");
         }
     }
 

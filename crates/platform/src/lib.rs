@@ -30,6 +30,9 @@
 //!   of driver mutations (CRC32-framed records, batched fsync,
 //!   interleaved snapshot checkpoints) that a serving layer replays to
 //!   recover a campaign.
+//! * [`wire`] — byte-level JSON writers for the journal's frames and
+//!   the serving layer's reply lines, printing what the vendored
+//!   `serde_json` tree printer prints.
 //!
 //! The networked deployment of the same loop, with workers reaching the
 //! server over real sockets, is `icrowd-serve`.
@@ -45,6 +48,7 @@ pub mod journal;
 pub mod market;
 pub mod payment;
 pub mod session;
+pub mod wire;
 
 pub use driver::{MarketDriver, PendingAssignment, PollOutcome, SubmitReport, TurnOutcome};
 pub use events::{EventLog, MarketEvent, RejectReason};

@@ -397,7 +397,14 @@ impl CampaignEngine {
     /// failure lands in the configured [`DurabilityPolicy`] state
     /// machine — fail-stop, advertised degradation, or bounded retry —
     /// and counts `journal.error`; it is never silently swallowed.
-    fn journal_append(&self, journal: &mut Option<Journal>, driver: &MarketDriver, op: JournalOp) {
+    /// `op` builds the op only when it is to be written or kept, so a
+    /// journal-free engine allocates nothing here.
+    fn journal_append(
+        &self,
+        journal: &mut Option<Journal>,
+        driver: &MarketDriver,
+        op: impl FnOnce() -> JournalOp,
+    ) {
         let Some(j) = journal.as_mut() else {
             return;
         };
@@ -410,13 +417,18 @@ impl CampaignEngine {
                 icrowd_obs::counter_add("journal.unjournaled", 1);
             }
             JournalState::Retrying => {
-                j.pending.push_back(op);
+                j.pending.push_back(op());
                 self.journal_retry(j, driver);
             }
             JournalState::Attached => {
+                let op = op();
                 let accepted =
                     matches!(&op, JournalOp::Submit { verdict, .. } if verdict == "accepted");
-                if let Err(e) = j.writer.append(&JournalRecord::Op(op.clone())) {
+                let record = JournalRecord::Op(op);
+                if let Err(e) = j.writer.append(&record) {
+                    let JournalRecord::Op(op) = record else {
+                        unreachable!("the record was built from the op above")
+                    };
                     self.journal_fault(j, Some(op), &e);
                     return;
                 }
@@ -605,21 +617,16 @@ impl CampaignEngine {
             let before = driver.epoch();
             let outcome = driver.poll(backend, worker);
             if driver.epoch() != before {
-                let tag = match outcome {
-                    PollOutcome::Assigned(task) => PollTag::Assigned(task.0),
-                    PollOutcome::Wait => PollTag::Wait,
-                    PollOutcome::Declined { retry: true } => PollTag::DeclinedRetry,
-                    PollOutcome::Declined { retry: false } => PollTag::DeclinedLeft,
-                    PollOutcome::Left => PollTag::Left,
-                };
-                self.journal_append(
-                    journal,
-                    driver,
-                    JournalOp::Poll {
-                        worker: worker.to_owned(),
-                        tag,
+                self.journal_append(journal, driver, || JournalOp::Poll {
+                    worker: worker.to_owned(),
+                    tag: match outcome {
+                        PollOutcome::Assigned(task) => PollTag::Assigned(task.0),
+                        PollOutcome::Wait => PollTag::Wait,
+                        PollOutcome::Declined { retry: true } => PollTag::DeclinedRetry,
+                        PollOutcome::Declined { retry: false } => PollTag::DeclinedLeft,
+                        PollOutcome::Left => PollTag::Left,
                     },
-                );
+                });
             }
             outcome
         };
@@ -697,18 +704,13 @@ impl CampaignEngine {
         }
         if driver.epoch() != before {
             if let Response::Submit { result, reason } = &resp {
-                let verdict =
-                    reason.map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}"));
-                self.journal_append(
-                    journal,
-                    driver,
-                    JournalOp::Submit {
-                        worker: worker.to_owned(),
-                        task: task.0,
-                        answer: answer.0,
-                        verdict,
-                    },
-                );
+                self.journal_append(journal, driver, || JournalOp::Submit {
+                    worker: worker.to_owned(),
+                    task: task.0,
+                    answer: answer.0,
+                    verdict: reason
+                        .map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}")),
+                });
             }
         }
         resp
@@ -730,7 +732,7 @@ impl CampaignEngine {
             let before = driver.epoch();
             driver.pump(backend);
             if driver.epoch() != before {
-                self.journal_append(journal, driver, JournalOp::Pump);
+                self.journal_append(journal, driver, || JournalOp::Pump);
             }
         }
         let a = driver.accounting();
@@ -767,7 +769,7 @@ impl CampaignEngine {
             let before = driver.epoch();
             driver.pump(backend);
             if driver.epoch() != before {
-                self.journal_append(journal, driver, JournalOp::Pump);
+                self.journal_append(journal, driver, || JournalOp::Pump);
             }
         }
         let results = backend.results(self.config.weighted_aggregation);

@@ -24,11 +24,22 @@
 //!
 //! Failures are `{"ok":false,"error":...}`; an overloaded server
 //! answers `{"ok":false,"type":"busy",...}` at accept time and closes.
+//!
+//! The server's side builds no JSON tree. [`Request::parse_with_trace`]
+//! scans a line once and builds the [`Request`] from it, accepting
+//! exactly what the vendored `serde_json` parser accepts and reading
+//! members as `Value::get` would (the first of duplicate keys wins);
+//! [`Response::encode_line_flagged`] writes each reply straight into the
+//! connection's buffer, escaping strings with the tree printer's own
+//! escaper. The client side ([`Request::to_value`]) builds trees.
+
+use std::borrow::Cow;
 
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
+use icrowd_platform::wire::{write_accounting, write_bool, write_string, write_u64};
 use icrowd_platform::{MarketAccounting, SubmitOutcome};
-use serde_json::{json, Value};
+use serde_json::{json, Number, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,31 +85,41 @@ impl Request {
 
     /// Parses one request line together with its optional `"trace"` id
     /// (a nonzero `u64` stamped by tracing clients; absent or zero
-    /// means the request is untraced).
+    /// means the request is untraced). On a line whose keys and op
+    /// carry no escapes, the only allocation is the worker id the
+    /// request carries.
     ///
     /// # Errors
     /// Malformed JSON, unknown ops, or missing/mistyped fields.
     pub fn parse_with_trace(line: &str) -> Result<(Request, Option<u64>), String> {
-        let v: Value =
-            serde_json::from_str(line.trim()).map_err(|_| "malformed JSON".to_owned())?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing \"op\"".to_owned())?;
-        let trace = v.get("trace").and_then(Value::as_u64).filter(|&t| t != 0);
-        let req = match op {
+        let malformed = |Malformed| "malformed JSON".to_owned();
+        let fields = Fields::scan(line.trim()).map_err(malformed)?;
+        let op = match fields.op.flatten() {
+            Some(op) => op.text().map_err(malformed)?,
+            None => return Err("missing \"op\"".to_owned()),
+        };
+        let worker = || -> Result<String, String> {
+            match fields.worker.flatten() {
+                Some(w) => Ok(w.text().map_err(malformed)?.into_owned()),
+                None => Err("missing string field \"worker\"".to_owned()),
+            }
+        };
+        let number = |field: Option<Option<u64>>, key: &str| {
+            field
+                .flatten()
+                .ok_or_else(|| format!("missing numeric field \"{key}\""))
+        };
+        let req = match &*op {
             "HELLO" => Request::Hello,
-            "REQUEST_TASK" => Request::RequestTask {
-                worker: str_field(&v, "worker")?,
-            },
+            "REQUEST_TASK" => Request::RequestTask { worker: worker()? },
             "SUBMIT_ANSWER" => Request::SubmitAnswer {
-                worker: str_field(&v, "worker")?,
+                worker: worker()?,
                 task: TaskId(
-                    u32::try_from(u64_field(&v, "task")?)
+                    u32::try_from(number(fields.task, "task")?)
                         .map_err(|_| "\"task\" out of range".to_owned())?,
                 ),
                 answer: Answer(
-                    u8::try_from(u64_field(&v, "answer")?)
+                    u8::try_from(number(fields.answer, "answer")?)
                         .map_err(|_| "\"answer\" out of range".to_owned())?,
                 ),
             },
@@ -108,7 +129,7 @@ impl Request {
             "SHUTDOWN" => Request::Shutdown,
             other => return Err(format!("unknown op `{other}`")),
         };
-        Ok((req, trace))
+        Ok((req, fields.trace.flatten().filter(|&t| t != 0)))
     }
 
     /// Encodes the request as its wire JSON value.
@@ -147,17 +168,321 @@ impl Request {
     }
 }
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field \"{key}\""))
+/// Text the vendored `serde_json` parser would refuse.
+struct Malformed;
+
+/// The members of a request line the parser reads. Each holds the
+/// first occurrence of its key, as `Value::get` finds it: `None` when
+/// the key is absent, `Some(None)` when its value has another type.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Option<Str<'a>>>,
+    worker: Option<Option<Str<'a>>>,
+    task: Option<Option<u64>>,
+    answer: Option<Option<u64>>,
+    trace: Option<Option<u64>>,
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing numeric field \"{key}\""))
+impl<'a> Fields<'a> {
+    /// Scans a whole trimmed line. Valid JSON that is not an object
+    /// yields no members.
+    fn scan(line: &'a str) -> Result<Fields<'a>, Malformed> {
+        let mut s = Scan { text: line, pos: 0 };
+        let mut fields = Fields::default();
+        s.ws();
+        if s.eat(b'{') {
+            s.ws();
+            if !s.eat(b'}') {
+                loop {
+                    let key = s.key()?;
+                    fields.member(&key.text()?, &mut s)?;
+                    s.ws();
+                    match s.bump()? {
+                        b',' => {}
+                        b'}' => break,
+                        _ => return Err(Malformed),
+                    }
+                }
+            }
+        } else {
+            s.skip_value()?;
+        }
+        s.ws();
+        if s.pos == line.len() {
+            Ok(fields)
+        } else {
+            Err(Malformed)
+        }
+    }
+
+    /// Reads the value at the cursor into the member `key` names, if
+    /// that member is not set yet; skips it otherwise.
+    fn member(&mut self, key: &str, s: &mut Scan<'a>) -> Result<(), Malformed> {
+        match key {
+            "op" if self.op.is_none() => self.op = Some(s.string_value()?),
+            "worker" if self.worker.is_none() => self.worker = Some(s.string_value()?),
+            "task" if self.task.is_none() => self.task = Some(s.u64_value()?),
+            "answer" if self.answer.is_none() => self.answer = Some(s.u64_value()?),
+            "trace" if self.trace.is_none() => self.trace = Some(s.u64_value()?),
+            _ => s.skip_value()?,
+        }
+        Ok(())
+    }
+}
+
+/// A string token: its text between the quotes, escapes still in it.
+#[derive(Clone, Copy)]
+struct Str<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> Str<'a> {
+    /// The string's value; only a string with escapes allocates.
+    fn text(self) -> Result<Cow<'a, str>, Malformed> {
+        if !self.escaped {
+            return Ok(Cow::Borrowed(self.raw));
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        let mut s = Scan {
+            text: self.raw,
+            pos: 0,
+        };
+        while let Some(run) = self.raw[s.pos..].find('\\') {
+            out.push_str(&self.raw[s.pos..s.pos + run]);
+            s.pos += run + 1;
+            out.push(s.escape()?);
+        }
+        out.push_str(&self.raw[s.pos..]);
+        Ok(Cow::Owned(out))
+    }
+}
+
+/// A cursor over request text that accepts what the vendored
+/// `serde_json` parser accepts: the same whitespace (space, tab, `\n`,
+/// `\r`), escapes, number syntax and nesting. Nested containers are
+/// tracked on a stack rather than by recursion, so no nesting depth
+/// overflows the thread's stack.
+struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Result<u8, Malformed> {
+        let b = self.peek().ok_or(Malformed)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), Malformed> {
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(Malformed)
+        }
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), Malformed> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(Malformed)
+        }
+    }
+
+    /// An object member's key and its `:`, leaving the cursor at the
+    /// value.
+    fn key(&mut self) -> Result<Str<'a>, Malformed> {
+        self.ws();
+        let key = self.string()?;
+        self.ws();
+        self.expect(b':')?;
+        self.ws();
+        Ok(key)
+    }
+
+    fn string(&mut self) -> Result<Str<'a>, Malformed> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let mut escaped = false;
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let i = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or(Malformed)?;
+            self.pos += i + 1;
+            if rest[i] == b'"' {
+                return Ok(Str {
+                    raw: &self.text[start..self.pos - 1],
+                    escaped,
+                });
+            }
+            escaped = true;
+            self.escape()?;
+        }
+    }
+
+    /// The character an escape stands for, the cursor just past its
+    /// `\`. A high surrogate takes the next `\u` escape as its low half
+    /// whatever that escape's value, as the tree parser does.
+    fn escape(&mut self) -> Result<char, Malformed> {
+        let c = match self.bump()? {
+            b'"' => Some('"'),
+            b'\\' => Some('\\'),
+            b'/' => Some('/'),
+            b'n' => Some('\n'),
+            b'r' => Some('\r'),
+            b't' => Some('\t'),
+            b'b' => Some('\u{8}'),
+            b'f' => Some('\u{c}'),
+            b'u' => {
+                let cp = self.hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    self.keyword("\\u")?;
+                    let lo = self.hex4()?;
+                    char::from_u32(
+                        0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF),
+                    )
+                } else {
+                    char::from_u32(cp)
+                }
+            }
+            _ => None,
+        };
+        c.ok_or(Malformed)
+    }
+
+    /// Four hex digits, read the way `u32::from_str_radix` reads them
+    /// (which takes a leading `+`).
+    fn hex4(&mut self) -> Result<u32, Malformed> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or(Malformed)?;
+        let digits = std::str::from_utf8(digits).map_err(|_| Malformed)?;
+        let cp = u32::from_str_radix(digits, 16).map_err(|_| Malformed)?;
+        self.pos += 4;
+        Ok(cp)
+    }
+
+    /// A number token, typed as the tree parser types it: an integer
+    /// when it is all digits and fits, a float otherwise.
+    fn number(&mut self) -> Result<Number, Malformed> {
+        let start = self.pos;
+        self.eat(b'-');
+        let mut integral = true;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => integral = false,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let int = match (integral, text.starts_with('-')) {
+            (false, _) => None,
+            (true, true) => text.parse().ok().map(Number::I),
+            (true, false) => text.parse().ok().map(Number::U),
+        };
+        match int {
+            Some(n) => Ok(n),
+            None => text.parse().map(Number::F).map_err(|_| Malformed),
+        }
+    }
+
+    /// The value at the cursor as `Value::as_str` reads it.
+    fn string_value(&mut self) -> Result<Option<Str<'a>>, Malformed> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip_value().map(|()| None)
+        }
+    }
+
+    /// The value at the cursor as `Value::as_u64` reads it.
+    fn u64_value(&mut self) -> Result<Option<u64>, Malformed> {
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(Number::as_u64)
+        } else {
+            self.skip_value().map(|()| None)
+        }
+    }
+
+    /// Skips one value of any type. The stack holds the closing bracket
+    /// of each open container; only a nested value makes it allocate.
+    fn skip_value(&mut self) -> Result<(), Malformed> {
+        let mut open: Vec<u8> = Vec::new();
+        loop {
+            // A value's start: a scalar, an empty container, or a
+            // container's first member.
+            match self.peek() {
+                Some(b @ (b'{' | b'[')) => {
+                    self.pos += 1;
+                    let close = if b == b'{' { b'}' } else { b']' };
+                    self.ws();
+                    if !self.eat(close) {
+                        open.push(close);
+                        if close == b'}' {
+                            self.key()?;
+                        }
+                        continue;
+                    }
+                }
+                Some(b'"') => {
+                    self.string()?;
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    self.number()?;
+                }
+                Some(b'n') => self.keyword("null")?,
+                Some(b't') => self.keyword("true")?,
+                Some(b'f') => self.keyword("false")?,
+                _ => return Err(Malformed),
+            }
+            // After a value: close what it completed, then move on to
+            // the next member, or stop at the outermost value's end.
+            loop {
+                let Some(&close) = open.last() else {
+                    return Ok(());
+                };
+                self.ws();
+                match self.bump()? {
+                    b',' => {
+                        self.ws();
+                        if close == b'}' {
+                            self.key()?;
+                        }
+                        break;
+                    }
+                    b if b == close => {
+                        open.pop();
+                    }
+                    _ => return Err(Malformed),
+                }
+            }
+        }
+    }
 }
 
 /// Journal health as reported in `STATUS` replies: whether durability
@@ -191,23 +516,30 @@ impl JournalHealth {
         self.state == "attached"
     }
 
-    fn to_value(&self) -> Value {
-        let mut v = json!({
-            "state": self.state,
-            "policy": self.policy,
-            "ops": self.ops,
-            "snapshots": self.snapshots,
-            "pending": self.pending,
-            "unjournaled": self.unjournaled,
-        });
-        if let (Some(err), Value::Object(o)) = (&self.last_error, &mut v) {
-            o.push(("last_error".into(), json!(err.as_str())));
+    fn write(&self, buf: &mut String) {
+        buf.push_str(r#"{"state":"#);
+        write_string(buf, self.state);
+        buf.push_str(r#","policy":"#);
+        write_string(buf, self.policy);
+        for (key, n) in [
+            (r#","ops":"#, self.ops),
+            (r#","snapshots":"#, self.snapshots),
+            (r#","pending":"#, self.pending),
+            (r#","unjournaled":"#, self.unjournaled),
+        ] {
+            buf.push_str(key);
+            write_u64(buf, n);
         }
-        v
+        if let Some(err) = &self.last_error {
+            buf.push_str(r#","last_error":"#);
+            write_string(buf, err);
+        }
+        buf.push('}');
     }
 }
 
-/// A server response, encoded to one wire line via [`Response::to_value`].
+/// A server response, encoded to one wire line by
+/// [`Response::encode_line`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Campaign announcement.
@@ -300,90 +632,6 @@ impl Response {
         }
     }
 
-    /// Encodes the response as its wire JSON value.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Response::Hello {
-                dataset,
-                seed,
-                workers,
-                tasks,
-                approach,
-            } => json!({
-                "ok": true, "type": "hello",
-                "dataset": dataset, "seed": seed,
-                "workers": workers, "tasks": tasks,
-                "approach": approach,
-            }),
-            Response::Task(task) => json!({"ok": true, "type": "task", "task": task.0}),
-            Response::Wait => json!({"ok": true, "type": "wait"}),
-            Response::Declined { retry } => {
-                json!({"ok": true, "type": "declined", "retry": retry})
-            }
-            Response::Left => json!({"ok": true, "type": "left"}),
-            Response::Submit { result, reason } => {
-                let mut v = json!({"ok": true, "type": "submit", "result": *result});
-                if let (Some(reason), Value::Object(o)) = (reason, &mut v) {
-                    o.push(("reason".into(), json!(*reason)));
-                }
-                v
-            }
-            Response::Status {
-                complete,
-                finished,
-                answers,
-                accounting: a,
-                balanced,
-                conns,
-                workers_seen,
-                journal,
-            } => {
-                let accounting = json!({
-                    "submitted": a.answers_submitted,
-                    "accepted": a.answers_accepted,
-                    "rejected": a.answers_rejected,
-                    "dropped": a.answers_dropped,
-                    "paid": a.answers_paid,
-                    "abandoned": a.answers_abandoned,
-                    "stalled": a.stalled,
-                    "churned": a.churned,
-                });
-                let mut v = json!({
-                    "ok": true, "type": "status",
-                    "complete": complete, "finished": finished,
-                    "answers": answers,
-                    "accounting": accounting,
-                    "balanced": balanced,
-                    "conns": conns,
-                    "workers_seen": workers_seen,
-                });
-                if let (Some(j), Value::Object(o)) = (journal, &mut v) {
-                    o.push(("journal".into(), j.to_value()));
-                }
-                v
-            }
-            Response::Results { labels } => {
-                json!({"ok": true, "type": "results", "labels": labels})
-            }
-            Response::Metrics { window } => {
-                // The window payload is already JSON (hand-written by
-                // icrowd-obs); embed it structurally so the line stays
-                // one object. A parse failure would be an obs encoder
-                // bug — degrade to a string rather than panic.
-                let payload = serde_json::from_str::<Value>(window)
-                    .unwrap_or_else(|_| json!(window.as_str()));
-                json!({"ok": true, "type": "metrics", "window": payload})
-            }
-            Response::Bye => json!({"ok": true, "type": "bye"}),
-            Response::Busy => {
-                json!({"ok": false, "type": "busy", "error": "server at capacity; retry"})
-            }
-            Response::Error { message } => {
-                json!({"ok": false, "type": "error", "error": message})
-            }
-        }
-    }
-
     /// Serializes into `buf` (reused across requests) with the trailing
     /// newline the framing requires.
     pub fn encode_line(&self, buf: &mut String) {
@@ -396,12 +644,102 @@ impl Response {
     /// client can always tell). When `degraded` is `false` the line is
     /// byte-identical to the unflagged encoding.
     pub fn encode_line_flagged(&self, degraded: bool, buf: &mut String) {
-        let mut v = self.to_value();
-        if let (true, Value::Object(o)) = (degraded, &mut v) {
-            o.push(("degraded".into(), json!(true)));
+        buf.clear();
+        // Each arm writes its object up to, not including, the closing
+        // brace, so the stamp can go in before it.
+        match self {
+            Response::Hello {
+                dataset,
+                seed,
+                workers,
+                tasks,
+                approach,
+            } => {
+                buf.push_str(r#"{"ok":true,"type":"hello","dataset":"#);
+                write_string(buf, dataset);
+                buf.push_str(r#","seed":"#);
+                write_u64(buf, *seed);
+                buf.push_str(r#","workers":"#);
+                write_u64(buf, *workers as u64);
+                buf.push_str(r#","tasks":"#);
+                write_u64(buf, *tasks as u64);
+                buf.push_str(r#","approach":"#);
+                write_string(buf, approach);
+            }
+            Response::Task(task) => {
+                buf.push_str(r#"{"ok":true,"type":"task","task":"#);
+                write_u64(buf, task.0.into());
+            }
+            Response::Wait => buf.push_str(r#"{"ok":true,"type":"wait""#),
+            Response::Declined { retry } => {
+                buf.push_str(r#"{"ok":true,"type":"declined","retry":"#);
+                write_bool(buf, *retry);
+            }
+            Response::Left => buf.push_str(r#"{"ok":true,"type":"left""#),
+            Response::Submit { result, reason } => {
+                buf.push_str(r#"{"ok":true,"type":"submit","result":"#);
+                write_string(buf, result);
+                if let Some(reason) = reason {
+                    buf.push_str(r#","reason":"#);
+                    write_string(buf, reason);
+                }
+            }
+            Response::Status {
+                complete,
+                finished,
+                answers,
+                accounting,
+                balanced,
+                conns,
+                workers_seen,
+                journal,
+            } => {
+                buf.push_str(r#"{"ok":true,"type":"status","complete":"#);
+                write_bool(buf, *complete);
+                buf.push_str(r#","finished":"#);
+                write_bool(buf, *finished);
+                buf.push_str(r#","answers":"#);
+                write_u64(buf, *answers as u64);
+                buf.push_str(r#","accounting":"#);
+                write_accounting(buf, accounting);
+                buf.push_str(r#","balanced":"#);
+                write_bool(buf, *balanced);
+                buf.push_str(r#","conns":"#);
+                write_u64(buf, *conns as u64);
+                buf.push_str(r#","workers_seen":"#);
+                write_u64(buf, *workers_seen as u64);
+                if let Some(journal) = journal {
+                    buf.push_str(r#","journal":"#);
+                    journal.write(buf);
+                }
+            }
+            Response::Results { labels } => {
+                buf.push_str(r#"{"ok":true,"type":"results","labels":"#);
+                write_string(buf, labels);
+            }
+            Response::Metrics { window } => {
+                // The window payload is already JSON (hand-written by
+                // icrowd-obs); embed it structurally so the line stays
+                // one object. A parse failure would be an obs encoder
+                // bug — degrade to a string rather than panic.
+                let payload = serde_json::from_str::<Value>(window)
+                    .unwrap_or_else(|_| json!(window.as_str()));
+                buf.push_str(r#"{"ok":true,"type":"metrics","window":"#);
+                buf.push_str(&payload.to_string());
+            }
+            Response::Bye => buf.push_str(r#"{"ok":true,"type":"bye""#),
+            Response::Busy => {
+                buf.push_str(r#"{"ok":false,"type":"busy","error":"server at capacity; retry""#);
+            }
+            Response::Error { message } => {
+                buf.push_str(r#"{"ok":false,"type":"error","error":"#);
+                write_string(buf, message);
+            }
         }
-        serde_json::write_to_string(&v, buf);
-        buf.push('\n');
+        if degraded {
+            buf.push_str(r#","degraded":true"#);
+        }
+        buf.push_str("}\n");
     }
 }
 

@@ -434,7 +434,7 @@ mod tests {
         let mut header =
             CampaignEngine::expected_header("table1", Approach::RandomMV, &quick_config());
         header.version = 1;
-        let mut bytes = encode_record(&JournalRecord::Header(header)).expect("encode header");
+        let mut bytes = encode_record(&JournalRecord::Header(header));
         let batch = br#"{"t":"batch","ops":[{"t":"poll","w":"W1","o":"wait"},{"t":"pump"}]}"#;
         bytes.extend((batch.len() as u32).to_le_bytes());
         bytes.extend(crc32(batch).to_le_bytes());

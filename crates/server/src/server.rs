@@ -5,7 +5,9 @@
 //! request. A connection beyond [`ServeConfig::max_conns`] open ones
 //! gets one `BUSY` line and is closed (accept-then-reject backpressure
 //! — the client gets an explicit signal instead of an opaque
-//! connection reset).
+//! connection reset). A connection that completes no line within the
+//! idle timeout, or sends a line longer than [`MAX_LINE_BYTES`], gets
+//! one `error` line saying so and is closed.
 //!
 //! Drain (the `SHUTDOWN` op, [`ServerHandle::shutdown`], or a fail-stop
 //! journal error) flips a flag and wakes the blocked `accept` with a
@@ -295,59 +297,94 @@ impl Drop for OpenConn<'_> {
     }
 }
 
-/// A request line (trailing `\n` stripped) accumulated byte-by-byte, or
-/// the reason the connection ended.
+/// Longest request line served, in bytes before its `\n`. Every line a
+/// well-behaved client sends is under 200 B; a longer one gets an error
+/// naming this limit, and its connection is closed.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Bytes asked of each `read`.
+const READ_CHUNK: usize = 4096;
+
+/// How [`read_deadline_line`] left the accumulation buffer: holding a
+/// complete line, or the connection's end.
 enum LineRead {
-    Line(String),
+    /// The buffer's first `n` bytes are a line; its `\n` follows them.
+    Line(usize),
+    /// The line grew past [`MAX_LINE_BYTES`].
+    TooLong,
     Eof,
     Evicted,
     Draining,
     Error,
 }
 
-/// Reads until `acc` holds a complete line, enforcing the idle
-/// deadline. Partial bytes survive read timeouts — a slow writer is
-/// only evicted once the *deadline* passes, never by losing data to a
-/// 100 ms poll tick. Once drain is requested, a line already received
-/// is still served, but no further one is waited for: a busy
-/// persistent connection cannot hold the drain open.
+/// Reads until `acc` holds a complete line, enforcing the idle deadline
+/// and the line cap. Reads go through `chunk`, which is zeroed once per
+/// connection. Each byte is searched for the `\n` once: bytes left over
+/// from the previous line, then only what each read adds. Partial bytes
+/// survive read timeouts — a slow writer is only evicted once the
+/// *deadline* passes, never by losing data to a 100 ms poll tick — and
+/// the deadline holds whether reads time out or trickle in. Once drain
+/// is requested, a line already received is still served, but no
+/// further one is waited for: a busy persistent connection cannot hold
+/// the drain open.
 fn read_deadline_line(
     mut stream: &TcpStream,
     acc: &mut Vec<u8>,
+    chunk: &mut [u8],
     drain: &Drain,
     idle_timeout: Duration,
 ) -> LineRead {
-    let deadline_start = Instant::now();
-    let mut buf = [0u8; 4096];
+    let started = Instant::now();
+    let mut scanned = 0;
+    let mut waited = false;
     loop {
-        if let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let rest = acc.split_off(pos + 1);
-            let line = std::mem::replace(acc, rest);
-            return LineRead::Line(String::from_utf8_lossy(&line).into_owned());
+        if let Some(i) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + i;
+            return if end > MAX_LINE_BYTES {
+                LineRead::TooLong
+            } else {
+                LineRead::Line(end)
+            };
+        }
+        scanned = acc.len();
+        if scanned > MAX_LINE_BYTES {
+            return LineRead::TooLong;
         }
         if drain.requested() {
             return LineRead::Draining;
         }
-        match stream.read(&mut buf) {
+        // The first read of a line goes ahead unchecked, so a client
+        // that sends whole lines costs one clock read per line.
+        if waited && !idle_timeout.is_zero() && started.elapsed() >= idle_timeout {
+            return LineRead::Evicted;
+        }
+        waited = true;
+        match stream.read(chunk) {
             Ok(0) => return LineRead::Eof,
-            Ok(n) => acc.extend_from_slice(&buf[..n]),
+            Ok(n) => acc.extend_from_slice(&chunk[..n]),
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !idle_timeout.is_zero() && deadline_start.elapsed() >= idle_timeout {
-                    return LineRead::Evicted;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
             Err(_) => return LineRead::Error,
         }
     }
 }
 
-/// Serves one connection to EOF (or drain, or idle eviction). Errors
-/// drop the connection; the protocol is stateless per line, so clients
-/// just reconnect. `STATUS` echoes the open connection count.
+/// Serves one connection to EOF (or drain, or idle eviction, or an
+/// over-long line). Errors drop the connection; the protocol is
+/// stateless per line, so clients just reconnect. `STATUS` echoes the
+/// open connection count.
+///
+/// Each line is parsed where it lies in the accumulation buffer (copied
+/// only if it is not valid UTF-8) and dropped from it once parsed; the
+/// reply is encoded into one reused buffer. The `serve.parse` and
+/// `serve.encode` spans time the two; they are histograms, not trace
+/// nodes, since a request's trace opens after its parse.
 fn serve_connection(
     stream: TcpStream,
     engine: &CampaignEngine,
@@ -363,36 +400,40 @@ fn serve_connection(
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut writer = &stream;
-    let mut acc: Vec<u8> = Vec::new();
+    let mut acc: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = vec![0u8; READ_CHUNK];
     let mut out = String::new();
     loop {
-        let line = match read_deadline_line(&stream, &mut acc, drain, idle_timeout) {
-            LineRead::Line(line) => line,
+        let end = match read_deadline_line(&stream, &mut acc, &mut chunk, drain, idle_timeout) {
+            LineRead::Line(end) => end,
             LineRead::Evicted => {
                 icrowd_obs::counter_add("serve.conn_evicted", 1);
-                out.clear();
-                Response::Error {
-                    message: "idle timeout — connection evicted".to_owned(),
-                }
-                .encode_line(&mut out);
+                let message = "idle timeout — connection evicted".to_owned();
+                Response::Error { message }.encode_line(&mut out);
+                let _ = writer.write_all(out.as_bytes());
+                return;
+            }
+            LineRead::TooLong => {
+                icrowd_obs::counter_add("serve.conn_line_too_long", 1);
+                let message =
+                    format!("request line longer than {MAX_LINE_BYTES} bytes — connection closed");
+                Response::Error { message }.encode_line(&mut out);
                 let _ = writer.write_all(out.as_bytes());
                 return;
             }
             LineRead::Eof | LineRead::Draining | LineRead::Error => return,
         };
-        if line.trim().is_empty() {
+        let parsed = {
+            let _span = icrowd_obs::span!("serve.parse");
+            let line = String::from_utf8_lossy(&acc[..end]);
+            (!line.trim().is_empty()).then(|| Request::parse_with_trace(&line))
+        };
+        acc.drain(..=end);
+        let Some(parsed) = parsed else {
             continue;
-        }
-        let resp = match Request::parse_with_trace(&line) {
-            Ok((Request::Shutdown, _)) => {
-                let resp = engine.handle(&Request::Shutdown, conn.count());
-                out.clear();
-                resp.encode_line_flagged(durability.degraded(), &mut out);
-                let _ = writer.write_all(out.as_bytes());
-                let _ = writer.flush();
-                drain.trigger();
-                return;
-            }
+        };
+        let shutdown = matches!(parsed, Ok((Request::Shutdown, _)));
+        let resp = match parsed {
             Ok((req, trace)) => {
                 // The root span of this request's trace; engine /
                 // driver / journal spans attach underneath via the
@@ -410,14 +451,20 @@ fn serve_connection(
             }
             Err(message) => Response::Error { message },
         };
-        // Advertised degradation: once durability is lost under the
-        // degrade policy, every response line carries the flag.
-        resp.encode_line_flagged(durability.degraded(), &mut out);
-        if writer
-            .write_all(out.as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
         {
+            let _span = icrowd_obs::span!("serve.encode");
+            // Advertised degradation: once durability is lost under
+            // the degrade policy, every response line carries the flag.
+            resp.encode_line_flagged(durability.degraded(), &mut out);
+        }
+        let sent = writer
+            .write_all(out.as_bytes())
+            .and_then(|()| writer.flush());
+        if shutdown {
+            drain.trigger();
+            return;
+        }
+        if sent.is_err() {
             return;
         }
         // Fail-stop: a journal error under the fail-stop policy drains

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use icrowd_platform::journal::{encode_record, JournalOp, JournalRecord};
 use icrowd_platform::market::WorkerBehavior;
-use icrowd_serve::protocol::Request;
+use icrowd_serve::protocol::{response_line, Request};
 use icrowd_serve::{client, recover, run_loadgen, CampaignEngine, LoadgenConfig, Response};
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
 use icrowd_sim::datasets::table1;
@@ -272,7 +272,7 @@ fn tear(journal: &Path, kill: usize, rng: &mut StdRng) -> usize {
         1 => (0..rng.gen_range(1..40)).map(|_| rng.gen()).collect(),
         2 => return 0,
         _ => {
-            let frame = encode_record(&JournalRecord::Op(JournalOp::Pump)).expect("encode");
+            let frame = encode_record(&JournalRecord::Op(JournalOp::Pump));
             frame[..rng.gen_range(1..frame.len())].to_vec()
         }
     };
@@ -510,7 +510,9 @@ fn the_journal_is_append_only_and_every_checkpoint_is_verified() {
         recover(&journal, "table1", table1(), approach, config, 1, 2).expect("recovery succeeds");
     assert_eq!(report.snapshots_verified as u64, written, "{report:?}");
     assert_eq!(report.truncated_bytes, 0);
-    let status = recovered.handle(&Request::Status, 0).to_value();
+    let status: Value =
+        serde_json::from_str(&response_line(&recovered.handle(&Request::Status, 0)))
+            .expect("a STATUS line is JSON");
     let recorded = status
         .get("journal")
         .and_then(|j| j.get("snapshots"))

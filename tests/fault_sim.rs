@@ -471,7 +471,7 @@ impl Sim {
         use std::io::Write as _;
         let tail: Vec<u8> = match self.s.below(3) {
             0 => {
-                let frame = encode_record(&JournalRecord::Op(JournalOp::Pump)).expect("encode");
+                let frame = encode_record(&JournalRecord::Op(JournalOp::Pump));
                 frame[..1 + self.s.below(frame.len() as u64 - 1) as usize].to_vec()
             }
             1 => (0..1 + self.s.below(40))

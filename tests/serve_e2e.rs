@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use icrowd::platform::FaultConfig;
 use icrowd::AssignStrategy;
 use icrowd_serve::protocol::Request;
+use icrowd_serve::server::MAX_LINE_BYTES;
 use icrowd_serve::{
     client, run_loadgen, serve, CampaignEngine, Conn, LoadgenConfig, ServeConfig, ServerHandle,
 };
@@ -131,7 +132,13 @@ fn loadgen_campaign_matches_in_process_labels_byte_for_byte() {
     assert!(report.requests > 0 && report.accepted > 0);
 
     let spans = icrowd_obs::snapshot().spans;
-    for name in ["serve.accept", "serve.request", "serve.submit"] {
+    for name in [
+        "serve.accept",
+        "serve.parse",
+        "serve.request",
+        "serve.submit",
+        "serve.encode",
+    ] {
         assert!(
             spans.iter().any(|s| s.name == name && s.count > 0),
             "span {name} was not recorded"
@@ -279,7 +286,9 @@ fn overloaded_server_rejects_with_busy() {
 
 /// A connection gives its slot back when it ends: with a cap of one,
 /// the next connection is served once the held one closes, and again
-/// once an idle one is evicted (the slow-loris guard).
+/// once one is evicted: idle after half a line, trickling bytes that
+/// never end a line (the slow-loris guards), or flooding past the line
+/// cap.
 #[test]
 fn a_closed_or_evicted_connection_frees_its_slot() {
     use std::io::{BufRead as _, BufReader, Write as _};
@@ -335,6 +344,38 @@ fn a_closed_or_evicted_connection_frees_its_slot() {
     (&idle).write_all(b"{\"op\":").unwrap();
     let line = reply(&idle);
     assert!(line.contains("idle timeout"), "{line}");
+    drop(idle);
+
+    // Bytes that never make a line: a flood passes the line cap, and the
+    // reply names the cap; a trickle outlasts the idle deadline though
+    // every read returns data. Either way the server answers, closes and
+    // frees the slot. Each writer gives up on its own after a few seconds
+    // and the reply's read times out, so a server that never evicts such
+    // a client fails this instead of hanging it.
+    for (chunk, pause, expect) in [
+        (64 * 1024, Duration::ZERO, MAX_LINE_BYTES.to_string()),
+        (1, Duration::from_millis(20), "idle timeout".to_owned()),
+    ] {
+        let stream = hold();
+        let writer = {
+            let stream = stream.try_clone().expect("clone the stream");
+            std::thread::spawn(move || {
+                let bytes = vec![b'x'; chunk];
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while Instant::now() < deadline && (&stream).write_all(&bytes).is_ok() {
+                    std::thread::sleep(pause);
+                }
+            })
+        };
+        let line = reply(&stream);
+        assert!(
+            line.contains("\"error\"") && line.contains(&expect),
+            "{line}"
+        );
+        writer
+            .join()
+            .expect("the writer ends once the server closes");
+    }
     drop(hold());
 
     shutdown_and_join_within(handle, Duration::from_secs(2));

@@ -1,4 +1,4 @@
-//! Zero-dependency tracing and metrics for the iCrowd workspace.
+//! Tracing and metrics for the iCrowd workspace.
 //!
 //! The paper's evaluation is entirely about *where time and assignments
 //! go* — per-phase latency of the offline graph build vs. online
@@ -40,15 +40,18 @@
 //! order, and quantiles come from deterministic bucketing, not
 //! sampling.
 //!
-//! The crate is `std`-only by design — it must stay usable from every
-//! workspace crate without a JSON dependency, so JSON is written by
-//! hand (names and payloads are escaped per RFC 8259).
+//! The crate's one dependency is the vendored `serde_json`, which has
+//! none, so it stays usable from every workspace crate. Export lines are
+//! written by hand, but names are escaped and gauges printed by the
+//! writers `serde_json`'s tree printer uses, so the two cannot disagree.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+use serde_json::{write_f64, write_string};
 
 mod hist;
 mod trace;
@@ -472,32 +475,6 @@ pub fn counter_value(name: &str) -> u64 {
     registry().counters.get(name).copied().unwrap_or(0)
 }
 
-pub(crate) fn write_json_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Serializes the registry as JSON lines, in section order:
 ///
 /// 1. spans — `{"type":"span","name":...,"count":...,"total_ns":...,
@@ -518,7 +495,7 @@ pub fn export_jsonl() -> String {
     for (name, stat) in &reg.spans {
         let s = stat.summary(name);
         out.push_str("{\"type\":\"span\",\"name\":");
-        write_json_escaped(&mut out, &s.name);
+        write_string(&mut out, &s.name);
         out.push_str(&format!(
             ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}\n",
             s.count, s.total_ns, s.min_ns, s.max_ns, s.p50_ns, s.p99_ns
@@ -529,7 +506,7 @@ pub fn export_jsonl() -> String {
             continue;
         }
         out.push_str("{\"type\":\"hist\",\"name\":");
-        write_json_escaped(&mut out, name);
+        write_string(&mut out, name);
         out.push_str(&format!(
             ",\"sub_bits\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
             SUB_BITS,
@@ -548,18 +525,18 @@ pub fn export_jsonl() -> String {
     }
     for (name, value) in &reg.counters {
         out.push_str("{\"type\":\"counter\",\"name\":");
-        write_json_escaped(&mut out, name);
+        write_string(&mut out, name);
         out.push_str(&format!(",\"value\":{value}}}\n"));
     }
     for (name, g) in &reg.gauges {
         out.push_str("{\"type\":\"gauge\",\"name\":");
-        write_json_escaped(&mut out, name);
+        write_string(&mut out, name);
         out.push_str(",\"value\":");
-        write_json_f64(&mut out, g.last);
+        write_f64(&mut out, g.last);
         out.push_str(",\"min\":");
-        write_json_f64(&mut out, g.win_min);
+        write_f64(&mut out, g.win_min);
         out.push_str(",\"max\":");
-        write_json_f64(&mut out, g.win_max);
+        write_f64(&mut out, g.win_max);
         out.push_str("}\n");
     }
     for t in &reg.traces {
@@ -567,7 +544,7 @@ pub fn export_jsonl() -> String {
             "{{\"type\":\"trace\",\"trace\":{},\"span\":{},\"parent\":{},\"name\":",
             t.trace_id, t.span_id, t.parent_id
         ));
-        write_json_escaped(&mut out, t.name);
+        write_string(&mut out, t.name);
         out.push_str(&format!(
             ",\"start_ns\":{},\"dur_ns\":{}}}\n",
             t.start_ns, t.dur_ns
@@ -575,7 +552,7 @@ pub fn export_jsonl() -> String {
     }
     for (kind, payload) in &reg.events {
         out.push_str("{\"type\":\"event\",\"name\":");
-        write_json_escaped(&mut out, kind);
+        write_string(&mut out, kind);
         out.push_str(",\"data\":");
         out.push_str(payload);
         out.push_str("}\n");

@@ -13,7 +13,9 @@
 //! closes the window the emitter would have written next, so the
 //! emitted stream's `seq` strictly increases but can skip.
 
-use crate::{write_json_escaped, write_json_f64, SpanSummary};
+use serde_json::{write_f64, write_string};
+
+use crate::SpanSummary;
 
 /// One gauge's windowed view: the last written value plus the extremes
 /// observed during the window (a burst's peak queue depth survives
@@ -63,7 +65,7 @@ impl WindowReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_json_escaped(&mut out, &s.name);
+            write_string(&mut out, &s.name);
             out.push_str(&format!(
                 ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
                 s.count, s.total_ns, s.min_ns, s.max_ns, s.p50_ns, s.p99_ns
@@ -75,7 +77,7 @@ impl WindowReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_json_escaped(&mut out, name);
+            write_string(&mut out, name);
             out.push_str(&format!(",\"delta\":{delta}}}"));
         }
         out.push_str("],\"gauges\":[");
@@ -84,13 +86,13 @@ impl WindowReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_json_escaped(&mut out, &g.name);
+            write_string(&mut out, &g.name);
             out.push_str(",\"last\":");
-            write_json_f64(&mut out, g.last);
+            write_f64(&mut out, g.last);
             out.push_str(",\"min\":");
-            write_json_f64(&mut out, g.min);
+            write_f64(&mut out, g.min);
             out.push_str(",\"max\":");
-            write_json_f64(&mut out, g.max);
+            write_f64(&mut out, g.max);
             out.push('}');
         }
         out.push_str("]}");

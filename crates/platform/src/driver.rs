@@ -112,6 +112,19 @@ pub enum PollOutcome {
     Left,
 }
 
+impl PollOutcome {
+    /// The outcome's stable name, as the journal records it.
+    pub fn name(self) -> &'static str {
+        match self {
+            PollOutcome::Assigned(_) => "assigned",
+            PollOutcome::Wait => "wait",
+            PollOutcome::Declined { retry: true } => "declined_retry",
+            PollOutcome::Declined { retry: false } => "declined_left",
+            PollOutcome::Left => "left",
+        }
+    }
+}
+
 /// How a scheduled submission was settled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitReport {
@@ -662,15 +675,14 @@ impl MarketDriver {
         answer: Answer,
         now: Tick,
     ) -> (usize, SubmitOutcome) {
-        let external = self.states[wi].external_id.clone();
         self.accounting.answers_submitted += 1;
         self.events.push(MarketEvent::AnswerSubmitted {
             at: now,
-            worker: external.clone(),
+            worker: self.states[wi].external_id.clone(),
             task,
             answer,
         });
-        match server.submit_answer(&external, task, answer, now) {
+        match server.submit_answer(&self.states[wi].external_id, task, answer, now) {
             SubmitOutcome::Accepted => {
                 let st = &mut self.states[wi];
                 st.session
@@ -686,6 +698,7 @@ impl MarketDriver {
                 if let Some(p) = self.plan.as_mut() {
                     if p.duplicate() {
                         fault_counter("fault.dup");
+                        let external = &self.states[wi].external_id;
                         self.accounting.answers_submitted += 1;
                         self.events.push(MarketEvent::AnswerSubmitted {
                             at: now,
@@ -693,7 +706,7 @@ impl MarketDriver {
                             task,
                             answer,
                         });
-                        match server.submit_answer(&external, task, answer, now) {
+                        match server.submit_answer(external, task, answer, now) {
                             SubmitOutcome::Accepted => self.accounting.answers_accepted += 1,
                             SubmitOutcome::Rejected(reason) => {
                                 self.accounting.answers_rejected += 1;
@@ -716,10 +729,11 @@ impl MarketDriver {
                     self.accounting.answers_paid += session.answered as u64;
                     session.close();
                     st.session = None;
-                    self.ledger.pay(&external, hit, self.config.reward_cents);
+                    self.ledger
+                        .pay(&st.external_id, hit, self.config.reward_cents);
                     self.events.push(MarketEvent::HitSubmitted {
                         at: now,
-                        worker: external,
+                        worker: st.external_id.clone(),
                         hit,
                         reward_cents: self.config.reward_cents,
                     });
@@ -727,15 +741,15 @@ impl MarketDriver {
                 (1, SubmitOutcome::Accepted)
             }
             SubmitOutcome::Rejected(reason) => {
-                self.states[wi]
-                    .session
+                let st = &mut self.states[wi];
+                st.session
                     .as_mut()
                     .expect("delivery requires a session")
                     .abort_task();
                 self.accounting.answers_rejected += 1;
                 self.events.push(MarketEvent::AnswerRejected {
                     at: now,
-                    worker: external,
+                    worker: st.external_id.clone(),
                     task,
                     reason,
                 });

@@ -21,11 +21,12 @@
 //! * **churn spikes** — a fraction of the crowd departs at a given tick,
 //!   modelling mass abandonment.
 //!
-//! Decisions come from a counter-seeded splitmix64 stream, *not* a shared
-//! mutable RNG: given the same event sequence (the marketplace loop is
-//! deterministic) every decision is identical run to run, and a plan with
-//! all rates at zero takes exactly the no-fault code paths, keeping
-//! fault-free runs bit-identical to a run without any plan at all.
+//! Decisions come from a [`DecisionStream`], a counter-keyed splitmix64
+//! stream, *not* a shared mutable RNG: given the same event sequence
+//! (the marketplace loop is deterministic) every decision is identical
+//! run to run, and a plan with all rates at zero takes exactly the
+//! no-fault code paths, keeping fault-free runs bit-identical to a run
+//! without any plan at all.
 
 /// A crowd-departure spike: at tick `at`, each not-yet-departed worker
 /// leaves with probability `fraction`.
@@ -165,20 +166,17 @@ pub struct FaultStats {
     pub churned: u64,
 }
 
-/// The per-run fault injector: a [`FaultConfig`] plus a deterministic
-/// decision counter and the injection tally.
+/// The per-run fault injector: a [`FaultConfig`] plus its decision
+/// stream and the injection tally.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     config: FaultConfig,
-    counter: u64,
+    stream: DecisionStream,
     stats: FaultStats,
 }
 
-/// The splitmix64 finalizer: a bijective 64-bit mix. Every seeded fault
-/// injector (this module's [`FaultPlan`], the journal's `FaultyIo`, the
-/// server's chaos proxy) draws `splitmix64(key ^ counter)` for its n-th
-/// decision, so a schedule is a pure function of the seed and the
-/// decision count.
+/// The splitmix64 finalizer: a bijective 64-bit mix, the step of every
+/// [`DecisionStream`].
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -186,12 +184,71 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A seeded decision stream: its n-th draw is `splitmix64(key ^ n)`, so
+/// a fault schedule is a pure function of the seed and the number of
+/// decisions taken. Every seeded fault injector draws from one: this
+/// module's [`FaultPlan`], the journal's `FaultyIo`, the server's chaos
+/// proxy (one stream per connection) and the fault simulator test.
+#[derive(Debug, Clone)]
+pub struct DecisionStream {
+    key: u64,
+    counter: u64,
+}
+
+impl DecisionStream {
+    /// The stream a seed names.
+    pub fn new(seed: u64) -> Self {
+        Self::nth(seed, 0)
+    }
+
+    /// Stream `index` of the family a seed names, independent of the
+    /// others (stream 0 is [`DecisionStream::new`]'s).
+    pub fn nth(seed: u64, index: u64) -> Self {
+        Self {
+            key: seed
+                .wrapping_mul(0xA24B_AED4_963E_E407)
+                .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            counter: 0,
+        }
+    }
+
+    /// A fresh stream keyed by this one's key XOR `salt`: how one
+    /// stream splits into independent ones.
+    pub fn derive(&self, salt: u64) -> Self {
+        Self {
+            key: self.key ^ salt,
+            counter: 0,
+        }
+    }
+
+    /// The next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        self.counter += 1;
+        splitmix64(self.key ^ self.counter)
+    }
+
+    /// The next draw mapped to `[0, 1)`.
+    pub fn next_unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Whether the next draw falls under probability `p`.
+    pub fn chance(&mut self, p: f64) -> bool {
+        self.next_unit() < p
+    }
+
+    /// The next draw reduced below `n`, which must be nonzero.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
+
 impl FaultPlan {
     /// Builds the injector for one run.
     pub fn new(config: FaultConfig) -> Self {
         Self {
+            stream: DecisionStream::new(config.seed),
             config,
-            counter: 0,
             stats: FaultStats::default(),
         }
     }
@@ -206,20 +263,9 @@ impl FaultPlan {
         self.stats
     }
 
-    /// Next raw 64-bit draw of the decision stream.
-    fn next_u64(&mut self) -> u64 {
-        self.counter += 1;
-        splitmix64(self.config.seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ self.counter)
-    }
-
-    /// Next draw mapped to `[0, 1)`.
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Should this answer stall (never be submitted)?
     pub fn stall(&mut self) -> bool {
-        let hit = self.next_unit() < self.config.stall_rate;
+        let hit = self.stream.chance(self.config.stall_rate);
         if hit {
             self.stats.stalls += 1;
         }
@@ -228,7 +274,7 @@ impl FaultPlan {
 
     /// Should this submission be lost in transit?
     pub fn drop_answer(&mut self) -> bool {
-        let hit = self.next_unit() < self.config.drop_rate;
+        let hit = self.stream.chance(self.config.drop_rate);
         if hit {
             self.stats.drops += 1;
         }
@@ -237,9 +283,9 @@ impl FaultPlan {
 
     /// Delay for a late delivery, if this answer is late.
     pub fn late_delay(&mut self) -> Option<u64> {
-        if self.next_unit() < self.config.late_rate {
+        if self.stream.chance(self.config.late_rate) {
             self.stats.lates += 1;
-            Some(1 + self.next_u64() % self.config.late_max_ticks)
+            Some(1 + self.stream.below(self.config.late_max_ticks))
         } else {
             None
         }
@@ -247,7 +293,7 @@ impl FaultPlan {
 
     /// Should this accepted answer be delivered a second time?
     pub fn duplicate(&mut self) -> bool {
-        let hit = self.next_unit() < self.config.dup_rate;
+        let hit = self.stream.chance(self.config.dup_rate);
         if hit {
             self.stats.dups += 1;
         }
@@ -261,7 +307,7 @@ impl FaultPlan {
 
     /// Evaluates spike `spike` for one worker: does she depart?
     pub fn churn_hits(&mut self, spike: usize) -> bool {
-        let hit = self.next_unit() < self.config.churn[spike].fraction;
+        let hit = self.stream.chance(self.config.churn[spike].fraction);
         if hit {
             self.stats.churned += 1;
         }
@@ -283,6 +329,21 @@ mod tests {
         // The first two outputs of the reference generator seeded with 0.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    /// Every stream's n-th draw is `splitmix64(key ^ n)`, with the key
+    /// each fault injector derived from its seed before the injectors
+    /// shared one type.
+    #[test]
+    fn decision_streams_draw_from_their_seed_keys() {
+        let key = 7u64.wrapping_mul(0xA24B_AED4_963E_E407);
+        let mut s = DecisionStream::new(7);
+        assert_eq!(s.next_u64(), splitmix64(key ^ 1));
+        assert_eq!(s.next_u64(), splitmix64(key ^ 2));
+        let conn = key.wrapping_add(3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert_eq!(DecisionStream::nth(7, 3).next_u64(), splitmix64(conn ^ 1));
+        let mut up = DecisionStream::nth(7, 3).derive(0x5555_5555_5555_5555);
+        assert_eq!(up.next_u64(), splitmix64(conn ^ 0x5555_5555_5555_5555 ^ 1));
     }
 
     #[test]

@@ -38,9 +38,11 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use icrowd_core::task::TaskId;
 use serde_json::Value;
 
-use crate::faults::splitmix64;
+use crate::driver::PollOutcome;
+use crate::faults::DecisionStream;
 use crate::market::MarketAccounting;
 use crate::wire::{write_accounting, write_string, write_u64};
 
@@ -115,35 +117,6 @@ pub struct JournalHeader {
     pub config_fp: u64,
 }
 
-/// What a journaled poll returned (replay verifies the tag matches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollTag {
-    /// The worker was assigned this task id.
-    Assigned(u32),
-    /// Not her turn, but the poll pumped deferred deliveries (a poll
-    /// that mutated nothing is never journaled).
-    Wait,
-    /// Declined with a retry turn queued.
-    DeclinedRetry,
-    /// Declined terminally; the worker left.
-    DeclinedLeft,
-    /// The worker left the marketplace.
-    Left,
-}
-
-impl PollTag {
-    /// Stable wire/diagnostic name for this outcome.
-    pub fn name(self) -> &'static str {
-        match self {
-            PollTag::Assigned(_) => "assigned",
-            PollTag::Wait => "wait",
-            PollTag::DeclinedRetry => "declined_retry",
-            PollTag::DeclinedLeft => "declined_left",
-            PollTag::Left => "left",
-        }
-    }
-}
-
 /// One mutating driver input, in apply order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalOp {
@@ -151,8 +124,10 @@ pub enum JournalOp {
     Poll {
         /// External worker id.
         worker: String,
-        /// The outcome the live run produced.
-        tag: PollTag,
+        /// The outcome the live run produced (replay verifies it
+        /// matches). A poll that mutated nothing is never journaled, so
+        /// a journaled `Wait` is one that pumped deferred deliveries.
+        tag: PollOutcome,
     },
     /// A submission (scheduled or stray) and its verdict, e.g.
     /// `accepted`, `rejected:duplicate`, `dropped`, `stalled`,
@@ -222,9 +197,9 @@ fn write_payload(rec: &JournalRecord, out: &mut String) {
             write_string(out, worker);
             out.push_str(r#","o":"#);
             write_string(out, tag.name());
-            if let PollTag::Assigned(task) = tag {
+            if let PollOutcome::Assigned(task) = tag {
                 out.push_str(r#","task":"#);
-                write_u64(out, (*task).into());
+                write_u64(out, task.0.into());
             }
         }
         JournalRecord::Op(JournalOp::Submit {
@@ -272,11 +247,13 @@ fn op_from_value(v: &Value) -> Option<JournalOp> {
         "poll" => {
             let worker = str_field(v, "w")?.to_owned();
             let tag = match str_field(v, "o")? {
-                "assigned" => PollTag::Assigned(u32::try_from(u64_field(v, "task")?).ok()?),
-                "wait" => PollTag::Wait,
-                "declined_retry" => PollTag::DeclinedRetry,
-                "declined_left" => PollTag::DeclinedLeft,
-                "left" => PollTag::Left,
+                "assigned" => {
+                    PollOutcome::Assigned(TaskId(u32::try_from(u64_field(v, "task")?).ok()?))
+                }
+                "wait" => PollOutcome::Wait,
+                "declined_retry" => PollOutcome::Declined { retry: true },
+                "declined_left" => PollOutcome::Declined { retry: false },
+                "left" => PollOutcome::Left,
                 _ => return None,
             };
             Some(JournalOp::Poll { worker, tag })
@@ -447,9 +424,9 @@ impl JournalIo for StdIo {
 
 /// Configuration of the disk fault injector. All rates are per-operation
 /// probabilities in `[0, 1]`; the default injects nothing. Decisions
-/// come from a counter-seeded splitmix64 stream (the same discipline as
-/// [`crate::faults::FaultConfig`]), so a given seed produces the same
-/// fault at the same operation count on every run.
+/// come from a [`DecisionStream`], as [`crate::faults::FaultPlan`]'s
+/// do, so a given seed produces the same fault at the same operation
+/// count on every run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiskFaultConfig {
     /// Seed of the decision stream.
@@ -509,19 +486,8 @@ const EIO: i32 = 5;
 
 struct FaultyState {
     config: DiskFaultConfig,
-    counter: u64,
+    stream: DecisionStream,
     stats: DiskFaultStats,
-}
-
-impl FaultyState {
-    fn next_u64(&mut self) -> u64 {
-        self.counter += 1;
-        splitmix64(self.config.seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ self.counter)
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// A [`JournalIo`] that injects seeded ENOSPC / EIO / torn-write /
@@ -552,8 +518,8 @@ impl FaultyIo {
     pub fn new(config: DiskFaultConfig) -> Self {
         Self {
             state: Arc::new(Mutex::new(FaultyState {
+                stream: DecisionStream::new(config.seed),
                 config,
-                counter: 0,
                 stats: DiskFaultStats::default(),
             })),
         }
@@ -574,7 +540,7 @@ impl FaultyIo {
     /// zero-rate plans consume the stream identically to faulty ones.
     fn write_fault(&self, len: usize) -> WriteFault {
         let mut s = self.lock();
-        let u = s.next_unit();
+        let u = s.stream.next_unit();
         let c = &s.config;
         let (enospc, eio, torn) = (c.enospc_rate, c.eio_rate, c.torn_rate);
         if u < enospc {
@@ -586,7 +552,7 @@ impl FaultyIo {
         } else if u < enospc + eio + torn {
             s.stats.torn += 1;
             let cut = if len > 1 {
-                1 + (s.next_u64() % (len as u64 - 1)) as usize
+                1 + s.stream.below(len as u64 - 1) as usize
             } else {
                 0
             };
@@ -599,7 +565,7 @@ impl FaultyIo {
     fn sync_fault(&self) -> bool {
         let mut s = self.lock();
         let hit = {
-            let u = s.next_unit();
+            let u = s.stream.next_unit();
             u < s.config.fsync_rate
         };
         if hit {
@@ -611,7 +577,7 @@ impl FaultyIo {
     fn open_fault(&self) -> bool {
         let mut s = self.lock();
         let hit = {
-            let u = s.next_unit();
+            let u = s.stream.next_unit();
             u < s.config.open_rate
         };
         if hit {
@@ -921,7 +887,7 @@ mod tests {
         vec![
             JournalOp::Poll {
                 worker: "W1".into(),
-                tag: PollTag::Assigned(7),
+                tag: PollOutcome::Assigned(TaskId(7)),
             },
             JournalOp::Submit {
                 worker: "W1".into(),
@@ -931,12 +897,12 @@ mod tests {
             },
             JournalOp::Poll {
                 worker: "W2".into(),
-                tag: PollTag::DeclinedRetry,
+                tag: PollOutcome::Declined { retry: true },
             },
             JournalOp::Pump,
             JournalOp::Poll {
                 worker: "W2".into(),
-                tag: PollTag::Left,
+                tag: PollOutcome::Left,
             },
             JournalOp::Submit {
                 worker: "W3".into(),
@@ -1006,7 +972,7 @@ mod tests {
             (
                 JournalRecord::Op(JournalOp::Poll {
                     worker: "W\"1\\".into(),
-                    tag: PollTag::Assigned(u32::MAX),
+                    tag: PollOutcome::Assigned(TaskId(u32::MAX)),
                 }),
                 r#"{"t":"poll","w":"W\"1\\","o":"assigned","task":4294967295}"#,
                 0x920E_1C02,
@@ -1014,7 +980,7 @@ mod tests {
             (
                 JournalRecord::Op(JournalOp::Poll {
                     worker: "W2".into(),
-                    tag: PollTag::DeclinedLeft,
+                    tag: PollOutcome::Declined { retry: false },
                 }),
                 r#"{"t":"poll","w":"W2","o":"declined_left"}"#,
                 0x0F83_C0D7,

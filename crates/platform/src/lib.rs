@@ -56,7 +56,7 @@ pub use faults::{ChurnSpike, FaultConfig, FaultPlan, FaultStats};
 pub use hit::{HitId, HitPool};
 pub use journal::{
     read_journal, DiskFaultConfig, DiskFaultStats, FaultyIo, JournalFile, JournalHeader, JournalIo,
-    JournalOp, JournalReadout, JournalRecord, JournalSnapshot, JournalWriter, PollTag, StdIo,
+    JournalOp, JournalReadout, JournalRecord, JournalSnapshot, JournalWriter, StdIo,
 };
 pub use market::{
     ExternalQuestionServer, MarketAccounting, MarketConfig, MarketOutcome, Marketplace,

@@ -16,10 +16,9 @@
 //!   comes back (client timeouts must fire — a wedged connection may
 //!   never hang the worker loop).
 //!
-//! All decisions come from a counter-seeded splitmix64 stream keyed by
-//! the connection index — the same discipline as
-//! [`icrowd_platform::faults::FaultPlan`] — so a given seed yields the
-//! same fault plan for connection *n* on every run. Timing (thread
+//! All decisions come from a [`DecisionStream`], stream *n* of the
+//! seed's family for connection *n*, so a given seed yields the same
+//! fault plan for connection *n* on every run. Timing (thread
 //! interleaving, OS scheduling) is of course not deterministic; the
 //! *decisions* are, which is what makes failures reproducible enough
 //! to bisect.
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use icrowd_platform::faults::splitmix64;
+use icrowd_platform::faults::DecisionStream;
 
 /// Chaos proxy fault configuration. The reset and blackhole rates are
 /// per-connection probabilities and the corruption rate a per-chunk
@@ -76,34 +75,6 @@ struct StatCells {
     blackholed: AtomicU64,
     resets: AtomicU64,
     corrupted: AtomicU64,
-}
-
-/// A per-connection deterministic decision stream.
-struct ConnPlan {
-    seed: u64,
-    counter: u64,
-}
-
-impl ConnPlan {
-    fn new(seed: u64, conn_index: u64) -> Self {
-        Self {
-            // Fold the connection index into the seed so each
-            // connection draws an independent, reproducible stream.
-            seed: seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(conn_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            counter: 0,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.counter += 1;
-        splitmix64(self.seed ^ self.counter)
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// How one accepted connection behaves, drawn once at accept time.
@@ -199,12 +170,11 @@ fn accept_loop(
         match listener.accept() {
             Ok((client, _)) => {
                 stats.connections.fetch_add(1, Ordering::Relaxed);
-                let mut plan = ConnPlan::new(config.seed, conn_index);
+                let mut plan = DecisionStream::nth(config.seed, conn_index);
                 conn_index += 1;
                 let fate = ConnFate {
-                    blackhole: plan.next_unit() < config.blackhole_rate,
-                    reset_after: (plan.next_unit() < config.reset_rate)
-                        .then(|| 1 + plan.next_u64() % 1024),
+                    blackhole: plan.chance(config.blackhole_rate),
+                    reset_after: plan.chance(config.reset_rate).then(|| 1 + plan.below(1024)),
                 };
                 let config = config.clone();
                 let shutdown = Arc::clone(shutdown);
@@ -249,7 +219,7 @@ fn serve_proxied(
     client: TcpStream,
     upstream_addr: std::net::SocketAddr,
     config: &ChaosProxyConfig,
-    plan: ConnPlan,
+    plan: DecisionStream,
     fate: &ConnFate,
     shutdown: &Arc<AtomicBool>,
     stats: &Arc<StatCells>,
@@ -276,19 +246,13 @@ fn serve_proxied(
         latency: Duration::from_millis(config.latency_up_ms),
         bandwidth_bps: config.bandwidth_bps,
         corrupt_rate: config.corrupt_rate,
-        plan: ConnPlan {
-            seed: plan.seed ^ 0x5555_5555_5555_5555,
-            counter: 0,
-        },
+        plan: plan.derive(0x5555_5555_5555_5555),
     };
     let down = PumpSide {
         latency: Duration::from_millis(config.latency_down_ms),
         bandwidth_bps: config.bandwidth_bps,
         corrupt_rate: config.corrupt_rate,
-        plan: ConnPlan {
-            seed: plan.seed ^ 0xAAAA_AAAA_AAAA_AAAA,
-            counter: 0,
-        },
+        plan: plan.derive(0xAAAA_AAAA_AAAA_AAAA),
     };
     let t_up = {
         let shutdown = Arc::clone(shutdown);
@@ -322,7 +286,7 @@ struct PumpSide {
     latency: Duration,
     bandwidth_bps: u64,
     corrupt_rate: f64,
-    plan: ConnPlan,
+    plan: DecisionStream,
 }
 
 /// Forwards bytes `from` → `to`, applying latency, bandwidth, byte
@@ -367,8 +331,8 @@ fn pump(
                 thread::sleep(Duration::from_millis(ms.min(1000)));
             }
         }
-        if side.corrupt_rate > 0.0 && side.plan.next_unit() < side.corrupt_rate {
-            let at = (side.plan.next_u64() % n as u64) as usize;
+        if side.corrupt_rate > 0.0 && side.plan.chance(side.corrupt_rate) {
+            let at = side.plan.below(n as u64) as usize;
             buf[at] ^= 0x20;
             stats.corrupted.fetch_add(1, Ordering::Relaxed);
         }
@@ -407,7 +371,7 @@ mod tests {
         let draw = |seed: u64| -> Vec<(bool, Option<u64>)> {
             (0..32)
                 .map(|i| {
-                    let mut plan = ConnPlan::new(seed, i);
+                    let mut plan = DecisionStream::nth(seed, i);
                     let blackhole = plan.next_unit() < 0.3;
                     let reset = (plan.next_unit() < 0.3).then(|| 1 + plan.next_u64() % 1024);
                     (blackhole, reset)

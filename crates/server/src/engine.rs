@@ -31,7 +31,7 @@ use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
 use icrowd_platform::journal::{
     fingerprint, JournalHeader, JournalIo, JournalOp, JournalRecord, JournalSnapshot,
-    JournalWriter, PollTag, StdIo, JOURNAL_VERSION,
+    JournalWriter, StdIo, JOURNAL_VERSION,
 };
 use icrowd_platform::market::ExternalQuestionServer;
 use icrowd_platform::{MarketAccounting, MarketDriver, PollOutcome, SubmitReport};
@@ -619,13 +619,7 @@ impl CampaignEngine {
             if driver.epoch() != before {
                 self.journal_append(journal, driver, || JournalOp::Poll {
                     worker: worker.to_owned(),
-                    tag: match outcome {
-                        PollOutcome::Assigned(task) => PollTag::Assigned(task.0),
-                        PollOutcome::Wait => PollTag::Wait,
-                        PollOutcome::Declined { retry: true } => PollTag::DeclinedRetry,
-                        PollOutcome::Declined { retry: false } => PollTag::DeclinedLeft,
-                        PollOutcome::Left => PollTag::Left,
-                    },
+                    tag: outcome,
                 });
             }
             outcome

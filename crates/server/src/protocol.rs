@@ -26,20 +26,19 @@
 //! answers `{"ok":false,"type":"busy",...}` at accept time and closes.
 //!
 //! The server's side builds no JSON tree. [`Request::parse_with_trace`]
-//! scans a line once and builds the [`Request`] from it, accepting
-//! exactly what the vendored `serde_json` parser accepts and reading
-//! members as `Value::get` would (the first of duplicate keys wins);
-//! [`Response::encode_line_flagged`] writes each reply straight into the
-//! connection's buffer, escaping strings with the tree printer's own
-//! escaper. The client side ([`Request::to_value`]) builds trees.
-
-use std::borrow::Cow;
+//! walks a line once with the vendored `serde_json` tokenizer, the one
+//! its tree parser uses, and builds the [`Request`] from the members it
+//! reads, as `Value::get` would read them (the first of duplicate keys
+//! wins); [`Response::encode_line_flagged`] writes each reply straight
+//! into the connection's buffer, escaping strings with the tree
+//! printer's own escaper. The client side ([`Request::to_value`])
+//! builds trees.
 
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
 use icrowd_platform::wire::{write_accounting, write_bool, write_string, write_u64};
 use icrowd_platform::{MarketAccounting, SubmitOutcome};
-use serde_json::{json, Number, Value};
+use serde_json::{json, Malformed, Scan, Str, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,15 +91,14 @@ impl Request {
     /// # Errors
     /// Malformed JSON, unknown ops, or missing/mistyped fields.
     pub fn parse_with_trace(line: &str) -> Result<(Request, Option<u64>), String> {
-        let malformed = |Malformed| "malformed JSON".to_owned();
-        let fields = Fields::scan(line.trim()).map_err(malformed)?;
+        let fields = Fields::scan(line.trim()).map_err(|Malformed| "malformed JSON".to_owned())?;
         let op = match fields.op.flatten() {
-            Some(op) => op.text().map_err(malformed)?,
+            Some(op) => op.text(),
             None => return Err("missing \"op\"".to_owned()),
         };
         let worker = || -> Result<String, String> {
             match fields.worker.flatten() {
-                Some(w) => Ok(w.text().map_err(malformed)?.into_owned()),
+                Some(w) => Ok(w.text().into_owned()),
                 None => Err("missing string field \"worker\"".to_owned()),
             }
         };
@@ -168,9 +166,6 @@ impl Request {
     }
 }
 
-/// Text the vendored `serde_json` parser would refuse.
-struct Malformed;
-
 /// The members of a request line the parser reads. Each holds the
 /// first occurrence of its key, as `Value::get` finds it: `None` when
 /// the key is absent, `Some(None)` when its value has another type.
@@ -187,32 +182,16 @@ impl<'a> Fields<'a> {
     /// Scans a whole trimmed line. Valid JSON that is not an object
     /// yields no members.
     fn scan(line: &'a str) -> Result<Fields<'a>, Malformed> {
-        let mut s = Scan { text: line, pos: 0 };
+        let mut s = Scan::new(line);
         let mut fields = Fields::default();
         s.ws();
-        if s.eat(b'{') {
-            s.ws();
-            if !s.eat(b'}') {
-                loop {
-                    let key = s.key()?;
-                    fields.member(&key.text()?, &mut s)?;
-                    s.ws();
-                    match s.bump()? {
-                        b',' => {}
-                        b'}' => break,
-                        _ => return Err(Malformed),
-                    }
-                }
-            }
+        if s.peek() == Some(b'{') {
+            s.object(|key, s| fields.member(&key.text(), s))?;
         } else {
             s.skip_value()?;
         }
-        s.ws();
-        if s.pos == line.len() {
-            Ok(fields)
-        } else {
-            Err(Malformed)
-        }
+        s.end()?;
+        Ok(fields)
     }
 
     /// Reads the value at the cursor into the member `key` names, if
@@ -227,261 +206,6 @@ impl<'a> Fields<'a> {
             _ => s.skip_value()?,
         }
         Ok(())
-    }
-}
-
-/// A string token: its text between the quotes, escapes still in it.
-#[derive(Clone, Copy)]
-struct Str<'a> {
-    raw: &'a str,
-    escaped: bool,
-}
-
-impl<'a> Str<'a> {
-    /// The string's value; only a string with escapes allocates.
-    fn text(self) -> Result<Cow<'a, str>, Malformed> {
-        if !self.escaped {
-            return Ok(Cow::Borrowed(self.raw));
-        }
-        let mut out = String::with_capacity(self.raw.len());
-        let mut s = Scan {
-            text: self.raw,
-            pos: 0,
-        };
-        while let Some(run) = self.raw[s.pos..].find('\\') {
-            out.push_str(&self.raw[s.pos..s.pos + run]);
-            s.pos += run + 1;
-            out.push(s.escape()?);
-        }
-        out.push_str(&self.raw[s.pos..]);
-        Ok(Cow::Owned(out))
-    }
-}
-
-/// A cursor over request text that accepts what the vendored
-/// `serde_json` parser accepts: the same whitespace (space, tab, `\n`,
-/// `\r`), escapes, number syntax and nesting. Nested containers are
-/// tracked on a stack rather than by recursion, so no nesting depth
-/// overflows the thread's stack.
-struct Scan<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, Malformed> {
-        let b = self.peek().ok_or(Malformed)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        let hit = self.peek() == Some(b);
-        self.pos += usize::from(hit);
-        hit
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Malformed> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(Malformed)
-        }
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn keyword(&mut self, word: &str) -> Result<(), Malformed> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(Malformed)
-        }
-    }
-
-    /// An object member's key and its `:`, leaving the cursor at the
-    /// value.
-    fn key(&mut self) -> Result<Str<'a>, Malformed> {
-        self.ws();
-        let key = self.string()?;
-        self.ws();
-        self.expect(b':')?;
-        self.ws();
-        Ok(key)
-    }
-
-    fn string(&mut self) -> Result<Str<'a>, Malformed> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        let mut escaped = false;
-        loop {
-            let rest = &self.text.as_bytes()[self.pos..];
-            let i = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or(Malformed)?;
-            self.pos += i + 1;
-            if rest[i] == b'"' {
-                return Ok(Str {
-                    raw: &self.text[start..self.pos - 1],
-                    escaped,
-                });
-            }
-            escaped = true;
-            self.escape()?;
-        }
-    }
-
-    /// The character an escape stands for, the cursor just past its
-    /// `\`. A high surrogate takes the next `\u` escape as its low half
-    /// whatever that escape's value, as the tree parser does.
-    fn escape(&mut self) -> Result<char, Malformed> {
-        let c = match self.bump()? {
-            b'"' => Some('"'),
-            b'\\' => Some('\\'),
-            b'/' => Some('/'),
-            b'n' => Some('\n'),
-            b'r' => Some('\r'),
-            b't' => Some('\t'),
-            b'b' => Some('\u{8}'),
-            b'f' => Some('\u{c}'),
-            b'u' => {
-                let cp = self.hex4()?;
-                if (0xD800..0xDC00).contains(&cp) {
-                    self.keyword("\\u")?;
-                    let lo = self.hex4()?;
-                    char::from_u32(
-                        0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF),
-                    )
-                } else {
-                    char::from_u32(cp)
-                }
-            }
-            _ => None,
-        };
-        c.ok_or(Malformed)
-    }
-
-    /// Four hex digits, read the way `u32::from_str_radix` reads them
-    /// (which takes a leading `+`).
-    fn hex4(&mut self) -> Result<u32, Malformed> {
-        let digits = self
-            .text
-            .as_bytes()
-            .get(self.pos..self.pos + 4)
-            .ok_or(Malformed)?;
-        let digits = std::str::from_utf8(digits).map_err(|_| Malformed)?;
-        let cp = u32::from_str_radix(digits, 16).map_err(|_| Malformed)?;
-        self.pos += 4;
-        Ok(cp)
-    }
-
-    /// A number token, typed as the tree parser types it: an integer
-    /// when it is all digits and fits, a float otherwise.
-    fn number(&mut self) -> Result<Number, Malformed> {
-        let start = self.pos;
-        self.eat(b'-');
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => integral = false,
-                _ => break,
-            }
-            self.pos += 1;
-        }
-        let text = &self.text[start..self.pos];
-        let int = match (integral, text.starts_with('-')) {
-            (false, _) => None,
-            (true, true) => text.parse().ok().map(Number::I),
-            (true, false) => text.parse().ok().map(Number::U),
-        };
-        match int {
-            Some(n) => Ok(n),
-            None => text.parse().map(Number::F).map_err(|_| Malformed),
-        }
-    }
-
-    /// The value at the cursor as `Value::as_str` reads it.
-    fn string_value(&mut self) -> Result<Option<Str<'a>>, Malformed> {
-        if self.peek() == Some(b'"') {
-            self.string().map(Some)
-        } else {
-            self.skip_value().map(|()| None)
-        }
-    }
-
-    /// The value at the cursor as `Value::as_u64` reads it.
-    fn u64_value(&mut self) -> Result<Option<u64>, Malformed> {
-        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            self.number().map(Number::as_u64)
-        } else {
-            self.skip_value().map(|()| None)
-        }
-    }
-
-    /// Skips one value of any type. The stack holds the closing bracket
-    /// of each open container; only a nested value makes it allocate.
-    fn skip_value(&mut self) -> Result<(), Malformed> {
-        let mut open: Vec<u8> = Vec::new();
-        loop {
-            // A value's start: a scalar, an empty container, or a
-            // container's first member.
-            match self.peek() {
-                Some(b @ (b'{' | b'[')) => {
-                    self.pos += 1;
-                    let close = if b == b'{' { b'}' } else { b']' };
-                    self.ws();
-                    if !self.eat(close) {
-                        open.push(close);
-                        if close == b'}' {
-                            self.key()?;
-                        }
-                        continue;
-                    }
-                }
-                Some(b'"') => {
-                    self.string()?;
-                }
-                Some(b'-' | b'0'..=b'9') => {
-                    self.number()?;
-                }
-                Some(b'n') => self.keyword("null")?,
-                Some(b't') => self.keyword("true")?,
-                Some(b'f') => self.keyword("false")?,
-                _ => return Err(Malformed),
-            }
-            // After a value: close what it completed, then move on to
-            // the next member, or stop at the outermost value's end.
-            loop {
-                let Some(&close) = open.last() else {
-                    return Ok(());
-                };
-                self.ws();
-                match self.bump()? {
-                    b',' => {
-                        self.ws();
-                        if close == b'}' {
-                            self.key()?;
-                        }
-                        break;
-                    }
-                    b if b == close => {
-                        open.pop();
-                    }
-                    _ => return Err(Malformed),
-                }
-            }
-        }
     }
 }
 
@@ -718,14 +442,17 @@ impl Response {
                 write_string(buf, labels);
             }
             Response::Metrics { window } => {
-                // The window payload is already JSON (hand-written by
-                // icrowd-obs); embed it structurally so the line stays
-                // one object. A parse failure would be an obs encoder
-                // bug — degrade to a string rather than panic.
-                let payload = serde_json::from_str::<Value>(window)
-                    .unwrap_or_else(|_| json!(window.as_str()));
+                // `WindowReport::to_json` prints with the tree printer's
+                // own writers, so its text goes in as it stands. Text
+                // that is not one JSON value goes in as a string, so the
+                // line stays one object.
                 buf.push_str(r#"{"ok":true,"type":"metrics","window":"#);
-                buf.push_str(&payload.to_string());
+                let mut scan = Scan::new(window);
+                if scan.skip_value().and_then(|()| scan.end()).is_ok() {
+                    buf.push_str(window);
+                } else {
+                    write_string(buf, window);
+                }
             }
             Response::Bye => buf.push_str(r#"{"ok":true,"type":"bye""#),
             Response::Busy => {
@@ -817,6 +544,46 @@ mod tests {
         assert_eq!(v["type"].as_str(), Some("metrics"));
         assert_eq!(v["window"]["seq"].as_u64(), Some(3));
         assert_eq!(v["window"]["type"].as_str(), Some("window"));
+    }
+
+    /// `METRICS` splices its window's text as it stands: for a window
+    /// with escaped names and negative, fractional and non-finite
+    /// gauges, the line is what parsing the window and printing it
+    /// again would give.
+    #[test]
+    fn metrics_window_splices_as_the_tree_would_reprint_it() {
+        use icrowd_obs::{GaugeSummary, SpanSummary, WindowReport};
+        let gauge = |name: &str, last, min, max| GaugeSummary {
+            name: name.into(),
+            last,
+            min,
+            max,
+        };
+        let window = WindowReport {
+            seq: 7,
+            dur_ns: u64::MAX,
+            spans: vec![SpanSummary {
+                name: "serve.\"parse\"\n".into(),
+                count: 3,
+                total_ns: 30,
+                min_ns: 1,
+                max_ns: 20,
+                p50_ns: 9,
+                p99_ns: 20,
+            }],
+            counters: vec![("c\\\u{1}\té😀/".into(), 2)],
+            gauges: vec![
+                gauge("queue", -3.0, -0.5, 0.1),
+                gauge("\r", f64::NAN, f64::NEG_INFINITY, f64::INFINITY),
+                gauge("tiny", 1e-7, -1e300, 1e21),
+            ],
+        }
+        .to_json();
+        let reprinted = serde_json::from_str::<Value>(&window).unwrap().to_string();
+        assert_eq!(
+            response_line(&Response::Metrics { window }),
+            format!("{{\"ok\":true,\"type\":\"metrics\",\"window\":{reprinted}}}\n")
+        );
     }
 
     #[test]

@@ -32,8 +32,9 @@ use std::path::Path;
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
 use icrowd_platform::journal::{
-    read_journal, JournalIo, JournalOp, JournalSnapshot, JournalWriter, PollTag, StdIo,
+    read_journal, JournalIo, JournalOp, JournalSnapshot, JournalWriter, StdIo,
 };
+use icrowd_platform::PollOutcome;
 use icrowd_sim::campaign::{Approach, CampaignConfig};
 use icrowd_sim::datasets::Dataset;
 
@@ -242,11 +243,10 @@ fn apply(engine: &CampaignEngine, op: &JournalOp) -> Result<(), String> {
                 0,
             );
             let got = match resp {
-                Response::Task(task) => PollTag::Assigned(task.0),
-                Response::Wait => PollTag::Wait,
-                Response::Declined { retry: true } => PollTag::DeclinedRetry,
-                Response::Declined { retry: false } => PollTag::DeclinedLeft,
-                Response::Left => PollTag::Left,
+                Response::Task(task) => PollOutcome::Assigned(task),
+                Response::Wait => PollOutcome::Wait,
+                Response::Declined { retry } => PollOutcome::Declined { retry },
+                Response::Left => PollOutcome::Left,
                 other => return Err(format!("poll for {worker} returned {other:?}")),
             };
             if got != *tag {

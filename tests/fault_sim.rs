@@ -1,8 +1,9 @@
 //! One seeded fault simulator for a served campaign. Each seed feeds one
-//! `splitmix64` stream, which draws a campaign (table1 or yahooqa,
-//! RandomMV or iCrowd Adapt), a durability policy and the rates of every
-//! fault domain, then drives `CampaignEngine::handle` with a client that
-//! follows the loadgen's rules, interleaving:
+//! `icrowd_platform::faults::DecisionStream`, which draws a campaign
+//! (table1 or yahooqa, RandomMV or iCrowd Adapt), a durability policy
+//! and the rates of every fault domain, then drives
+//! `CampaignEngine::handle` with a client that follows the loadgen's
+//! rules, interleaving:
 //!
 //! * marketplace faults: the campaign's `FaultConfig`;
 //! * disk faults: the journal on a `FaultyIo` under the drawn policy;
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use icrowd::core::{Answer, TaskId};
 use icrowd::platform::{ChurnSpike, FaultConfig, MarketAccounting};
 use icrowd::AssignStrategy;
-use icrowd_platform::faults::splitmix64;
+use icrowd_platform::faults::DecisionStream;
 use icrowd_platform::journal::{encode_record, JournalOp, JournalRecord};
 use icrowd_platform::market::WorkerBehavior;
 use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo};
@@ -61,34 +62,12 @@ const COVERAGE: &str = "drop, marketplace dup, late, stall, churn, ENOSPC, EIO, 
     torn tail cut, snapshot verified, label parity, \
     label parity after 2+ crashes and faults in every domain";
 
-/// A seed's one decision stream.
-struct Stream(u64, u64);
-
-impl Stream {
-    fn next(&mut self) -> u64 {
-        self.1 += 1;
-        splitmix64(self.0.wrapping_mul(0xA24B_AED4_963E_E407) ^ self.1)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Zero half the time, else a rate drawn from `[0, max)`.
-    fn rate(&mut self, max: f64) -> f64 {
-        if self.chance(0.5) {
-            0.0
-        } else {
-            self.unit() * max
-        }
+/// Zero half the time, else a rate drawn from `[0, max)`.
+fn rate(s: &mut DecisionStream, max: f64) -> f64 {
+    if s.chance(0.5) {
+        0.0
+    } else {
+        s.next_unit() * max
     }
 }
 
@@ -111,7 +90,7 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn draw(s: &mut Stream) -> Schedule {
+    fn draw(seed: u64, s: &mut DecisionStream) -> Schedule {
         let dataset = if s.chance(0.2) { "yahooqa" } else { "table1" };
         // Disk and crash rates are drawn as faults per campaign and
         // spread over its journal ops or client cycles, so a yahooqa
@@ -128,12 +107,12 @@ impl Schedule {
         };
         let mut config = Self::campaign(dataset, s.below(1_000));
         let market = FaultConfig {
-            seed: s.next(),
-            drop_rate: s.rate(0.15),
-            dup_rate: s.rate(0.15),
-            late_rate: s.rate(0.15),
+            seed: s.next_u64(),
+            drop_rate: rate(s, 0.15),
+            dup_rate: rate(s, 0.15),
+            late_rate: rate(s, 0.15),
             late_max_ticks: 1 + s.below(12),
-            stall_rate: s.rate(0.05),
+            stall_rate: rate(s, 0.05),
             churn: (s.chance(0.25))
                 .then(|| ChurnSpike {
                     at: s.below(40),
@@ -148,14 +127,14 @@ impl Schedule {
             DurabilityPolicy::FailStop,
             DurabilityPolicy::Degrade,
             DurabilityPolicy::Retry,
-        ][(s.0 % 3) as usize];
+        ][(seed % 3) as usize];
         let mut disk = DiskFaultConfig {
-            seed: s.next(),
-            enospc_rate: s.rate(1.5) / ops,
-            eio_rate: s.rate(1.5) / ops,
-            torn_rate: s.rate(1.5) / ops,
-            fsync_rate: s.unit() * 4.5 / ops,
-            open_rate: s.rate(0.1),
+            seed: s.next_u64(),
+            enospc_rate: rate(s, 1.5) / ops,
+            eio_rate: rate(s, 1.5) / ops,
+            torn_rate: rate(s, 1.5) / ops,
+            fsync_rate: s.next_unit() * 4.5 / ops,
+            open_rate: rate(s, 0.1),
         };
         if s.chance(0.25) {
             // A failing disk: writes fail early and half the opens are
@@ -170,8 +149,8 @@ impl Schedule {
             policy,
             disk,
             snapshot_every: [0, 1, 4, 16][s.below(4) as usize],
-            lose_reply: s.rate(0.05),
-            send_twice: s.unit() * 0.3,
+            lose_reply: rate(s, 0.05),
+            send_twice: s.next_unit() * 0.3,
             crash: [0.0, 1.0, 2.0, 3.0][s.below(4) as usize] / cycles,
         }
     }
@@ -207,7 +186,7 @@ type Checkpoint = (MarketAccounting, u64, u64, u64);
 struct Sim {
     seed: u64,
     sched: Schedule,
-    s: Stream,
+    s: DecisionStream,
     dataset: Dataset,
     path: PathBuf,
     io: FaultyIo,
@@ -234,7 +213,7 @@ struct Sim {
 }
 
 impl Sim {
-    fn new(seed: u64, sched: Schedule, s: Stream) -> Sim {
+    fn new(seed: u64, sched: Schedule, s: DecisionStream) -> Sim {
         let dataset = by_name(sched.dataset, sched.config.seed).expect("known dataset");
         let fresh = || {
             CampaignEngine::new(
@@ -475,7 +454,7 @@ impl Sim {
                 frame[..1 + self.s.below(frame.len() as u64 - 1) as usize].to_vec()
             }
             1 => (0..1 + self.s.below(40))
-                .map(|_| self.s.next() as u8)
+                .map(|_| self.s.next_u64() as u8)
                 .collect(),
             _ => return 0,
         };
@@ -675,8 +654,8 @@ impl Drop for Sim {
 }
 
 fn run_seed(seed: u64) -> BTreeSet<&'static str> {
-    let mut s = Stream(seed, 0);
-    let sched = Schedule::draw(&mut s);
+    let mut s = DecisionStream::new(seed);
+    let sched = Schedule::draw(seed, &mut s);
     Sim::new(seed, sched, s).run()
 }
 
@@ -713,7 +692,7 @@ fn out_of_range_submissions_are_refused_before_the_driver() {
         send_twice: 0.0,
         crash: 0.0,
     };
-    let mut sim = Sim::new(0, sched, Stream(0, 0));
+    let mut sim = Sim::new(0, sched, DecisionStream::new(0));
     // The shadow is not fed the refused lines.
     sim.shadow = None;
     let refused = |sim: &Sim, line: &str, field: &str| {

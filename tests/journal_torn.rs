@@ -8,9 +8,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use icrowd_core::task::TaskId;
 use icrowd_platform::journal::{fingerprint, JournalReadout, JournalSnapshot, JOURNAL_VERSION};
 use icrowd_platform::{
-    read_journal, JournalHeader, JournalOp, JournalRecord, JournalWriter, MarketAccounting, PollTag,
+    read_journal, JournalHeader, JournalOp, JournalRecord, JournalWriter, MarketAccounting,
+    PollOutcome,
 };
 use proptest::prelude::*;
 
@@ -44,11 +46,11 @@ fn build_records(raw: Vec<(u8, u32, u32, u8)>) -> Vec<JournalRecord> {
         let op = match kind {
             0 => JournalOp::Poll {
                 worker,
-                tag: PollTag::Assigned(task),
+                tag: PollOutcome::Assigned(TaskId(task)),
             },
             1 => JournalOp::Poll {
                 worker,
-                tag: PollTag::DeclinedRetry,
+                tag: PollOutcome::Declined { retry: true },
             },
             2 => JournalOp::Submit {
                 worker,

@@ -1,7 +1,11 @@
-//! `Request::parse_with_trace` scans a request line once and builds the
-//! request without a JSON tree. This test holds it to the reference it
-//! replaced: the vendored `serde_json` tree parse followed by
-//! `Value::get` lookups. For every line both must return the same
+//! `Request::parse_with_trace` walks a request line once with the
+//! vendored `serde_json` tokenizer and builds the request without a
+//! JSON tree. This test holds it to the reference it replaced: the
+//! `serde_json` tree parse followed by `Value::get` lookups. Both read
+//! through the one tokenizer, so they take the same text by
+//! construction; what the test checks is how members are read (the
+//! first of duplicate keys, mistyped members, escaped keys, numbers as
+//! `as_u64` reads them). For every line both must return the same
 //! request, the same trace id, or the same error string.
 //!
 //! The generated lines cover every op with its members in random

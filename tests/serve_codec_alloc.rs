@@ -23,17 +23,19 @@
 //! | a worker's first poll | 53 | 2.40 | 19 | 11.77 | 48 |
 //! | `wait` polls | 44,073 | 1.00 | 1 | 10.00 | 10 |
 //! | assigning polls (journaled) | 1,118 | 3.66 | 47 | 30.66 | 74 |
-//! | submits (journaled) | 1,119 | 6.09 | 26 | 37.78 | 82 |
+//! | submits (journaled) | 1,119 | 5.18 | 25 | 37.78 | 82 |
 //! | other polls and `STATUS` | 162 | 1.17 | 4 | 38.41 | 64 |
 //!
 //! The one block a `wait` poll allocates is the worker id the request
 //! owns. An assigning poll adds the journaled op's worker id and what
 //! the driver and Algorithm 2 allocate (`tests/assign_alloc.rs`); a
-//! submit adds the op's worker id and verdict and the estimator's row
-//! growth. A worker's first poll also registers the worker for
-//! `STATUS`. The ceilings — 1 block in any `wait` poll, a mean of 5 per
-//! assigning poll and 8 per submit — leave room for that growth, and
-//! the tree's figures fail all three.
+//! submit adds the op's worker id and verdict, the event log's copy of
+//! the worker id and the estimator's row growth. A worker's first poll
+//! also registers the worker for `STATUS`. The ceilings — 1 block in
+//! any `wait` poll, a mean of 5 per assigning poll and 5.5 per submit —
+//! leave room for that growth. The tree's figures fail all three, and
+//! so do the 6.09 per submit the driver took when it also copied the
+//! worker id only to lend it to the backend.
 //!
 //! The test installs a counting global allocator, so it is its own
 //! integration-test process with exactly one `#[test]`; the count is
@@ -62,7 +64,7 @@ const MAX_PER_WAIT_POLL: u64 = 1;
 const MAX_MEAN_PER_ASSIGNING_POLL: f64 = 5.0;
 
 /// Largest mean allocation count over the submits.
-const MAX_MEAN_PER_SUBMIT: f64 = 8.0;
+const MAX_MEAN_PER_SUBMIT: f64 = 5.5;
 
 struct CountingAlloc;
 

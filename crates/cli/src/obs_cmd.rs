@@ -55,7 +55,7 @@ impl Telemetry {
                 continue;
             }
             let v: Value = serde_json::from_str(line)
-                .map_err(|_| CliError(format!("`{path}` line {}: not valid JSON", i + 1)))?;
+                .map_err(|e| CliError(format!("`{path}` line {}: {e}", i + 1)))?;
             let name = || {
                 v.get("name")
                     .and_then(Value::as_str)

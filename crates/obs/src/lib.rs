@@ -8,9 +8,9 @@
 //! instead of ad-hoc `println!` lines:
 //!
 //! - **Spans** — RAII timers created with [`span!`], the crate's one
-//!   timer; each named span accumulates count / total / min / max plus
-//!   a deterministic log-bucketed [`LogHistogram`] from which every
-//!   exported quantile (p50/p99) is computed with ≤1% relative error.
+//!   timer; each named span records into one deterministic log-bucketed
+//!   [`LogHistogram`], from which its count / total / min / max and
+//!   every exported quantile (p50/p99, ≤1% relative error) are read.
 //!   Histograms merge associatively, so per-thread or per-shard series
 //!   fold exactly.
 //! - **Counters** — monotonic `u64` totals ([`counter_add`]): assignments
@@ -83,7 +83,7 @@ fn registry() -> MutexGuard<'static, Inner> {
 
 #[derive(Default)]
 struct Inner {
-    spans: BTreeMap<String, SpanStat>,
+    spans: BTreeMap<String, LogHistogram>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, GaugeStat>,
     events: Vec<(String, String)>,
@@ -103,11 +103,11 @@ impl Inner {
     /// the first time it is recorded.
     fn record_span(&mut self, name: &str, ns: u64) {
         match self.spans.get_mut(name) {
-            Some(stat) => stat.record(ns),
+            Some(hist) => hist.record(ns),
             None => {
-                let mut stat = SpanStat::new();
-                stat.record(ns);
-                self.spans.insert(name.to_owned(), stat);
+                let mut hist = LogHistogram::new();
+                hist.record(ns);
+                self.spans.insert(name.to_owned(), hist);
             }
         }
     }
@@ -122,11 +122,6 @@ impl Inner {
     }
 }
 
-struct SpanStat {
-    total_ns: u64,
-    hist: LogHistogram,
-}
-
 #[derive(Clone, Copy)]
 struct GaugeStat {
     last: f64,
@@ -134,35 +129,8 @@ struct GaugeStat {
     win_max: f64,
 }
 
-impl SpanStat {
-    fn new() -> Self {
-        Self {
-            total_ns: 0,
-            hist: LogHistogram::new(),
-        }
-    }
-
-    fn record(&mut self, ns: u64) {
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.hist.record(ns);
-    }
-
-    fn summary(&self, name: &str) -> SpanSummary {
-        SpanSummary {
-            name: name.to_owned(),
-            count: self.hist.count(),
-            total_ns: self.total_ns,
-            min_ns: self.hist.min(),
-            max_ns: self.hist.max(),
-            p50_ns: self.hist.percentile(0.50),
-            p99_ns: self.hist.percentile(0.99),
-        }
-    }
-}
-
-/// Summarizes a windowed histogram the same way a cumulative span is
-/// summarized (total from the histogram's sum, since the window has no
-/// separate total ledger).
+/// Summarizes one span's histogram, cumulative or windowed: the total
+/// is the histogram's (saturating) sum.
 fn hist_summary(name: &str, hist: &LogHistogram) -> SpanSummary {
     SpanSummary {
         name: name.to_owned(),
@@ -307,7 +275,7 @@ pub fn record_span_ns(name: &str, ns: u64) {
 /// A copy of one span's full histogram (`None` if never recorded) —
 /// the mergeable source behind its exported quantiles.
 pub fn span_histogram(name: &str) -> Option<LogHistogram> {
-    registry().spans.get(name).map(|s| s.hist.clone())
+    registry().spans.get(name).cloned()
 }
 
 // ---------------------------------------------------------------------
@@ -401,16 +369,16 @@ pub fn window_advance() -> WindowReport {
         .map_or(0, |mark| now.duration_since(mark).as_nanos() as u64);
     let mut spans = Vec::new();
     let mut new_base_spans = BTreeMap::new();
-    for (name, stat) in &reg.spans {
+    for (name, hist) in &reg.spans {
         let base = reg.win_spans.get(name);
         let windowed = match base {
-            Some(b) => stat.hist.diff(b),
-            None => stat.hist.clone(),
+            Some(b) => hist.diff(b),
+            None => hist.clone(),
         };
         if !windowed.is_empty() {
             spans.push(hist_summary(name, &windowed));
         }
-        new_base_spans.insert(name.clone(), stat.hist.clone());
+        new_base_spans.insert(name.clone(), hist.clone());
     }
     let mut counters = Vec::new();
     for (name, &value) in &reg.counters {
@@ -451,7 +419,7 @@ pub fn window_advance() -> WindowReport {
 pub fn snapshot() -> Snapshot {
     let reg = registry();
     Snapshot {
-        spans: reg.spans.iter().map(|(n, s)| s.summary(n)).collect(),
+        spans: reg.spans.iter().map(|(n, h)| hist_summary(n, h)).collect(),
         counters: reg.counters.iter().map(|(n, v)| (n.clone(), *v)).collect(),
         gauges: reg
             .gauges
@@ -492,8 +460,8 @@ pub fn counter_value(name: &str) -> u64 {
 pub fn export_jsonl() -> String {
     let reg = registry();
     let mut out = String::new();
-    for (name, stat) in &reg.spans {
-        let s = stat.summary(name);
+    for (name, hist) in &reg.spans {
+        let s = hist_summary(name, hist);
         out.push_str("{\"type\":\"span\",\"name\":");
         write_string(&mut out, &s.name);
         out.push_str(&format!(
@@ -501,8 +469,8 @@ pub fn export_jsonl() -> String {
             s.count, s.total_ns, s.min_ns, s.max_ns, s.p50_ns, s.p99_ns
         ));
     }
-    for (name, stat) in &reg.spans {
-        if stat.hist.is_empty() {
+    for (name, hist) in &reg.spans {
+        if hist.is_empty() {
             continue;
         }
         out.push_str("{\"type\":\"hist\",\"name\":");
@@ -510,12 +478,12 @@ pub fn export_jsonl() -> String {
         out.push_str(&format!(
             ",\"sub_bits\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
             SUB_BITS,
-            stat.hist.count(),
-            stat.hist.sum(),
-            stat.hist.min(),
-            stat.hist.max()
+            hist.count(),
+            hist.sum(),
+            hist.min(),
+            hist.max()
         ));
-        for (i, (idx, n)) in stat.hist.buckets().enumerate() {
+        for (i, (idx, n)) in hist.buckets().enumerate() {
             if i > 0 {
                 out.push(',');
             }

@@ -11,7 +11,12 @@
 //! "what happened since you last looked" without ever losing data to
 //! a reset race. Scrapers share one sequence: a `METRICS` scrape
 //! closes the window the emitter would have written next, so the
-//! emitted stream's `seq` strictly increases but can skip.
+//! emitted stream's `seq` strictly increases but can skip. Both print
+//! the window through [`WindowReport::write_json`]: the `METRICS` reply
+//! carries the [`WindowReport`] itself and writes it into the reply
+//! line, so no window text is printed twice or read back.
+
+use std::fmt::Write as _;
 
 use serde_json::{write_f64, write_string};
 
@@ -49,27 +54,29 @@ pub struct WindowReport {
 }
 
 impl WindowReport {
-    /// Serializes the window as one JSON object (no trailing newline):
-    /// `{"type":"window","seq":...,"dur_ns":...,"spans":[...],
-    /// "counters":[...],"gauges":[...]}`. The same encoder serves the
-    /// `--metrics-every` JSONL stream and the `METRICS` verb.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+    /// Appends the window to `out` as one JSON object (no trailing
+    /// newline): `{"type":"window","seq":...,"dur_ns":...,"spans":[...],
+    /// "counters":[...],"gauges":[...]}`. The one printer behind the
+    /// `--metrics-every` JSONL stream and the `METRICS` reply, which
+    /// writes the window straight into its line.
+    pub fn write_json(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
             "{{\"type\":\"window\",\"seq\":{},\"dur_ns\":{},\"spans\":[",
             self.seq, self.dur_ns
-        ));
+        );
         for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_string(&mut out, &s.name);
-            out.push_str(&format!(
+            write_string(out, &s.name);
+            let _ = write!(
+                out,
                 ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
                 s.count, s.total_ns, s.min_ns, s.max_ns, s.p50_ns, s.p99_ns
-            ));
+            );
         }
         out.push_str("],\"counters\":[");
         for (i, (name, delta)) in self.counters.iter().enumerate() {
@@ -77,8 +84,8 @@ impl WindowReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_string(&mut out, name);
-            out.push_str(&format!(",\"delta\":{delta}}}"));
+            write_string(out, name);
+            let _ = write!(out, ",\"delta\":{delta}}}");
         }
         out.push_str("],\"gauges\":[");
         for (i, g) in self.gauges.iter().enumerate() {
@@ -86,16 +93,24 @@ impl WindowReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_string(&mut out, &g.name);
+            write_string(out, &g.name);
             out.push_str(",\"last\":");
-            write_f64(&mut out, g.last);
+            write_f64(out, g.last);
             out.push_str(",\"min\":");
-            write_f64(&mut out, g.min);
+            write_f64(out, g.min);
             out.push_str(",\"max\":");
-            write_f64(&mut out, g.max);
+            write_f64(out, g.max);
             out.push('}');
         }
         out.push_str("]}");
+    }
+
+    /// The window as [`WindowReport::write_json`] prints it, in a
+    /// fresh string.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
         out
     }
 }

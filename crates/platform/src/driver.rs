@@ -140,6 +140,42 @@ pub enum SubmitReport {
     Deferred,
 }
 
+impl SubmitReport {
+    const ALL: [SubmitReport; 8] = [
+        SubmitReport::Delivered(SubmitOutcome::Accepted),
+        SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::NotAssigned)),
+        SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::Duplicate)),
+        SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::LeaseExpired)),
+        SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::TaskCompleted)),
+        SubmitReport::Dropped,
+        SubmitReport::Stalled,
+        SubmitReport::Deferred,
+    ];
+
+    /// The report's stable name, as the journal records it: the
+    /// serving layer's `result`, followed for a rejection by `:` and
+    /// the rejection's [`RejectReason::name`].
+    pub fn name(self) -> &'static str {
+        match self {
+            SubmitReport::Delivered(SubmitOutcome::Accepted) => "accepted",
+            SubmitReport::Delivered(SubmitOutcome::Rejected(reason)) => match reason {
+                RejectReason::NotAssigned => "rejected:not_assigned",
+                RejectReason::Duplicate => "rejected:duplicate",
+                RejectReason::LeaseExpired => "rejected:lease_expired",
+                RejectReason::TaskCompleted => "rejected:task_completed",
+            },
+            SubmitReport::Dropped => "dropped",
+            SubmitReport::Stalled => "stalled",
+            SubmitReport::Deferred => "deferred",
+        }
+    }
+
+    /// The report [`SubmitReport::name`] gives `name`, if any.
+    pub fn from_name(name: &str) -> Option<SubmitReport> {
+        Self::ALL.into_iter().find(|r| r.name() == name)
+    }
+}
+
 /// The marketplace event loop as a suspendable state machine. See the
 /// module docs; construct via [`MarketDriver::new`], drive via
 /// [`MarketDriver::advance`]/[`MarketDriver::submit_scheduled`] (in

@@ -13,10 +13,13 @@
 //!
 //! with the CRC taken over the payload (a compact JSON object, written
 //! directly into a buffer the writer keeps; the reader parses it with
-//! `serde_json`). A torn or corrupt tail — a partial frame, a CRC
-//! mismatch, unparseable payload — terminates the read at the longest
-//! valid prefix; the recovery layer truncates the file there and
-//! resumes appending.
+//! `serde_json`). Ops carry the driver's own outcome types: a poll its
+//! [`PollOutcome`], a submit its [`SubmitReport`], each written by its
+//! `name` and read back through the same names. A torn or corrupt
+//! tail — a partial frame, a CRC mismatch, an unparseable payload, or
+//! one naming no known record, poll outcome or verdict — terminates the
+//! read at the longest valid prefix; the recovery layer truncates the
+//! file there and resumes appending.
 //!
 //! Snapshot records are *verification checkpoints*, not state dumps:
 //! they pin the accounting, accepted-answer count, logical clock and
@@ -41,7 +44,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use icrowd_core::task::TaskId;
 use serde_json::Value;
 
-use crate::driver::PollOutcome;
+use crate::driver::{PollOutcome, SubmitReport};
 use crate::faults::DecisionStream;
 use crate::market::MarketAccounting;
 use crate::wire::{write_accounting, write_string, write_u64};
@@ -129,9 +132,9 @@ pub enum JournalOp {
         /// a journaled `Wait` is one that pumped deferred deliveries.
         tag: PollOutcome,
     },
-    /// A submission (scheduled or stray) and its verdict, e.g.
-    /// `accepted`, `rejected:duplicate`, `dropped`, `stalled`,
-    /// `deferred`.
+    /// A submission (scheduled or stray) and how the live run settled
+    /// it, recorded by its [`SubmitReport::name`] (`accepted`,
+    /// `rejected:duplicate`, `dropped`, …).
     Submit {
         /// External worker id.
         worker: String,
@@ -139,8 +142,8 @@ pub enum JournalOp {
         task: u32,
         /// Answer choice.
         answer: u8,
-        /// The live run's verdict tag.
-        verdict: String,
+        /// The live run's verdict (replay verifies it matches).
+        verdict: SubmitReport,
     },
     /// A `STATUS`/`RESULTS` pump that moved the schedule (deferred
     /// deliveries landed, or the final sweep ran).
@@ -215,7 +218,7 @@ fn write_payload(rec: &JournalRecord, out: &mut String) {
             out.push_str(r#","a":"#);
             write_u64(out, (*answer).into());
             out.push_str(r#","v":"#);
-            write_string(out, verdict);
+            write_string(out, verdict.name());
         }
         JournalRecord::Op(JournalOp::Pump) => out.push_str(r#"{"t":"pump""#),
         JournalRecord::Snapshot(s) => {
@@ -262,7 +265,7 @@ fn op_from_value(v: &Value) -> Option<JournalOp> {
             worker: str_field(v, "w")?.to_owned(),
             task: u32::try_from(u64_field(v, "task")?).ok()?,
             answer: u8::try_from(u64_field(v, "a")?).ok()?,
-            verdict: str_field(v, "v")?.to_owned(),
+            verdict: SubmitReport::from_name(str_field(v, "v")?)?,
         }),
         "pump" => Some(JournalOp::Pump),
         _ => None,
@@ -810,8 +813,9 @@ pub struct JournalReadout {
 }
 
 /// Reads the longest valid record prefix of the journal at `path`. A
-/// partial frame, oversized length, CRC mismatch or unparseable payload
-/// ends the read — never panics, never errors on tail damage.
+/// partial frame, oversized length, CRC mismatch, unparseable payload or
+/// unknown record, poll outcome or verdict ends the read — never panics,
+/// never errors on tail damage.
 ///
 /// # Errors
 /// Only on failing to open/read the file itself.
@@ -868,6 +872,8 @@ pub fn read_journal(path: &Path) -> io::Result<JournalReadout> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::RejectReason;
+    use crate::market::SubmitOutcome;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("icrowd_journal_{}_{tag}.bin", std::process::id()))
@@ -893,7 +899,7 @@ mod tests {
                 worker: "W1".into(),
                 task: 7,
                 answer: 1,
-                verdict: "accepted".into(),
+                verdict: SubmitReport::Delivered(SubmitOutcome::Accepted),
             },
             JournalOp::Poll {
                 worker: "W2".into(),
@@ -908,7 +914,7 @@ mod tests {
                 worker: "W3".into(),
                 task: 2,
                 answer: 0,
-                verdict: "rejected:duplicate".into(),
+                verdict: SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::Duplicate)),
             },
         ]
     }
@@ -990,7 +996,9 @@ mod tests {
                     worker: "W3".into(),
                     task: 2,
                     answer: 255,
-                    verdict: "rejected:duplicate".into(),
+                    verdict: SubmitReport::Delivered(SubmitOutcome::Rejected(
+                        RejectReason::Duplicate,
+                    )),
                 }),
                 r#"{"t":"submit","w":"W3","task":2,"a":255,"v":"rejected:duplicate"}"#,
                 0xEB18_6945,
@@ -1071,6 +1079,44 @@ mod tests {
         assert!(r.ops.len() < sample_ops().len(), "flip lands mid-ops");
         assert_eq!(r.ops, sample_ops()[..r.ops.len()], "prefix is exact");
         assert!(r.truncated_bytes > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every verdict reads back through its name; a CRC-valid submit
+    /// frame whose `"v"` names none ends the valid prefix, as an
+    /// unknown poll outcome does.
+    #[test]
+    fn an_unknown_verdict_ends_the_valid_prefix() {
+        for name in [
+            "accepted",
+            "rejected:not_assigned",
+            "rejected:duplicate",
+            "rejected:lease_expired",
+            "rejected:task_completed",
+            "dropped",
+            "stalled",
+            "deferred",
+        ] {
+            assert_eq!(
+                SubmitReport::from_name(name).map(SubmitReport::name),
+                Some(name)
+            );
+        }
+        let path = tmp_path("unknown_verdict");
+        let pump = encode_record(&JournalRecord::Op(JournalOp::Pump));
+        let mut bytes = encode_record(&JournalRecord::Header(sample_header()));
+        bytes.extend(&pump);
+        let valid = bytes.len() as u64;
+        let payload = br#"{"t":"submit","w":"W3","task":2,"a":1,"v":"banana"}"#;
+        bytes.extend((payload.len() as u32).to_le_bytes());
+        bytes.extend(crc32(payload).to_le_bytes());
+        bytes.extend(payload);
+        bytes.extend(&pump);
+        std::fs::write(&path, &bytes).unwrap();
+        let r = read_journal(&path).unwrap();
+        assert_eq!(r.ops, [JournalOp::Pump]);
+        assert_eq!(r.valid_bytes, valid);
+        assert_eq!(r.truncated_bytes, bytes.len() as u64 - valid);
         std::fs::remove_file(&path).ok();
     }
 

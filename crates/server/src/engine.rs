@@ -33,8 +33,8 @@ use icrowd_platform::journal::{
     fingerprint, JournalHeader, JournalIo, JournalOp, JournalRecord, JournalSnapshot,
     JournalWriter, StdIo, JOURNAL_VERSION,
 };
-use icrowd_platform::market::ExternalQuestionServer;
-use icrowd_platform::{MarketAccounting, MarketDriver, PollOutcome, SubmitReport};
+use icrowd_platform::market::{ExternalQuestionServer, SubmitOutcome};
+use icrowd_platform::{MarketAccounting, MarketDriver, SubmitReport};
 use icrowd_sim::campaign::{
     labels_lines, prepare_campaign, score_campaign, Approach, CampaignConfig, CampaignResult,
     CampaignServer,
@@ -217,7 +217,7 @@ impl Journal {
     }
 }
 
-struct Core {
+pub(crate) struct Core {
     driver: MarketDriver,
     backend: CampaignServer,
     journal: Option<Journal>,
@@ -422,8 +422,13 @@ impl CampaignEngine {
             }
             JournalState::Attached => {
                 let op = op();
-                let accepted =
-                    matches!(&op, JournalOp::Submit { verdict, .. } if verdict == "accepted");
+                let accepted = matches!(
+                    op,
+                    JournalOp::Submit {
+                        verdict: SubmitReport::Delivered(SubmitOutcome::Accepted),
+                        ..
+                    }
+                );
                 let record = JournalRecord::Op(op);
                 if let Err(e) = j.writer.append(&record) {
                     let JournalRecord::Op(op) = record else {
@@ -579,9 +584,7 @@ impl CampaignEngine {
             // Scrapes the telemetry plane, not the campaign: it takes
             // no engine lock, so scraping a busy server cannot perturb
             // assignment.
-            Request::Metrics => Response::Metrics {
-                window: icrowd_obs::window_advance().to_json(),
-            },
+            Request::Metrics => Response::Metrics(icrowd_obs::window_advance()),
             Request::Shutdown => Response::Bye,
         }
     }
@@ -605,31 +608,23 @@ impl CampaignEngine {
         if let Some(refusal) = self.refuse_if_fail_stopped() {
             return refusal;
         }
-        let outcome = {
-            let mut core = self.core_lock();
-            core.saw(worker);
-            let Core {
-                driver,
-                backend,
-                journal,
-                ..
-            } = &mut *core;
-            let before = driver.epoch();
-            let outcome = driver.poll(backend, worker);
-            if driver.epoch() != before {
-                self.journal_append(journal, driver, || JournalOp::Poll {
-                    worker: worker.to_owned(),
-                    tag: outcome,
-                });
-            }
-            outcome
-        };
-        match outcome {
-            PollOutcome::Assigned(task) => Response::Task(task),
-            PollOutcome::Wait => Response::Wait,
-            PollOutcome::Declined { retry } => Response::Declined { retry },
-            PollOutcome::Left => Response::Left,
+        let mut core = self.core_lock();
+        core.saw(worker);
+        let Core {
+            driver,
+            backend,
+            journal,
+            ..
+        } = &mut *core;
+        let before = driver.epoch();
+        let outcome = driver.poll(backend, worker);
+        if driver.epoch() != before {
+            self.journal_append(journal, driver, || JournalOp::Poll {
+                worker: worker.to_owned(),
+                tag: outcome,
+            });
         }
+        Response::Poll(outcome)
     }
 
     fn submit_answer(&self, worker: &str, task: TaskId, answer: Answer) -> Response {
@@ -672,23 +667,9 @@ impl CampaignEngine {
         let scheduled = driver
             .pending()
             .filter(|p| driver.external_id(p.worker) == worker && p.task == task);
-        let resp = match scheduled {
-            Some(p) => match driver.submit_scheduled(p.worker, answer, backend) {
-                SubmitReport::Delivered(outcome) => Response::from_outcome(outcome),
-                SubmitReport::Dropped => Response::Submit {
-                    result: "dropped",
-                    reason: None,
-                },
-                SubmitReport::Stalled => Response::Submit {
-                    result: "stalled",
-                    reason: None,
-                },
-                SubmitReport::Deferred => Response::Submit {
-                    result: "deferred",
-                    reason: None,
-                },
-            },
-            None => Response::from_outcome(driver.submit_stray(backend, worker, task, answer)),
+        let report = match scheduled {
+            Some(p) => driver.submit_scheduled(p.worker, answer, backend),
+            None => SubmitReport::Delivered(driver.submit_stray(backend, worker, task, answer)),
         };
         // The continuous conservation law must hold after every
         // submission; a violation means a verdict was double-counted.
@@ -697,38 +678,50 @@ impl CampaignEngine {
             icrowd_obs::counter_add("serve.invariant_violation", 1);
         }
         if driver.epoch() != before {
-            if let Response::Submit { result, reason } = &resp {
-                self.journal_append(journal, driver, || JournalOp::Submit {
-                    worker: worker.to_owned(),
-                    task: task.0,
-                    answer: answer.0,
-                    verdict: reason
-                        .map_or_else(|| (*result).to_owned(), |r| format!("{result}:{r}")),
-                });
-            }
+            self.journal_append(journal, driver, || JournalOp::Submit {
+                worker: worker.to_owned(),
+                task: task.0,
+                answer: answer.0,
+                verdict: report,
+            });
         }
-        resp
+        Response::Submit(report)
     }
 
-    fn status(&self, conns: usize) -> Response {
+    /// Locks the campaign and pumps deferred (late) deliveries, so
+    /// progress keeps moving even after every worker left and the final
+    /// sweep runs once the schedule drains; a pump that moved the
+    /// schedule is journaled. Once fail-stop trips, pumps (mutations)
+    /// stop too: the journal prefix stays exactly what was
+    /// acknowledged. `STATUS` and `RESULTS` read on under the returned
+    /// lock; recovery replays a journaled `Pump` through it, before any
+    /// journal is attached.
+    pub(crate) fn pump(&self) -> MutexGuard<'_, Core> {
         let mut core = self.core_lock();
-        let Core {
-            driver,
-            backend,
-            journal,
-            workers_seen,
-        } = &mut *core;
-        // Pump deferred (late) deliveries so progress keeps moving even
-        // after every worker left, and the final sweep runs once the
-        // schedule drains. Once fail-stop trips, pumps (mutations) stop
-        // too: the journal prefix stays exactly what was acknowledged.
         if !self.durability.fail_stopped() {
+            let Core {
+                driver,
+                backend,
+                journal,
+                ..
+            } = &mut *core;
             let before = driver.epoch();
             driver.pump(backend);
             if driver.epoch() != before {
                 self.journal_append(journal, driver, || JournalOp::Pump);
             }
         }
+        core
+    }
+
+    fn status(&self, conns: usize) -> Response {
+        let mut core = self.pump();
+        let Core {
+            driver,
+            backend,
+            journal,
+            workers_seen,
+        } = &mut *core;
         let a = driver.accounting();
         // The settlement law `paid + abandoned == accepted` holds only
         // once the final sweep has settled every open HIT; until then
@@ -752,34 +745,13 @@ impl CampaignEngine {
 
     /// Current consensus labels in canonical line format.
     pub fn labels(&self) -> String {
-        let mut core = self.core_lock();
-        let Core {
-            driver,
-            backend,
-            journal,
-            ..
-        } = &mut *core;
-        if !self.durability.fail_stopped() {
-            let before = driver.epoch();
-            driver.pump(backend);
-            if driver.epoch() != before {
-                self.journal_append(journal, driver, || JournalOp::Pump);
-            }
-        }
-        let results = backend.results(self.config.weighted_aggregation);
+        let results = self
+            .pump()
+            .backend
+            .results(self.config.weighted_aggregation);
         let mut labels: Vec<(TaskId, Answer)> = results.into_iter().collect();
         labels.sort_unstable_by_key(|(t, _)| *t);
         labels_lines(&labels)
-    }
-
-    /// Applies a deferred-delivery pump without journaling — the
-    /// recovery path replaying a journaled `Pump` record.
-    pub(crate) fn replay_pump(&self) {
-        let mut core = self.core_lock();
-        let Core {
-            driver, backend, ..
-        } = &mut *core;
-        driver.pump(backend);
     }
 
     /// The checkpoint view of the driver: accounting, accepted answers,
@@ -836,6 +808,7 @@ impl CampaignEngine {
 mod tests {
     use super::*;
     use icrowd_core::config::ICrowdConfig;
+    use icrowd_platform::{PollOutcome, RejectReason};
     use icrowd_sim::campaign::MetricChoice;
     use icrowd_sim::datasets::table1;
 
@@ -878,7 +851,7 @@ mod tests {
                     continue;
                 };
                 match eng.handle(&Request::RequestTask { worker: w.clone() }, 0) {
-                    Response::Task(task) => {
+                    Response::Poll(PollOutcome::Assigned(task)) => {
                         let answer =
                             icrowd_platform::market::WorkerBehavior::answer(sim, &ds.tasks[task]);
                         let resp = eng.handle(
@@ -890,12 +863,12 @@ mod tests {
                             0,
                         );
                         assert!(
-                            matches!(resp, Response::Submit { .. }),
+                            matches!(resp, Response::Submit(_)),
                             "unexpected submit response {resp:?}"
                         );
                     }
-                    Response::Wait | Response::Declined { retry: true } => {}
-                    Response::Left | Response::Declined { retry: false } => {
+                    Response::Poll(PollOutcome::Wait | PollOutcome::Declined { retry: true }) => {}
+                    Response::Poll(PollOutcome::Left | PollOutcome::Declined { retry: false }) => {
                         sims[i] = None;
                         live -= 1;
                     }
@@ -926,10 +899,9 @@ mod tests {
         assert!(
             matches!(
                 resp,
-                Response::Submit {
-                    result: "rejected",
-                    ..
-                }
+                Response::Submit(SubmitReport::Delivered(SubmitOutcome::Rejected(
+                    RejectReason::NotAssigned
+                )))
             ),
             "{resp:?}"
         );
@@ -961,7 +933,7 @@ mod tests {
         // One real poll so a session opens, then drain immediately.
         let mut polled = false;
         for i in 1..=5 {
-            if let Response::Task(task) = eng.handle(
+            if let Response::Poll(PollOutcome::Assigned(task)) = eng.handle(
                 &Request::RequestTask {
                     worker: format!("W{i}"),
                 },
@@ -1014,7 +986,7 @@ mod tests {
                         0,
                     );
                 }
-                JournalOp::Pump => fresh.replay_pump(),
+                JournalOp::Pump => drop(fresh.pump()),
             }
         }
         fresh
@@ -1036,7 +1008,7 @@ mod tests {
             let r1 = eng.handle(&Request::RequestTask { worker: w.clone() }, 0);
             let r2 = plain.handle(&Request::RequestTask { worker: w.clone() }, 0);
             assert_eq!(r1, r2, "journaling changed serving behavior");
-            if let Response::Task(task) = r1 {
+            if let Response::Poll(PollOutcome::Assigned(task)) = r1 {
                 let a1 = eng.handle(
                     &Request::SubmitAnswer {
                         worker: w.clone(),
@@ -1115,7 +1087,8 @@ mod tests {
     fn drive(eng: &CampaignEngine, rounds: u32) {
         for i in 0..rounds {
             let w = format!("W{}", 1 + (i % 5));
-            if let Response::Task(task) = eng.handle(&Request::RequestTask { worker: w.clone() }, 0)
+            if let Response::Poll(PollOutcome::Assigned(task)) =
+                eng.handle(&Request::RequestTask { worker: w.clone() }, 0)
             {
                 let _ = eng.handle(
                     &Request::SubmitAnswer {

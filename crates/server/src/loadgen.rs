@@ -608,15 +608,16 @@ fn drive(shared: &Shared, dataset: &Dataset, config: &LoadgenConfig) {
 /// The schedule says this worker is gone (left, terminally declined,
 /// or stalled) — but after a crash-rewind the recovered server may
 /// rewind that verdict, and the final sweep is driven by `STATUS`
-/// pumps. Probe the campaign state: the worker only retires once the
-/// campaign is actually complete or finished; until then it keeps
-/// polling (and gets `WAIT` when it truly has nothing to do).
-fn retire_probe(conn: &mut Conn, shared: &Shared) -> Cycle {
-    shared.requests.fetch_add(1, Ordering::Relaxed);
+/// pumps. Probe the campaign state: the worker retires only once the
+/// driver has `finished` (its final sweep ran, and every later poll
+/// answers `left`); until then it keeps polling and gets `wait` when it
+/// truly has nothing to do. `complete` alone does not retire it: a
+/// recovered server may rewind past completion and assign it again.
+fn retire_probe(conn: &mut Conn, requests: &AtomicU64) -> Cycle {
+    requests.fetch_add(1, Ordering::Relaxed);
     match conn.call(&Request::Status) {
         Ok(status) => {
-            let flag = |k: &str| status.get(k).and_then(Value::as_bool) == Some(true);
-            if flag("complete") || flag("finished") {
+            if status.get("finished").and_then(Value::as_bool) == Some(true) {
                 Cycle::Done
             } else {
                 Cycle::Continue { answered: false }
@@ -679,10 +680,10 @@ fn cycle(
             return if resp.get("retry").and_then(Value::as_bool) == Some(true) {
                 Cycle::Continue { answered: false }
             } else {
-                retire_probe(&mut conn, shared)
+                retire_probe(&mut conn, &shared.requests)
             }
         }
-        Some("left") => return retire_probe(&mut conn, shared),
+        Some("left") => return retire_probe(&mut conn, &shared.requests),
         // A response that parses but doesn't match the grammar is
         // transport damage on this connection (a corrupting network can
         // garble a line into different-but-valid JSON), not a proven
@@ -752,7 +753,7 @@ fn cycle(
         let _ = conn.call(&submit);
     }
     match resp.get("result").and_then(Value::as_str) {
-        Some("stalled") => retire_probe(&mut conn, shared),
+        Some("stalled") => retire_probe(&mut conn, &shared.requests),
         Some("rejected" | "dropped") => {
             // The answer did not enter consensus; the next assignment
             // of this task draws fresh, as the in-process harness does.
@@ -814,6 +815,38 @@ mod tests {
         assert_eq!(status.get("complete").and_then(Value::as_bool), Some(true));
         assert_eq!(labels, "T0 1\n");
         assert_eq!(retries.load(Ordering::Relaxed), 0);
+        server.join().unwrap();
+    }
+
+    /// A worker told it left retires on `finished`, not on `complete`:
+    /// between the two a recovered server may still assign it.
+    #[test]
+    fn a_worker_retires_only_once_the_driver_finished() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            for reply in [
+                r#"{"ok":true,"type":"status","complete":true,"finished":false}"#,
+                r#"{"ok":true,"type":"status","complete":true,"finished":true}"#,
+            ] {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("STATUS"), "{line}");
+                writeln!(writer, "{reply}").unwrap();
+            }
+        });
+        let mut conn = Conn::open_timeout(addr, Duration::from_secs(5)).unwrap();
+        let requests = AtomicU64::new(0);
+        assert!(matches!(
+            retire_probe(&mut conn, &requests),
+            Cycle::Continue { answered: false }
+        ));
+        assert!(matches!(retire_probe(&mut conn, &requests), Cycle::Done));
+        assert_eq!(requests.load(Ordering::Relaxed), 2);
         server.join().unwrap();
     }
 

@@ -33,11 +33,18 @@
 //! into the connection's buffer, escaping strings with the tree
 //! printer's own escaper. The client side ([`Request::to_value`])
 //! builds trees.
+//!
+//! A reply carries the driver's and obs's own types, not a copy of
+//! them: a poll is answered with its [`PollOutcome`], a submit with its
+//! [`SubmitReport`] (printed through [`SubmitReport::name`], the table
+//! the journal records verdicts by), and `METRICS` with its
+//! [`WindowReport`], which obs prints into the line.
 
 use icrowd_core::answer::Answer;
 use icrowd_core::task::TaskId;
+use icrowd_obs::WindowReport;
 use icrowd_platform::wire::{write_accounting, write_bool, write_string, write_u64};
-use icrowd_platform::{MarketAccounting, SubmitOutcome};
+use icrowd_platform::{MarketAccounting, PollOutcome, SubmitReport};
 use serde_json::{json, Malformed, Scan, Str, Value};
 
 /// A parsed client request.
@@ -279,24 +286,12 @@ pub enum Response {
         /// Approach display name.
         approach: String,
     },
-    /// The worker was assigned (or re-issued) this task.
-    Task(TaskId),
-    /// Another worker's turn is ahead; poll again.
-    Wait,
-    /// The server had no task for the worker.
-    Declined {
-        /// Whether a retry turn is queued.
-        retry: bool,
-    },
-    /// The worker left the marketplace; stop polling.
-    Left,
-    /// How a submission settled.
-    Submit {
-        /// `accepted`, `rejected`, `dropped`, `stalled` or `deferred`.
-        result: &'static str,
-        /// Rejection reason (`rejected` only).
-        reason: Option<&'static str>,
-    },
+    /// What a worker's poll produced: `task`, `wait`, `declined`
+    /// (with `retry`) or `left`.
+    Poll(PollOutcome),
+    /// How a submission settled: `result` is `accepted`, `rejected`
+    /// (with its `reason`), `dropped`, `stalled` or `deferred`.
+    Submit(SubmitReport),
     /// Campaign progress + accounting.
     Status {
         /// Every task reached consensus.
@@ -324,12 +319,8 @@ pub enum Response {
         /// The label lines.
         labels: String,
     },
-    /// One closed telemetry window (`METRICS` verb), carried as the
-    /// pre-serialized JSON object `icrowd-obs` emitted for it.
-    Metrics {
-        /// `WindowReport::to_json()` output.
-        window: String,
-    },
+    /// One closed telemetry window (`METRICS` verb).
+    Metrics(WindowReport),
     /// Shutdown acknowledged.
     Bye,
     /// Connection cap reached; retry later.
@@ -342,20 +333,6 @@ pub enum Response {
 }
 
 impl Response {
-    /// Maps a submission verdict to the wire encoding.
-    pub fn from_outcome(outcome: SubmitOutcome) -> Response {
-        match outcome {
-            SubmitOutcome::Accepted => Response::Submit {
-                result: "accepted",
-                reason: None,
-            },
-            SubmitOutcome::Rejected(reason) => Response::Submit {
-                result: "rejected",
-                reason: Some(reason.name()),
-            },
-        }
-    }
-
     /// Serializes into `buf` (reused across requests) with the trailing
     /// newline the framing requires.
     pub fn encode_line(&self, buf: &mut String) {
@@ -390,17 +367,24 @@ impl Response {
                 buf.push_str(r#","approach":"#);
                 write_string(buf, approach);
             }
-            Response::Task(task) => {
+            Response::Poll(PollOutcome::Assigned(task)) => {
                 buf.push_str(r#"{"ok":true,"type":"task","task":"#);
                 write_u64(buf, task.0.into());
             }
-            Response::Wait => buf.push_str(r#"{"ok":true,"type":"wait""#),
-            Response::Declined { retry } => {
+            Response::Poll(PollOutcome::Wait) => buf.push_str(r#"{"ok":true,"type":"wait""#),
+            Response::Poll(PollOutcome::Declined { retry }) => {
                 buf.push_str(r#"{"ok":true,"type":"declined","retry":"#);
                 write_bool(buf, *retry);
             }
-            Response::Left => buf.push_str(r#"{"ok":true,"type":"left""#),
-            Response::Submit { result, reason } => {
+            Response::Poll(PollOutcome::Left) => buf.push_str(r#"{"ok":true,"type":"left""#),
+            Response::Submit(report) => {
+                // The name is the result, then `:` and the reason for
+                // a rejection.
+                let name = report.name();
+                let (result, reason) = match name.split_once(':') {
+                    Some((result, reason)) => (result, Some(reason)),
+                    None => (name, None),
+                };
                 buf.push_str(r#"{"ok":true,"type":"submit","result":"#);
                 write_string(buf, result);
                 if let Some(reason) = reason {
@@ -441,18 +425,9 @@ impl Response {
                 buf.push_str(r#"{"ok":true,"type":"results","labels":"#);
                 write_string(buf, labels);
             }
-            Response::Metrics { window } => {
-                // `WindowReport::to_json` prints with the tree printer's
-                // own writers, so its text goes in as it stands. Text
-                // that is not one JSON value goes in as a string, so the
-                // line stays one object.
+            Response::Metrics(window) => {
                 buf.push_str(r#"{"ok":true,"type":"metrics","window":"#);
-                let mut scan = Scan::new(window);
-                if scan.skip_value().and_then(|()| scan.end()).is_ok() {
-                    buf.push_str(window);
-                } else {
-                    write_string(buf, window);
-                }
+                window.write_json(buf);
             }
             Response::Bye => buf.push_str(r#"{"ok":true,"type":"bye""#),
             Response::Busy => {
@@ -481,7 +456,8 @@ pub fn response_line(resp: &Response) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icrowd_platform::RejectReason;
+    use icrowd_obs::{GaugeSummary, SpanSummary};
+    use icrowd_platform::{RejectReason, SubmitOutcome};
 
     #[test]
     fn requests_round_trip_through_the_wire_encoding() {
@@ -537,22 +513,23 @@ mod tests {
 
     #[test]
     fn metrics_response_embeds_the_window_structurally() {
-        let line = response_line(&Response::Metrics {
-            window: "{\"type\":\"window\",\"seq\":3,\"dur_ns\":10,\"spans\":[],\"counters\":[],\"gauges\":[]}".into(),
-        });
+        let line = response_line(&Response::Metrics(WindowReport {
+            seq: 3,
+            dur_ns: 10,
+            ..Default::default()
+        }));
         let v: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(v["type"].as_str(), Some("metrics"));
         assert_eq!(v["window"]["seq"].as_u64(), Some(3));
         assert_eq!(v["window"]["type"].as_str(), Some("window"));
     }
 
-    /// `METRICS` splices its window's text as it stands: for a window
-    /// with escaped names and negative, fractional and non-finite
-    /// gauges, the line is what parsing the window and printing it
-    /// again would give.
+    /// `METRICS` writes its window as obs prints it: for a window with
+    /// escaped names and negative, fractional and non-finite gauges,
+    /// the line is what parsing the window and printing it again would
+    /// give.
     #[test]
     fn metrics_window_splices_as_the_tree_would_reprint_it() {
-        use icrowd_obs::{GaugeSummary, SpanSummary, WindowReport};
         let gauge = |name: &str, last, min, max| GaugeSummary {
             name: name.into(),
             last,
@@ -577,11 +554,12 @@ mod tests {
                 gauge("\r", f64::NAN, f64::NEG_INFINITY, f64::INFINITY),
                 gauge("tiny", 1e-7, -1e300, 1e21),
             ],
-        }
-        .to_json();
-        let reprinted = serde_json::from_str::<Value>(&window).unwrap().to_string();
+        };
+        let reprinted = serde_json::from_str::<Value>(&window.to_json())
+            .unwrap()
+            .to_string();
         assert_eq!(
-            response_line(&Response::Metrics { window }),
+            response_line(&Response::Metrics(window)),
             format!("{{\"ok\":true,\"type\":\"metrics\",\"window\":{reprinted}}}\n")
         );
     }
@@ -603,15 +581,14 @@ mod tests {
 
     #[test]
     fn responses_carry_their_discriminators() {
-        let line = response_line(&Response::Task(TaskId(5)));
+        let line = response_line(&Response::Poll(PollOutcome::Assigned(TaskId(5))));
         let v: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(v["type"].as_str(), Some("task"));
         assert_eq!(v["task"].as_u64(), Some(5));
 
-        let line = response_line(&Response::Submit {
-            result: "rejected",
-            reason: Some(RejectReason::Duplicate.name()),
-        });
+        let line = response_line(&Response::Submit(SubmitReport::Delivered(
+            SubmitOutcome::Rejected(RejectReason::Duplicate),
+        )));
         let v: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(v["result"].as_str(), Some("rejected"));
         assert_eq!(v["reason"].as_str(), Some("duplicate"));
@@ -619,6 +596,45 @@ mod tests {
         let v: Value = serde_json::from_str(&response_line(&Response::Busy)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(false));
         assert_eq!(v["type"].as_str(), Some("busy"));
+    }
+
+    /// Every submit verdict goes on the wire as the journal names it:
+    /// the name's `result`, and for a rejection its reason, which is
+    /// the reason's telemetry name.
+    #[test]
+    fn submit_replies_print_the_journal_names() {
+        let cases = [
+            ("accepted", r#""result":"accepted""#),
+            ("dropped", r#""result":"dropped""#),
+            ("stalled", r#""result":"stalled""#),
+            ("deferred", r#""result":"deferred""#),
+            (
+                "rejected:not_assigned",
+                r#""result":"rejected","reason":"not_assigned""#,
+            ),
+            (
+                "rejected:duplicate",
+                r#""result":"rejected","reason":"duplicate""#,
+            ),
+            (
+                "rejected:lease_expired",
+                r#""result":"rejected","reason":"lease_expired""#,
+            ),
+            (
+                "rejected:task_completed",
+                r#""result":"rejected","reason":"task_completed""#,
+            ),
+        ];
+        for (name, members) in cases {
+            let report = SubmitReport::from_name(name).expect(name);
+            assert_eq!(
+                response_line(&Response::Submit(report)),
+                format!("{{\"ok\":true,\"type\":\"submit\",{members}}}\n")
+            );
+            if let SubmitReport::Delivered(SubmitOutcome::Rejected(reason)) = report {
+                assert_eq!(name, format!("rejected:{}", reason.name()));
+            }
+        }
     }
 
     #[test]
@@ -671,8 +687,8 @@ mod tests {
     #[test]
     fn degraded_flag_stamps_every_response_type() {
         for resp in [
-            Response::Wait,
-            Response::Task(TaskId(3)),
+            Response::Poll(PollOutcome::Wait),
+            Response::Poll(PollOutcome::Assigned(TaskId(3))),
             Response::Bye,
             Response::Error {
                 message: "x".into(),
@@ -775,25 +791,33 @@ mod tests {
                 r#"{"ok":true,"type":"hello","dataset":"table1","seed":18446744073709551615,"workers":5,"tasks":12,"approach":"iCrowd"}"#.to_owned(),
             ),
             (
-                Response::Task(TaskId(7)),
+                Response::Poll(PollOutcome::Assigned(TaskId(7))),
                 r#"{"ok":true,"type":"task","task":7}"#.to_owned(),
             ),
-            (Response::Wait, r#"{"ok":true,"type":"wait"}"#.to_owned()),
             (
-                Response::Declined { retry: true },
+                Response::Poll(PollOutcome::Wait),
+                r#"{"ok":true,"type":"wait"}"#.to_owned(),
+            ),
+            (
+                Response::Poll(PollOutcome::Declined { retry: true }),
                 r#"{"ok":true,"type":"declined","retry":true}"#.to_owned(),
             ),
             (
-                Response::Declined { retry: false },
+                Response::Poll(PollOutcome::Declined { retry: false }),
                 r#"{"ok":true,"type":"declined","retry":false}"#.to_owned(),
             ),
-            (Response::Left, r#"{"ok":true,"type":"left"}"#.to_owned()),
             (
-                Response::from_outcome(SubmitOutcome::Accepted),
+                Response::Poll(PollOutcome::Left),
+                r#"{"ok":true,"type":"left"}"#.to_owned(),
+            ),
+            (
+                Response::Submit(SubmitReport::Delivered(SubmitOutcome::Accepted)),
                 r#"{"ok":true,"type":"submit","result":"accepted"}"#.to_owned(),
             ),
             (
-                Response::from_outcome(SubmitOutcome::Rejected(RejectReason::LeaseExpired)),
+                Response::Submit(SubmitReport::Delivered(SubmitOutcome::Rejected(
+                    RejectReason::LeaseExpired,
+                ))),
                 r#"{"ok":true,"type":"submit","result":"rejected","reason":"lease_expired"}"#
                     .to_owned(),
             ),
@@ -815,16 +839,27 @@ mod tests {
                 r#"{"ok":true,"type":"results","labels":"0 1\n1 0\n"}"#.to_owned(),
             ),
             (
-                Response::Metrics {
-                    window: r#"{"type":"window","seq":3,"dur_ns":18446744073709551615,"spans":[{"name":"a","p50_us":0.25,"neg":-4,"big":1e300}],"counters":[],"gauges":[]}"#.into(),
-                },
-                r#"{"ok":true,"type":"metrics","window":{"type":"window","seq":3,"dur_ns":18446744073709551615,"spans":[{"name":"a","p50_us":0.25,"neg":-4,"big":1e300}],"counters":[],"gauges":[]}}"#.to_owned(),
-            ),
-            (
-                Response::Metrics {
-                    window: "not json".into(),
-                },
-                r#"{"ok":true,"type":"metrics","window":"not json"}"#.to_owned(),
+                Response::Metrics(WindowReport {
+                    seq: 3,
+                    dur_ns: u64::MAX,
+                    spans: vec![SpanSummary {
+                        name: "a".into(),
+                        count: 2,
+                        total_ns: 30,
+                        min_ns: 10,
+                        max_ns: 20,
+                        p50_ns: 10,
+                        p99_ns: 20,
+                    }],
+                    counters: vec![("c\"".into(), 4)],
+                    gauges: vec![GaugeSummary {
+                        name: "g".into(),
+                        last: 0.25,
+                        min: -4.0,
+                        max: 1e300,
+                    }],
+                }),
+                r#"{"ok":true,"type":"metrics","window":{"type":"window","seq":3,"dur_ns":18446744073709551615,"spans":[{"name":"a","count":2,"total_ns":30,"min_ns":10,"max_ns":20,"p50_ns":10,"p99_ns":20}],"counters":[{"name":"c\"","delta":4}],"gauges":[{"name":"g","last":0.25,"min":-4.0,"max":1e300}]}}"#.to_owned(),
             ),
             (Response::Bye, r#"{"ok":true,"type":"bye"}"#.to_owned()),
             (
@@ -851,9 +886,10 @@ mod tests {
     #[test]
     fn encode_line_reuses_the_buffer() {
         let mut buf = String::new();
-        Response::Wait.encode_line(&mut buf);
+        let wait = Response::Poll(PollOutcome::Wait);
+        wait.encode_line(&mut buf);
         let first = buf.clone();
-        Response::Wait.encode_line(&mut buf);
+        wait.encode_line(&mut buf);
         assert_eq!(buf, first, "encode clears before writing");
         assert!(buf.ends_with('\n'));
     }

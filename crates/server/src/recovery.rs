@@ -13,8 +13,12 @@
 //!    (format version, dataset, approach, seed, config fingerprint) —
 //!    before anything is truncated, so a refused file stays as it was,
 //! 3. replays every op through [`CampaignEngine::handle`] — before any
-//!    journal is attached, so replay appends nothing — checking each
-//!    outcome against the journaled verdict,
+//!    journal is attached, so replay appends nothing — checking that
+//!    each poll and submit is answered with the journaled
+//!    `PollOutcome` or `SubmitReport` (the reply carries the driver's
+//!    own value, so the two compare as they stand), and a `Pump`
+//!    through the engine's one pump helper, which `STATUS` and
+//!    `RESULTS` call too,
 //! 4. verifies every surviving snapshot checkpoint and the marketplace
 //!    conservation laws,
 //! 5. truncates any torn tail off the file and reattaches an
@@ -34,7 +38,6 @@ use icrowd_core::task::TaskId;
 use icrowd_platform::journal::{
     read_journal, JournalIo, JournalOp, JournalSnapshot, JournalWriter, StdIo,
 };
-use icrowd_platform::PollOutcome;
 use icrowd_sim::campaign::{Approach, CampaignConfig};
 use icrowd_sim::datasets::Dataset;
 
@@ -232,64 +235,40 @@ fn verify_snapshot(
 }
 
 /// Replays one journaled op through the request interface, insisting
-/// the engine reproduces the journaled outcome.
+/// the engine answers with the journaled outcome.
 fn apply(engine: &CampaignEngine, op: &JournalOp) -> Result<(), String> {
-    match op {
-        JournalOp::Poll { worker, tag } => {
-            let resp = engine.handle(
-                &Request::RequestTask {
-                    worker: worker.clone(),
-                },
-                0,
-            );
-            let got = match resp {
-                Response::Task(task) => PollOutcome::Assigned(task),
-                Response::Wait => PollOutcome::Wait,
-                Response::Declined { retry } => PollOutcome::Declined { retry },
-                Response::Left => PollOutcome::Left,
-                other => return Err(format!("poll for {worker} returned {other:?}")),
-            };
-            if got != *tag {
-                return Err(format!(
-                    "poll for {worker} produced `{}` but the journal recorded `{}`",
-                    got.name(),
-                    tag.name()
-                ));
-            }
-            Ok(())
-        }
+    let (req, want) = match op {
+        JournalOp::Poll { worker, tag } => (
+            Request::RequestTask {
+                worker: worker.clone(),
+            },
+            Response::Poll(*tag),
+        ),
         JournalOp::Submit {
             worker,
             task,
             answer,
             verdict,
-        } => {
-            let resp = engine.handle(
-                &Request::SubmitAnswer {
-                    worker: worker.clone(),
-                    task: TaskId(*task),
-                    answer: Answer(*answer),
-                },
-                0,
-            );
-            let got = match resp {
-                Response::Submit { result, reason } => {
-                    reason.map_or_else(|| result.to_owned(), |r| format!("{result}:{r}"))
-                }
-                other => return Err(format!("submit for {worker} returned {other:?}")),
-            };
-            if got != *verdict {
-                return Err(format!(
-                    "submit {worker}/{task} produced `{got}` but the journal recorded `{verdict}`"
-                ));
-            }
-            Ok(())
-        }
+        } => (
+            Request::SubmitAnswer {
+                worker: worker.clone(),
+                task: TaskId(*task),
+                answer: Answer(*answer),
+            },
+            Response::Submit(*verdict),
+        ),
         JournalOp::Pump => {
-            engine.replay_pump();
-            Ok(())
+            drop(engine.pump());
+            return Ok(());
         }
+    };
+    let got = engine.handle(&req, 0);
+    if got != want {
+        return Err(format!(
+            "{req:?} was answered {got:?} but the journal recorded {want:?}"
+        ));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -297,6 +276,7 @@ mod tests {
     use super::*;
     use icrowd_core::config::ICrowdConfig;
     use icrowd_platform::journal::{crc32, encode_record, JournalRecord, JOURNAL_VERSION};
+    use icrowd_platform::PollOutcome;
     use icrowd_sim::campaign::MetricChoice;
     use icrowd_sim::datasets::table1;
 
@@ -342,7 +322,7 @@ mod tests {
                         continue;
                     };
                     match eng.handle(&Request::RequestTask { worker: w.clone() }, 0) {
-                        Response::Task(task) => {
+                        Response::Poll(PollOutcome::Assigned(task)) => {
                             live = true;
                             let answer = icrowd_platform::market::WorkerBehavior::answer(
                                 sim,
@@ -357,7 +337,9 @@ mod tests {
                                 0,
                             );
                         }
-                        Response::Wait | Response::Declined { retry: true } => live = true,
+                        Response::Poll(
+                            PollOutcome::Wait | PollOutcome::Declined { retry: true },
+                        ) => live = true,
                         _ => sims[i] = None,
                     }
                 }

@@ -196,7 +196,7 @@ fn metrics_emitter_loop(drain: &Drain, every: Duration, mut sink: Option<File>) 
     // Stream only flows when the operator passed `--metrics-every`;
     // with no `--metrics-out` path it goes to stderr (never stdout,
     // which belongs to the caller's output).
-    let mut emit = |line: String| {
+    let mut emit = |line: &str| {
         let ok = match sink.as_mut() {
             Some(f) => f.write_all(line.as_bytes()).and_then(|()| f.flush()),
             None => std::io::stderr().write_all(line.as_bytes()),
@@ -205,10 +205,13 @@ fn metrics_emitter_loop(drain: &Drain, every: Duration, mut sink: Option<File>) 
             icrowd_obs::counter_add("serve.metrics_emit_error", 1);
         }
     };
+    let mut line = String::new();
     loop {
         let done = drain.requested();
-        let window = icrowd_obs::window_advance();
-        emit(format!("{}\n", window.to_json()));
+        line.clear();
+        icrowd_obs::window_advance().write_json(&mut line);
+        line.push('\n');
+        emit(&line);
         if done {
             return;
         }

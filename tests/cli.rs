@@ -14,7 +14,8 @@ fn run_line(line: &str) -> Result<String, icrowd_cli::CliError> {
 
 /// A stub server for one loadgen run: HELLO announces table1, every
 /// REQUEST_TASK is answered `left`, and STATUS reports the campaign
-/// complete with books `balanced` or not. It returns after SHUTDOWN.
+/// complete and finished with books `balanced` or not. It returns after
+/// SHUTDOWN.
 fn stub_server(balanced: bool) -> (String, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -28,10 +29,10 @@ fn stub_server(balanced: bool) -> (String, JoinHandle<()>) {
                     Request::Hello => r#"{"ok":true,"type":"hello","dataset":"table1","seed":1}"#,
                     Request::RequestTask { .. } => r#"{"ok":true,"type":"left"}"#,
                     Request::Status if balanced => {
-                        r#"{"ok":true,"type":"status","complete":true,"balanced":true}"#
+                        r#"{"ok":true,"type":"status","complete":true,"finished":true,"balanced":true}"#
                     }
                     Request::Status => {
-                        r#"{"ok":true,"type":"status","complete":true,"balanced":false}"#
+                        r#"{"ok":true,"type":"status","complete":true,"finished":true,"balanced":false}"#
                     }
                     Request::Results => r#"{"ok":true,"type":"results","labels":""}"#,
                     Request::Shutdown => {
@@ -62,6 +63,23 @@ fn loadgen_fails_when_the_final_status_is_unbalanced() {
             .join()
             .expect("the stub server saw the loadgen through");
     }
+}
+
+/// `icrowd obs report` refuses a line nested past the parser's depth
+/// cap with an error naming the line, instead of overflowing its stack.
+#[test]
+fn obs_report_names_a_line_nested_too_deep() {
+    let path = std::env::temp_dir().join(format!("icrowd_cli_deep_{}.jsonl", std::process::id()));
+    let depth = 100_000;
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    std::fs::write(&path, format!("{{\"type\":\"counter\"}}\n{deep}\n")).unwrap();
+    let err = run_line(&format!("obs report {}", path.display())).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        err.0.contains("line 2:") && err.0.contains("256"),
+        "{}",
+        err.0
+    );
 }
 
 #[test]

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use icrowd_platform::journal::{encode_record, JournalOp, JournalRecord};
 use icrowd_platform::market::WorkerBehavior;
+use icrowd_platform::PollOutcome;
 use icrowd_serve::protocol::{response_line, Request};
 use icrowd_serve::{client, recover, run_loadgen, CampaignEngine, LoadgenConfig, Response};
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
@@ -86,7 +87,7 @@ fn drive(engine: &CampaignEngine, rounds: usize, mut after_poll: impl FnMut() ->
                 },
                 0,
             ) {
-                Response::Task(task) => {
+                Response::Poll(PollOutcome::Assigned(task)) => {
                     live = true;
                     let answer = sim.answer(&ds.tasks[task]);
                     engine.handle(
@@ -98,7 +99,9 @@ fn drive(engine: &CampaignEngine, rounds: usize, mut after_poll: impl FnMut() ->
                         0,
                     );
                 }
-                Response::Wait | Response::Declined { retry: true } => live = true,
+                Response::Poll(PollOutcome::Wait | PollOutcome::Declined { retry: true }) => {
+                    live = true
+                }
                 _ => *slot = None,
             }
             if !after_poll() {

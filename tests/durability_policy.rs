@@ -10,7 +10,7 @@
 
 use icrowd::core::ICrowdConfig;
 use icrowd_platform::market::WorkerBehavior;
-use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo, StdIo};
+use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo, PollOutcome, StdIo};
 use icrowd_serve::protocol::{Request, Response};
 use icrowd_serve::{recover_with_policy, CampaignEngine, DurabilityPolicy};
 use icrowd_sim::campaign::{labels_lines, run_campaign, Approach, CampaignConfig, MetricChoice};
@@ -59,7 +59,7 @@ fn drive_to_end(eng: &CampaignEngine, dataset: &Dataset, seed: u64) {
                 continue;
             };
             match eng.handle(&Request::RequestTask { worker: w.clone() }, 0) {
-                Response::Task(task) => {
+                Response::Poll(PollOutcome::Assigned(task)) => {
                     let answer = WorkerBehavior::answer(sim, &dataset.tasks[task]);
                     eng.handle(
                         &Request::SubmitAnswer {
@@ -70,8 +70,8 @@ fn drive_to_end(eng: &CampaignEngine, dataset: &Dataset, seed: u64) {
                         0,
                     );
                 }
-                Response::Wait | Response::Declined { retry: true } => {}
-                Response::Left | Response::Declined { retry: false } => {
+                Response::Poll(PollOutcome::Wait | PollOutcome::Declined { retry: true }) => {}
+                Response::Poll(PollOutcome::Left | PollOutcome::Declined { retry: false }) => {
                     sims[i] = None;
                     live -= 1;
                 }

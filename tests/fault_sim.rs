@@ -43,7 +43,8 @@ use icrowd::AssignStrategy;
 use icrowd_platform::faults::DecisionStream;
 use icrowd_platform::journal::{encode_record, JournalOp, JournalRecord};
 use icrowd_platform::market::WorkerBehavior;
-use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo};
+use icrowd_platform::SubmitOutcome::Rejected;
+use icrowd_platform::{read_journal, DiskFaultConfig, FaultyIo, PollOutcome, SubmitReport};
 use icrowd_serve::protocol::{Request, Response};
 use icrowd_serve::{
     recover_with_policy, CampaignEngine, DurabilityPolicy, DurabilityProbe, JournalHealth,
@@ -367,10 +368,7 @@ impl Sim {
             return false;
         }
         self.seen.insert("lost reply");
-        if let Response::Submit {
-            result: "dropped" | "rejected",
-            ..
-        } = resp
+        if let Response::Submit(SubmitReport::Dropped | SubmitReport::Delivered(Rejected(_))) = resp
         {
             self.parity_owed = false;
         }
@@ -399,9 +397,12 @@ impl Sim {
         let resp = self.exchange(&Request::RequestTask { worker: id.clone() });
         let task = match resp {
             _ if self.lost(&resp) => return,
-            Response::Task(task) => task,
-            Response::Wait | Response::Declined { retry: true } | Response::Error { .. } => return,
-            Response::Left | Response::Declined { retry: false } => return self.retire_probe(w),
+            Response::Poll(PollOutcome::Assigned(task)) => task,
+            Response::Poll(PollOutcome::Wait | PollOutcome::Declined { retry: true })
+            | Response::Error { .. } => return,
+            Response::Poll(PollOutcome::Left | PollOutcome::Declined { retry: false }) => {
+                return self.retire_probe(w)
+            }
             other => self.fail(&format!("a poll by {id} answered {other:?}")),
         };
         let worker = &mut self.workers[w];
@@ -417,26 +418,25 @@ impl Sim {
         let resp = self.exchange(&submit);
         let result = match resp {
             _ if self.lost(&resp) => return,
-            Response::Submit { result, .. } => result,
+            Response::Submit(report) => report,
             Response::Error { .. } => return,
             other => self.fail(&format!("a submit by {id} answered {other:?}")),
         };
         if self.s.chance(self.sched.send_twice) {
             self.seen.insert("submit sent twice");
             match self.exchange(&submit) {
-                Response::Submit {
-                    result: "rejected", ..
+                Response::Submit(SubmitReport::Delivered(Rejected(_))) | Response::Error { .. } => {
                 }
-                | Response::Error { .. } => {}
                 other => self.fail(&format!(
-                    "the copy of {id}'s {result} submit of task {} was answered {other:?}",
+                    "the copy of {id}'s {} submit of task {} was answered {other:?}",
+                    result.name(),
                     task.0
                 )),
             }
         }
         match result {
-            "stalled" => self.retire_probe(w),
-            "rejected" | "dropped" => {
+            SubmitReport::Stalled => self.retire_probe(w),
+            SubmitReport::Delivered(Rejected(_)) | SubmitReport::Dropped => {
                 self.workers[w].memo.remove(&task);
             }
             _ => {}
@@ -722,7 +722,7 @@ fn out_of_range_submissions_are_refused_before_the_driver() {
                 worker: w.id.clone(),
             };
             match sim.engine().handle(&poll, 0) {
-                Response::Task(task) => Some((w.id.clone(), task)),
+                Response::Poll(PollOutcome::Assigned(task)) => Some((w.id.clone(), task)),
                 _ => None,
             }
         })

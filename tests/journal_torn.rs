@@ -12,7 +12,7 @@ use icrowd_core::task::TaskId;
 use icrowd_platform::journal::{fingerprint, JournalReadout, JournalSnapshot, JOURNAL_VERSION};
 use icrowd_platform::{
     read_journal, JournalHeader, JournalOp, JournalRecord, JournalWriter, MarketAccounting,
-    PollOutcome,
+    PollOutcome, RejectReason, SubmitOutcome, SubmitReport,
 };
 use proptest::prelude::*;
 
@@ -57,9 +57,9 @@ fn build_records(raw: Vec<(u8, u32, u32, u8)>) -> Vec<JournalRecord> {
                 task,
                 answer,
                 verdict: if answer == 0 {
-                    "accepted".to_owned()
+                    SubmitReport::Delivered(SubmitOutcome::Accepted)
                 } else {
-                    "rejected:duplicate".to_owned()
+                    SubmitReport::Delivered(SubmitOutcome::Rejected(RejectReason::Duplicate))
                 },
             },
             3 => JournalOp::Pump,

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use icrowd::AssignStrategy;
 use icrowd_obs::TraceEvent;
 use icrowd_platform::market::WorkerBehavior;
+use icrowd_platform::PollOutcome;
 use icrowd_serve::protocol::Request;
 use icrowd_serve::{CampaignEngine, Response};
 use icrowd_sim::campaign::{
@@ -161,7 +162,7 @@ fn served_requests_trace_the_full_split() {
             };
             let poll = Request::RequestTask { worker: w.clone() };
             match traced("serve.rpc.request", &poll) {
-                (id, Response::Task(task)) => {
+                (id, Response::Poll(PollOutcome::Assigned(task))) => {
                     kinds.insert(id, "assigned");
                     let answer = WorkerBehavior::answer(sim, &dataset.tasks[task]);
                     let submit = Request::SubmitAnswer {
@@ -171,15 +172,18 @@ fn served_requests_trace_the_full_split() {
                     };
                     let (id, resp) = traced("serve.rpc.submit", &submit);
                     kinds.insert(id, "submit");
-                    assert!(matches!(resp, Response::Submit { .. }), "{resp:?}");
+                    assert!(matches!(resp, Response::Submit(_)), "{resp:?}");
                 }
-                (id, Response::Wait) => {
+                (id, Response::Poll(PollOutcome::Wait)) => {
                     kinds.insert(id, "wait");
                 }
-                (id, Response::Declined { retry: true }) => {
+                (id, Response::Poll(PollOutcome::Declined { retry: true })) => {
                     kinds.insert(id, "declined");
                 }
-                (id, Response::Left | Response::Declined { retry: false }) => {
+                (
+                    id,
+                    Response::Poll(PollOutcome::Left | PollOutcome::Declined { retry: false }),
+                ) => {
                     kinds.insert(id, "left");
                     sims[i] = None;
                     live -= 1;
